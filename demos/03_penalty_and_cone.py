@@ -9,7 +9,7 @@ import numpy as np
 
 from riskpath import ConeSpec, penalty, penalty_multiplier, project
 
-cone = ConeSpec(kind="nonneg-grid", weight=0.125)
+cone = ConeSpec(weight=0.125)
 
 k = np.array([-1.0, 0.0, 0.5, 2.0, -0.3])
 p = project(cone, k)

@@ -13,7 +13,6 @@ from .grid import (
     EllipticityError,
     Grid,
     NumericalDegeneracyError,
-    apply_adjoint_solve,
     assemble,
     inner_h,
     norm_h,

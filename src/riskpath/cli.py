@@ -19,7 +19,7 @@ from . import risk as risk_mod
 from . import solver as solver_mod
 from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, penalty_multiplier, project
 from .config import ConfigError
-from .grid import inner_h, norm_h
+from .grid import inner_h, solve_state
 
 ENV_OUT_DIR = "RISKPATH_OUT"
 
@@ -60,7 +60,7 @@ def _summary_base(cfg):
     }
 
 
-def cmd_solve(cfg: dict, gamma: float, out: Path, threads: int | None = None) -> int:
+def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
     data = config_mod.build_problem(cfg)
     opts = config_mod.build_solve_options(cfg)
     tag = _tag(cfg)
@@ -70,7 +70,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path, threads: int | None = None) ->
         log_lines.append(f"iter={it} j_gamma={f!r} stationarity={stat!r} step={step!r}")
 
     result = solver_mod.minimize(data, gamma, opts, callback=log_cb)
-    report = kkt_mod.check_limit_system(data, result.bundle, result)
+    report = kkt_mod.check_limit_system(data, result.bundle)
     j, feasible, max_violation = obj_mod.unpenalized_objective(data, result.x1_opt)
     summary = _summary_base(cfg)
     summary.update(
@@ -93,7 +93,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path, threads: int | None = None) ->
     return 0 if result.converged else 2
 
 
-def cmd_path(cfg: dict, out: Path, cold: bool = False, threads: int | None = None) -> int:
+def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     data = config_mod.build_problem(cfg)
     opts = config_mod.build_solve_options(cfg)
     schedule = config_mod.build_schedule(cfg)
@@ -147,7 +147,7 @@ def _verify_checks(cfg: dict):
     g = data.grid
 
     # projection characterization, idempotence, nonexpansiveness
-    cone = ConeSpec(kind="nonneg-grid", weight=g.h)
+    cone = ConeSpec(weight=g.h)
     ok, worst = True, 0.0
     for _ in range(200):
         k = rng.standard_normal(g.n_interior)
@@ -209,21 +209,21 @@ def _verify_checks(cfg: dict):
             ok &= risk_mod.duality_gap(rm, xi, theta, weights) <= 1e-12
     yield "risk_axioms_and_duality", bool(ok), f"measure = {rm.kind}"
 
-    # constraint adjoint identity on the configured problem
+    # constraint adjoint identity on the configured problem, first scenario
     x1 = rng.standard_normal(g.n_interior)
     x2 = rng.standard_normal(g.n_interior)
     cone_c = data.cone
     ok, worst = True, 0.0
     for _ in range(10):
-        i0 = constraint_eval(data.constraint, x1, x2, 0)
-        lam = np.abs(rng.standard_normal(np.shape(i0))) if np.ndim(i0) else abs(rng.standard_normal())
+        i0 = constraint_eval(data.constraint, x1, x2)[0]
+        lam = np.abs(rng.standard_normal(i0.shape))
         du = rng.standard_normal(g.n_interior)
         dy = rng.standard_normal(g.n_interior)
         eps = 1e-7
-        ip = constraint_eval(data.constraint, x1 + eps * du, x2 + eps * dy, 0)
-        im = constraint_eval(data.constraint, x1 - eps * du, x2 - eps * dy, 0)
-        fd = cone_c.inner(lam, (np.asarray(ip) - np.asarray(im)) / (2 * eps))
-        adj_u, adj_y = constraint_adjoints(data.constraint, x1, x2, 0, lam)
+        ip = constraint_eval(data.constraint, x1 + eps * du, x2 + eps * dy)[0]
+        im = constraint_eval(data.constraint, x1 - eps * du, x2 - eps * dy)[0]
+        fd = cone_c.inner(lam, (ip - im) / (2 * eps))
+        adj_u, adj_y = constraint_adjoints(data.constraint, x1, x2, lam)
         an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
         err = abs(fd - an) / max(1.0, abs(an))
         worst = max(worst, err)
@@ -253,15 +253,13 @@ def _verify_checks(cfg: dict):
             ok &= err <= tol
         yield "reduced_gradient_fd", bool(ok), f"max rel err = {worst:.3e}"
 
-    # solve self-adjointness
-    op = data.operators[0]
-    from .grid import solve_state
-
-    r = rng.standard_normal(g.n_interior)
-    q = rng.standard_normal(g.n_interior)
+    # solve self-adjointness, every scenario's operator at once
+    op = data.operator
+    r = rng.standard_normal(op.diag.shape)
+    q = rng.standard_normal(op.diag.shape)
     lhs = inner_h(g, solve_state(op, r), q)
     rhs = inner_h(g, r, solve_state(op, q))
-    err = abs(lhs - rhs) / max(1.0, abs(lhs))
+    err = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
     yield "solve_self_adjointness", err <= 1e-10, f"rel err = {err:.3e}"
 
 
@@ -290,8 +288,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism hint; results do not depend on it")
         if name == "solve":
             p.add_argument("--gamma", type=float, required=True)
         if name == "path":
@@ -302,9 +298,9 @@ def main(argv=None) -> int:
         cfg = config_mod.load_config(args.config)
         out = _out_dir(cfg, args.out)
         if args.command == "solve":
-            return cmd_solve(cfg, args.gamma, out, threads=args.threads)
+            return cmd_solve(cfg, args.gamma, out)
         if args.command == "path":
-            return cmd_path(cfg, out, cold=args.cold, threads=args.threads)
+            return cmd_path(cfg, out, cold=args.cold)
         return cmd_verify(cfg, out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

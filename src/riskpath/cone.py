@@ -6,7 +6,8 @@ form (gamma/2) ||max(0, i)||_H^2 with gradient gamma * max(0, i).
 
 Three constraint maps are realized: a mixed control/state bound, a scalar
 volume bound, and a bound on the state gradient magnitude (delta-smoothed so
-the map stays continuously differentiable).
+the map stays continuously differentiable). Constraint values are stacked
+(K, m) arrays, one row per scenario; the volume bound is the case m = 1.
 """
 
 from __future__ import annotations
@@ -15,47 +16,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, dot_last
 
 
 @dataclass(frozen=True)
 class ConeSpec:
     """Pointwise-nonnegative cone in a weighted discrete L2 space.
 
-    kind "nonneg-grid" uses the lumped inner product with weight h (grid
-    functions on nodes or cells); "nonneg-scalar" is the half line with the
-    plain real product.
+    The inner product is weight * sum_j u_j v_j over the last axis: weight h
+    for grid functions on nodes or cells (the lumped product), 1 for the half
+    line of a scalar constraint. Stacked arguments give one value per row.
     """
 
-    kind: str
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("nonneg-grid", "nonneg-scalar"):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.weight <= 0.0:
             raise ValueError("cone weight must be positive")
 
-    def inner(self, u, v) -> float:
-        if self.kind == "nonneg-scalar":
-            return float(u) * float(v)
-        return self.weight * float(np.dot(np.ravel(u), np.ravel(v)))
+    def inner(self, u, v):
+        return self.weight * dot_last(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
-    def norm(self, u) -> float:
-        return np.sqrt(max(self.inner(u, u), 0.0))
+    def norm(self, u):
+        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
 
 
 def project(cone: ConeSpec, k):
     """H-orthogonal projection onto the cone: pointwise positive part."""
-    if cone.kind == "nonneg-scalar":
-        return max(0.0, float(k))
     return np.maximum(0.0, np.asarray(k, dtype=float))
 
 
 @dataclass(frozen=True)
 class PenaltyValue:
-    value: float
-    residual: np.ndarray | float  # max(0, i), the infeasible part
+    value: float | np.ndarray  # one value per row of a stacked constraint value
+    residual: np.ndarray  # max(0, i), the infeasible part
 
 
 def penalty(cone: ConeSpec, gamma: float, i_value) -> PenaltyValue:
@@ -65,10 +59,7 @@ def penalty(cone: ConeSpec, gamma: float, i_value) -> PenaltyValue:
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if cone.kind == "nonneg-scalar":
-        r = max(0.0, float(i_value))
-    else:
-        r = np.maximum(0.0, np.asarray(i_value, dtype=float))
+    r = project(cone, i_value)
     return PenaltyValue(value=0.5 * gamma * cone.inner(r, r), residual=r)
 
 
@@ -76,24 +67,23 @@ def penalty_multiplier(cone: ConeSpec, gamma: float, i_value):
     """gamma * (i + proj(-i)) = gamma * max(0, i); always in the dual cone."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if cone.kind == "nonneg-scalar":
-        return gamma * max(0.0, float(i_value))
-    return gamma * np.maximum(0.0, np.asarray(i_value, dtype=float))
+    return gamma * project(cone, i_value)
 
 
 @dataclass(frozen=True)
 class ConstraintMap:
-    """Per-scenario constraint i(x1, x2; omega), one of three kinds.
+    """Constraint i(x1, x2; omega) for every scenario, one of three kinds.
 
-    mixed:    i = x2 - bound - epsilon*x1, nodewise (bound per scenario on nodes)
-    volume:   i = sum_j h x2_j - b, scalar (b per scenario)
+    mixed:    i = x2 - bound - epsilon*x1, nodewise (bounds (K, n) on nodes)
+    volume:   i = sum_j h x2_j - b, one column (bounds (K, 1))
     gradient: i = sqrt((Du)^2 + delta^2) - delta - psi at cell midpoints, with
-              Du the forward difference including boundary cells
+              Du the forward difference including boundary cells (bounds
+              (K, n_cells))
     """
 
     kind: str
     grid: Grid
-    bounds: tuple  # per scenario: nodal array | scalar | cell array
+    bounds: np.ndarray
     epsilon: float = 0.0
     delta: float = 1e-8
 
@@ -104,49 +94,40 @@ class ConstraintMap:
             raise ValueError("epsilon and delta must be nonnegative")
 
     def cone_spec(self) -> ConeSpec:
-        if self.kind == "volume":
-            return ConeSpec(kind="nonneg-scalar")
-        return ConeSpec(kind="nonneg-grid", weight=self.grid.h)
-
-    def _bound(self, k: int):
-        b = self.bounds[k]
-        return float(b) if self.kind == "volume" and np.ndim(b) > 0 else b
+        return ConeSpec(weight=1.0 if self.kind == "volume" else self.grid.h)
 
     def _grad_cells(self, x2: np.ndarray) -> np.ndarray:
-        full = np.concatenate(([0.0], x2, [0.0]))
-        return np.diff(full) / self.grid.h
+        return np.diff(x2, prepend=0.0, append=0.0, axis=-1) / self.grid.h
 
 
-def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, k: int):
+def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
+    """Constraint values (K, m) for the states x2 (K, n) under the control x1."""
     if cmap.kind == "mixed":
-        return x2 - cmap.bounds[k] - cmap.epsilon * x1
+        return x2 - cmap.bounds - cmap.epsilon * x1
     if cmap.kind == "volume":
-        b = cmap._bound(k)
-        return cmap.grid.h * float(np.sum(x2)) - float(np.atleast_1d(b)[0])
+        return cmap.grid.h * np.sum(x2, axis=-1, keepdims=True) - cmap.bounds
     du = cmap._grad_cells(x2)
     smooth = np.sqrt(du**2 + cmap.delta**2)
-    return smooth - cmap.delta - cmap.bounds[k]
+    return smooth - cmap.delta - cmap.bounds
 
 
-def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, k: int, lam):
+def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, lam):
     """Adjoints (i_x1^* lam, i_x2^* lam) as dual (mass-weighted) vectors.
 
     Satisfy (lam, i_x1 du + i_x2 dy)_H = <i_x1^* lam, du> + <i_x2^* lam, dy>
-    with the right-hand pairings the plain euclidean dot product.
+    with the right-hand pairings the plain euclidean dot product, row by row.
     """
     h = cmap.grid.h
+    lam = np.asarray(lam, dtype=float)
     if cmap.kind == "mixed":
-        lam = np.asarray(lam, dtype=float)
         return -cmap.epsilon * h * lam, h * lam
     if cmap.kind == "volume":
-        lam = float(lam)
-        zeros = np.zeros(cmap.grid.n_interior)
-        return zeros, h * lam * np.ones(cmap.grid.n_interior)
-    lam = np.asarray(lam, dtype=float)
-    du = cmap._grad_cells(x2)
-    denom = np.sqrt(du**2 + cmap.delta**2)
-    # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
-    w = np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
-    c = lam * w
-    dual_x2 = c[:-1] - c[1:]
-    return np.zeros(cmap.grid.n_interior), dual_x2
+        dual_x2 = h * lam * np.ones(cmap.grid.n_interior)
+    else:
+        du = cmap._grad_cells(x2)
+        denom = np.sqrt(du**2 + cmap.delta**2)
+        # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
+        w = np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
+        c = lam * w
+        dual_x2 = c[..., :-1] - c[..., 1:]
+    return np.zeros_like(dual_x2), dual_x2

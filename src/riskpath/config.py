@@ -83,38 +83,48 @@ def load_config(path) -> dict:
 def resolve(raw: dict) -> dict:
     """Merge with defaults and validate; returns the fully resolved config."""
     cfg = _merge(DEFAULTS, raw)
-    _require(cfg["problem"]["n_interior"] >= 1, "problem.n_interior must be >= 1")
-    _require(cfg["problem"]["mu_tik"] > 0.0, "problem.mu_tik must be > 0")
+    problem, scenarios, constraint = cfg["problem"], cfg["scenarios"], cfg["problem"]["constraint"]
+    _require(_number(problem["n_interior"], "problem.n_interior", integer=True) >= 1,
+             "problem.n_interior must be >= 1")
+    _require(_number(problem["mu_tik"], "problem.mu_tik") > 0.0, "problem.mu_tik must be > 0")
     _require(
-        cfg["problem"]["control_lo"] <= cfg["problem"]["control_hi"],
+        _number(problem["control_lo"], "problem.control_lo")
+        <= _number(problem["control_hi"], "problem.control_hi"),
         "problem.control_lo must be <= problem.control_hi",
     )
-    kind = cfg["problem"]["constraint"].get("kind")
+    kind = constraint.get("kind")
     _require(kind in ("mixed", "volume", "gradient"),
              "problem.constraint.kind must be mixed | volume | gradient")
-    _require(cfg["problem"]["constraint"].get("epsilon", 0.0) >= 0.0,
+    _require(_number(constraint.get("epsilon", 0.0), "problem.constraint.epsilon") >= 0.0,
              "problem.constraint.epsilon must be >= 0")
-    _require(cfg["problem"]["constraint"].get("delta", 0.0) >= 0.0,
+    _require(_number(constraint.get("delta", 0.0), "problem.constraint.delta") >= 0.0,
              "problem.constraint.delta must be >= 0")
-    _require(cfg["scenarios"]["n_scenarios"] >= 1, "scenarios.n_scenarios must be >= 1")
-    _require(cfg["scenarios"]["a_min"] > 0.0, "scenarios.a_min must be > 0")
+    _require(_number(scenarios["n_scenarios"], "scenarios.n_scenarios", integer=True) >= 1,
+             "scenarios.n_scenarios must be >= 1")
+    _number(scenarios["seed"], "scenarios.seed", integer=True)
+    _require(_number(scenarios["a_min"], "scenarios.a_min") > 0.0, "scenarios.a_min must be > 0")
+    _require(isinstance(scenarios["sigma"], list), "scenarios.sigma must be a list of numbers")
     _require(
-        cfg["scenarios"]["a0"] - sum(abs(s) for s in cfg["scenarios"]["sigma"]) > 0.0,
+        _number(scenarios["a0"], "scenarios.a0")
+        - sum(abs(_number(s, "scenarios.sigma")) for s in scenarios["sigma"]) > 0.0,
         "scenarios.a0 minus the sigma budget must stay positive",
     )
     _require(cfg["risk"]["kind"] in ("expectation", "avar", "avar-smooth"),
              "risk.kind must be expectation | avar | avar-smooth")
-    _require(0.0 < cfg["risk"]["alpha"] <= 1.0, "risk.alpha must lie in (0, 1]")
-    _require(cfg["solver"]["tol_stationarity"] > 0.0,
+    _require(0.0 < _number(cfg["risk"]["alpha"], "risk.alpha") <= 1.0,
+             "risk.alpha must lie in (0, 1]")
+    _number(cfg["risk"]["tau"], "risk.tau")
+    _require(_number(cfg["solver"]["tol_stationarity"], "solver.tol_stationarity") > 0.0,
              "solver.tol_stationarity must be > 0")
     sched = cfg["gamma_schedule"]
     if "values" in sched:
         try:
             path_mod.validate_schedule(sched["values"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"gamma_schedule.values: {exc}") from exc
     else:
-        _require(sched.get("stop_exp", 6) > sched.get("start_exp", 0),
+        _require(_number(sched.get("stop_exp", 6), "gamma_schedule.stop_exp", integer=True)
+                 > _number(sched.get("start_exp", 0), "gamma_schedule.start_exp", integer=True),
                  "gamma_schedule.stop_exp must exceed start_exp")
     cfg["generator"] = GENERATOR_NAME
     return cfg
@@ -123,6 +133,14 @@ def resolve(raw: dict) -> dict:
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
+
+
+def _number(value, name: str, integer: bool = False):
+    """value if it is a JSON number (an integer if asked); ConfigError naming the field otherwise."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -187,11 +205,14 @@ def build_problem(cfg: dict) -> ProblemData:
         epsilon=float(cfg["problem"]["constraint"].get("epsilon", 0.0)),
         delta=float(cfg["problem"]["constraint"].get("delta", 1e-8)),
     )
-    risk = RiskMeasure(
-        kind=cfg["risk"]["kind"],
-        alpha=float(cfg["risk"]["alpha"]),
-        tau=float(cfg["risk"].get("tau", 1e-3)),
-    )
+    try:
+        risk = RiskMeasure(
+            kind=cfg["risk"]["kind"],
+            alpha=float(cfg["risk"]["alpha"]),
+            tau=float(cfg["risk"]["tau"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"risk: {exc}") from exc
     y_d = _target_field(cfg["problem"]["y_d"], grid.nodes)
     return ProblemData.build(
         grid=grid,

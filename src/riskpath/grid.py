@@ -3,6 +3,11 @@
 All spatial inner products used elsewhere in the package are owned by this
 module: the discrete L2 product is the lumped (h-weighted) dot product, so
 pointwise operations (clipping, projections) are exactly orthogonal in it.
+
+Scenario data is stacked: K conductivity fields form one (K, n_cells) array,
+their stencils one block-diagonal operator, and K grid functions one (K, n)
+array. Every function here acts on the last axis, so an unstacked (n,) grid
+function is the K-less case of the same code.
 """
 
 from __future__ import annotations
@@ -51,11 +56,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class EllipticOperator:
-    """Assembled tridiagonal stencil for -(a u')' on a grid, SPD by construction.
+    """Assembled tridiagonal stencils for -(a u')', one per conductivity row, SPD.
 
-    ``diag``/``off`` store the three bands (the matrix is symmetric); a banded
-    Cholesky factor is cached at assembly so repeated solves are a pair of
-    triangular sweeps.
+    ``diag``/``off`` store the bands of each stencil (shapes (..., n) and
+    (..., n-1); each matrix is symmetric). One banded Cholesky factor of the
+    block-diagonal matrix of all stencils is cached at assembly, so a solve for
+    every scenario is one pair of triangular sweeps.
     """
 
     grid: Grid
@@ -66,66 +72,81 @@ class EllipticOperator:
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         v = self.diag * u
-        v[:-1] += self.off * u[1:]
-        v[1:] += self.off * u[:-1]
+        v[..., :-1] += self.off * u[..., 1:]
+        v[..., 1:] += self.off * u[..., :-1]
         return v
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return a
+        """The (block-diagonal) matrix of all stencils."""
+        ab = _upper_bands(self.diag, self.off)
+        return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+
+
+def _upper_bands(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Upper banded storage of the block-diagonal matrix with the given stencils.
+
+    The superdiagonal entry at the first row of each block is zero, which keeps
+    the blocks uncoupled in the factorization and the triangular sweeps.
+    """
+    ab = np.zeros((2,) + diag.shape)
+    ab[0, ..., 1:] = off
+    ab[1] = diag
+    return ab.reshape(2, -1)
 
 
 def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
-    """Assemble the 3-point stencil with cell-midpoint conductivity.
+    """Assemble the 3-point stencils with cell-midpoint conductivity.
 
+    ``conductivity`` is one field of length n_cells or a stack (K, n_cells).
     Row j carries (a_{j-1/2} + a_{j+1/2})/h^2 on the diagonal and
     -a_{j+-1/2}/h^2 off-diagonal.
     """
     a = np.asarray(conductivity, dtype=float)
-    if a.shape != (grid.n_cells,):
+    if a.shape[-1:] != (grid.n_cells,):
         raise ValueError(
             f"conductivity must have length {grid.n_cells}, got {a.shape}"
         )
     if np.any(a <= 0.0):
         raise EllipticityError("conductivity must be strictly positive on every cell")
     h2 = grid.h**2
-    diag = (a[:-1] + a[1:]) / h2
-    off = -a[1:-1] / h2
-    ab = np.zeros((2, grid.n_interior))
-    ab[0, 1:] = off
-    ab[1, :] = diag
+    diag = (a[..., :-1] + a[..., 1:]) / h2
+    off = -a[..., 1:-1] / h2
     try:
-        cho = cholesky_banded(ab, lower=False)
+        cho = cholesky_banded(_upper_bands(diag, off), lower=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericalDegeneracyError(f"factorization failed: {exc}") from exc
     return EllipticOperator(grid=grid, conductivity=a, diag=diag, off=off, _cho=cho)
 
 
 def solve_state(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op . u = rhs by the cached direct tridiagonal factorization."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != op.diag.shape:
-        raise ValueError("rhs length does not match the operator")
-    u = cho_solve_banded((op._cho, False), rhs)
+    """Solve op . u = rhs for every stencil by the cached direct factorization.
+
+    ``rhs`` has the shape of ``op.diag`` or broadcasts to it (one (n,)
+    right-hand side for every scenario).
+    """
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), op.diag.shape)
+    u = cho_solve_banded((op._cho, False), rhs.reshape(-1)).reshape(op.diag.shape)
     if not np.all(np.isfinite(u)):
         raise NumericalDegeneracyError("non-finite solution from tridiagonal solve")
     return u
 
 
-def apply_adjoint_solve(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
-    """Adjoint solve; the operator is symmetric so this is a state solve."""
-    return solve_state(op, rhs)
+def dot_last(u: np.ndarray, v: np.ndarray):
+    """sum_j u_j v_j over the last axis, one value per leading index.
+
+    Each row is summed by the BLAS dot product, as np.dot sums one row.
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def inner_h(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Lumped-mass L2 inner product sum_j h u_j v_j."""
+def inner_h(grid: Grid, u: np.ndarray, v: np.ndarray):
+    """Lumped-mass L2 inner product sum_j h u_j v_j (per row for stacked input)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.shape != (grid.n_interior,):
+    if u.shape != v.shape or u.shape[-1:] != (grid.n_interior,):
         raise ValueError("inner_h requires two grid functions of matching length")
-    return grid.h * float(np.dot(u, v))
+    return grid.h * dot_last(u, v)
 
 
-def norm_h(grid: Grid, u: np.ndarray) -> float:
-    return np.sqrt(max(inner_h(grid, u, u), 0.0))
+def norm_h(grid: Grid, u: np.ndarray):
+    return np.sqrt(np.maximum(inner_h(grid, u, u), 0.0))

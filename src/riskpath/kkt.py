@@ -11,14 +11,14 @@ on vanishingly small probability sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone as cone_mod
 from .grid import norm_h
 from .objective import EvalBundle, ProblemData
-from .solver import SolveResult
+from .scenario import empirical_expectation
 
 
 @dataclass
@@ -44,59 +44,39 @@ class KktReport:
         return {k: float(v) for k, v in self.__dict__.items()}
 
 
-def _l1_discrete(cone, v) -> float:
-    if cone.kind == "nonneg-scalar":
-        return abs(float(v))
-    return cone.weight * float(np.sum(np.abs(v)))
-
-
-def check_gamma_system(data: ProblemData, bundle: EvalBundle, result: SolveResult) -> KktReport:
+def check_gamma_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     """Evaluate the five penalized optimality equations as residual norms."""
     g = data.grid
     h = g.h
-    gamma = bundle.gamma
+    op = data.operator
     report = KktReport()
     report.stationarity_x1 = norm_h(
         g, bundle.x1 - data.clamp(bundle.x1 - bundle.gradient)
     )
-    adj_res = rho_res = state_res = mult_res = 0.0
-    for k, op in enumerate(data.operators):
-        adj_u, adj_y = cone_mod.constraint_adjoints(
-            data.constraint, bundle.x1, bundle.states[k], k, bundle.lambda_i[k]
-        )
-        # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
-        lhs = bundle.theta[k] * bundle.zeta2[k] + h * op.matvec(bundle.lambda_e[k]) + adj_y
-        adj_res = max(adj_res, norm_h(g, lhs))
-        # theta zeta1 + e_x1^* lambda_e + i_x1^* lambda_i - rho = 0
-        rho_k = bundle.theta[k] * bundle.zeta1[k] - h * bundle.lambda_e[k] + adj_u
-        rho_res = max(rho_res, norm_h(g, rho_k - bundle.rho[k]))
-        # h A x2 = h x1 (state equation in mass-weighted form)
-        state_res = max(
-            state_res, norm_h(g, h * op.matvec(bundle.states[k]) - h * bundle.x1)
-        )
-        # lambda_i = gamma (i + proj(-i))
-        i_k = bundle.constraint_values[k]
-        proj_minus = cone_mod.project(data.cone, -np.asarray(i_k, dtype=float) if data.cone.kind != "nonneg-scalar" else -float(i_k))
-        formula = gamma * (np.asarray(i_k, dtype=float) + proj_minus)
-        mult_res = max(mult_res, data.cone.norm(np.asarray(bundle.lambda_i[k]) - formula))
-    report.adjoint_residual = adj_res
-    report.rho_consistency = rho_res
-    report.state_residual = state_res
-    report.multiplier_formula_residual = mult_res
-    rho_mean = bundle.rho_mean
-    report.rho_mean_norm = norm_h(g, rho_mean)
-    report.rho_per_scenario_max = max(norm_h(g, r) for r in bundle.rho)
+    adj_u, adj_y = cone_mod.constraint_adjoints(
+        data.constraint, bundle.x1, bundle.states, bundle.lambda_i
+    )
+    # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
+    adjoint = bundle.theta[:, None] * bundle.zeta2 + h * op.matvec(bundle.lambda_e) + adj_y
+    report.adjoint_residual = np.max(norm_h(g, adjoint))
+    # e_x1^* lambda_e + i_x1^* lambda_i - rho = 0 (the control part of zeta is 0)
+    report.rho_consistency = np.max(norm_h(g, -h * bundle.lambda_e + adj_u - bundle.rho))
+    # h A x2 = h x1 (state equation in mass-weighted form)
+    report.state_residual = np.max(norm_h(g, h * op.matvec(bundle.states) - h * bundle.x1))
+    # lambda_i = gamma (i + proj(-i))
+    i_vals = bundle.constraint_values
+    formula = bundle.gamma * (i_vals + cone_mod.project(data.cone, -i_vals))
+    report.multiplier_formula_residual = np.max(data.cone.norm(bundle.lambda_i - formula))
+    report.rho_mean_norm = norm_h(g, bundle.rho_mean)
+    report.rho_per_scenario_max = np.max(norm_h(g, bundle.rho))
     return report
 
 
 def complementarity_value(data: ProblemData, bundle: EvalBundle) -> float:
     """Signed pairing E[(lambda_i, i)_H]; equals gamma E[||max(0,i)||_H^2]."""
-    total = 0.0
-    for k in range(data.scenarios.count):
-        total += data.scenarios.weights[k] * data.cone.inner(
-            bundle.lambda_i[k], bundle.constraint_values[k]
-        )
-    return total
+    return empirical_expectation(
+        data.scenarios, data.cone.inner(bundle.lambda_i, bundle.constraint_values)
+    )
 
 
 def concentration_index(lambda_masses, weights, q: float) -> float:
@@ -126,31 +106,21 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
 def check_limit_system(
     data: ProblemData,
     bundle: EvalBundle,
-    result: SolveResult,
     q_concentration: float = 0.125,
 ) -> KktReport:
     """Distance-to-limit diagnostics at finite penalty strength."""
-    report = check_gamma_system(data, bundle, result)
-    max_i = -np.inf
-    min_lam = np.inf
-    comp = complementarity_value(data, bundle)
-    mult_l1 = adj_l1 = 0.0
-    lam_norms = []
-    for k in range(data.scenarios.count):
-        i_k = np.atleast_1d(np.asarray(bundle.constraint_values[k], dtype=float))
-        lam_k = np.atleast_1d(np.asarray(bundle.lambda_i[k], dtype=float))
-        max_i = max(max_i, float(i_k.max()))
-        min_lam = min(min_lam, float(lam_k.min()))
-        p = data.scenarios.weights[k]
-        mult_l1 += p * _l1_discrete(data.cone, bundle.lambda_i[k])
-        adj_l1 += p * data.grid.h * float(np.sum(np.abs(bundle.lambda_e[k])))
-        lam_norms.append(data.cone.norm(bundle.lambda_i[k]))
-    report.primal_feasibility = max(0.0, max_i)
-    report.dual_cone_violation = max(0.0, -min_lam)
-    report.complementarity = abs(comp)
-    report.multiplier_l1 = mult_l1
-    report.adjoint_l1 = adj_l1
+    report = check_gamma_system(data, bundle)
+    scenarios = data.scenarios
+    report.primal_feasibility = max(0.0, float(np.max(bundle.constraint_values)))
+    report.dual_cone_violation = max(0.0, -float(np.min(bundle.lambda_i)))
+    report.complementarity = abs(complementarity_value(data, bundle))
+    report.multiplier_l1 = empirical_expectation(
+        scenarios, data.cone.weight * np.sum(np.abs(bundle.lambda_i), axis=-1)
+    )
+    report.adjoint_l1 = empirical_expectation(
+        scenarios, data.grid.h * np.sum(np.abs(bundle.lambda_e), axis=-1)
+    )
     report.concentration_index = concentration_index(
-        lam_norms, data.scenarios.weights, q_concentration
+        data.cone.norm(bundle.lambda_i), scenarios.weights, q_concentration
     )
     return report

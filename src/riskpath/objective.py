@@ -6,11 +6,16 @@ through the negative lumped-mass injection, so the adjoint of the control
 coupling is -h * lambda_e nodewise. All duals returned here pair with controls
 and states through the plain euclidean dot product (the h factors are baked
 in), which is what the finite-difference checks in the tests rely on.
+
+Per-scenario quantities are stacked (K, n) arrays: one solve with the shared
+block-diagonal factor gives every state, one more every adjoint, and each
+pointwise map (penalty, multiplier, constraint adjoints) acts on the whole
+stack at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +24,7 @@ from . import risk as risk_mod
 from .cone import ConeSpec, ConstraintMap
 from .grid import EllipticOperator, Grid, assemble, inner_h, solve_state
 from .risk import RiskMeasure
-from .scenario import ScenarioSet
+from .scenario import ScenarioSet, empirical_expectation
 
 # test hook: flipped by the mutation harness to validate that the verification
 # battery catches a wrong adjoint sign; always 1.0 in production
@@ -30,7 +35,7 @@ _ADJOINT_SIGN = 1.0
 class ProblemData:
     grid: Grid
     scenarios: ScenarioSet
-    operators: tuple[EllipticOperator, ...]
+    operator: EllipticOperator  # all K stencils, one block-diagonal factor
     constraint: ConstraintMap
     cone: ConeSpec
     risk: RiskMeasure
@@ -48,13 +53,12 @@ class ProblemData:
 
     @classmethod
     def build(cls, grid, scenarios, constraint, risk, y_d, mu_tik, lo, hi, tol_feas=1e-9):
-        ops = tuple(assemble(grid, a) for a in scenarios.conductivities)
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (grid.n_interior,)).copy()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (grid.n_interior,)).copy()
         return cls(
             grid=grid,
             scenarios=scenarios,
-            operators=ops,
+            operator=assemble(grid, scenarios.conductivities),
             constraint=constraint,
             cone=constraint.cone_spec(),
             risk=risk,
@@ -71,19 +75,21 @@ class ProblemData:
 
 @dataclass
 class EvalBundle:
+    """One full evaluation; per-scenario quantities are stacked along axis 0."""
+
     gamma: float
     x1: np.ndarray
-    states: list  # x2 per scenario
-    scenario_costs: np.ndarray  # J2 per scenario
-    constraint_values: list  # i per scenario
-    penalty_residuals: list  # max(0, i) per scenario
-    penalty_values: np.ndarray  # beta^gamma per scenario
-    lambda_i: list  # penalty multipliers per scenario
-    lambda_e: list  # adjoint states per scenario
-    zeta1: list  # control part of the scenario-cost subgradient (zero here)
-    zeta2: list  # state part, mass-weighted
-    rho: list  # per-scenario stationarity contribution
-    theta: np.ndarray  # risk subgradient density
+    states: np.ndarray  # x2, (K, n)
+    scenario_costs: np.ndarray  # J2, (K,)
+    constraint_values: np.ndarray  # i, (K, m)
+    penalty_residuals: np.ndarray  # max(0, i), (K, m)
+    penalty_values: np.ndarray  # beta^gamma, (K,)
+    lambda_i: np.ndarray  # penalty multipliers, (K, m)
+    lambda_e: np.ndarray  # adjoint states, (K, n)
+    zeta2: np.ndarray  # state part of the scenario-cost subgradient, mass-weighted, (K, n)
+    rho: np.ndarray  # per-scenario stationarity contribution, (K, n)
+    rho_mean: np.ndarray  # E[rho], (n,)
+    theta: np.ndarray  # risk subgradient density, (K,)
     eta: np.ndarray  # Tikhonov gradient, mass-weighted
     j1: float
     risk_value: float
@@ -91,21 +97,11 @@ class EvalBundle:
     j_gamma: float
     gradient: np.ndarray  # reduced gradient, dual of the control
 
-    _weights: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def rho_mean(self) -> np.ndarray:
-        return sum(p * r for p, r in zip(self._weights, self.rho))
-
 
 def _states_and_costs(data: ProblemData, x1: np.ndarray):
-    states, costs = [], np.empty(data.scenarios.count)
-    for k, op in enumerate(data.operators):
-        x2 = solve_state(op, x1)
-        states.append(x2)
-        diff = x2 - data.y_d
-        costs[k] = 0.5 * inner_h(data.grid, diff, diff)
-    return states, costs
+    states = solve_state(data.operator, x1)
+    diff = states - data.y_d
+    return states, 0.5 * inner_h(data.grid, diff, diff)
 
 
 def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
@@ -123,50 +119,37 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
     j1 = 0.5 * data.mu_tik * inner_h(g, x1, x1)
     eta = data.mu_tik * h * x1
 
-    i_vals, residuals, pen_vals, lam_i, lam_e, zeta1, zeta2, rho = [], [], [], [], [], [], [], []
-    for k, op in enumerate(data.operators):
-        i_k = cone_mod.constraint_eval(data.constraint, x1, states[k], k)
-        pv = cone_mod.penalty(data.cone, gamma, i_k)
-        lam = cone_mod.penalty_multiplier(data.cone, gamma, i_k)
-        adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states[k], k, lam)
-        z2 = h * (states[k] - data.y_d)
-        # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
-        rhs = -_ADJOINT_SIGN * (theta[k] * z2 + adj_y) / h
-        le = solve_state(op, rhs)
-        r_k = -h * le + adj_u  # e_x1^* lambda_e + i_x1^* lambda_i (zeta1 = 0)
-        i_vals.append(i_k)
-        residuals.append(pv.residual)
-        pen_vals.append(pv.value)
-        lam_i.append(lam)
-        lam_e.append(le)
-        zeta1.append(np.zeros_like(x1))
-        zeta2.append(z2)
-        rho.append(r_k)
-
-    pen_vals = np.asarray(pen_vals)
-    penalty_term = float(np.dot(weights, pen_vals))
-    gradient = eta + sum(p * r for p, r in zip(weights, rho))
+    i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
+    pv = cone_mod.penalty(data.cone, gamma, i_vals)
+    lam_i = cone_mod.penalty_multiplier(data.cone, gamma, i_vals)
+    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, lam_i)
+    zeta2 = h * (states - data.y_d)
+    # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
+    lam_e = solve_state(data.operator, -_ADJOINT_SIGN * (theta[:, None] * zeta2 + adj_y) / h)
+    rho = -h * lam_e + adj_u  # e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)
+    # the axis-0 sum adds the scenarios in index order
+    rho_mean = (weights[:, None] * rho).sum(axis=0)
+    penalty_term = empirical_expectation(data.scenarios, pv.value)
     return EvalBundle(
         gamma=gamma,
         x1=x1,
         states=states,
         scenario_costs=costs,
         constraint_values=i_vals,
-        penalty_residuals=residuals,
-        penalty_values=pen_vals,
+        penalty_residuals=pv.residual,
+        penalty_values=pv.value,
         lambda_i=lam_i,
         lambda_e=lam_e,
-        zeta1=zeta1,
         zeta2=zeta2,
         rho=rho,
+        rho_mean=rho_mean,
         theta=theta,
         eta=eta,
         j1=j1,
         risk_value=risk_value,
         penalty_term=penalty_term,
         j_gamma=j1 + risk_value + penalty_term,
-        gradient=gradient,
-        _weights=weights,
+        gradient=eta + rho_mean,
     )
 
 
@@ -176,25 +159,17 @@ def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
         raise ValueError("gamma must be a finite positive real")
     x1 = np.asarray(x1, dtype=float)
     states, costs = _states_and_costs(data, x1)
-    weights = data.scenarios.weights
-    pen = 0.0
-    for k in range(data.scenarios.count):
-        i_k = cone_mod.constraint_eval(data.constraint, x1, states[k], k)
-        pen += weights[k] * cone_mod.penalty(data.cone, gamma, i_k).value
+    i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
+    pen = empirical_expectation(data.scenarios, cone_mod.penalty(data.cone, gamma, i_vals).value)
     j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
-    return j1 + risk_mod.evaluate(data.risk, costs, weights) + pen
+    return j1 + risk_mod.evaluate(data.risk, costs, data.scenarios.weights) + pen
 
 
 def unpenalized_objective(data: ProblemData, x1: np.ndarray):
     """(j, feasible, max_violation) without the penalty term."""
     x1 = np.asarray(x1, dtype=float)
     states, costs = _states_and_costs(data, x1)
-    weights = data.scenarios.weights
-    max_i = -np.inf
-    for k in range(data.scenarios.count):
-        i_k = cone_mod.constraint_eval(data.constraint, x1, states[k], k)
-        max_i = max(max_i, float(np.max(np.atleast_1d(i_k))))
+    max_i = float(np.max(cone_mod.constraint_eval(data.constraint, x1, states)))
     j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
-    j = j1 + risk_mod.evaluate(data.risk, costs, weights)
-    max_violation = max(0.0, max_i)
-    return j, max_i <= data.tol_feas, max_violation
+    j = j1 + risk_mod.evaluate(data.risk, costs, data.scenarios.weights)
+    return j, max_i <= data.tol_feas, max(0.0, max_i)

@@ -13,6 +13,7 @@ from . import objective as obj_mod
 from . import solver as solver_mod
 from .grid import norm_h
 from .objective import ProblemData
+from .scenario import empirical_expectation
 from .solver import SolveOptions, SolveResult
 
 CSV_SCHEMA_VERSION = "riskpath-path-v1"
@@ -97,33 +98,31 @@ def run_path(
         except solver_mod.DivergedError as exc:
             raise PathAborted(f"solve diverged at gamma={gamma}", records) from exc
         bundle = result.bundle
-        report = kkt_mod.check_limit_system(data, bundle, result)
+        report = kkt_mod.check_limit_system(data, bundle)
         j, _, max_violation = obj_mod.unpenalized_objective(data, result.x1_opt)
-        sq_violation = float(
-            np.dot(
-                data.scenarios.weights,
-                [data.cone.inner(r, r) for r in bundle.penalty_residuals],
-            )
+        sq_violation = empirical_expectation(
+            data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
         )
         change = (
             norm_h(data.grid, result.x1_opt - x_prev) if x_prev is not None else np.nan
         )
+        # Python scalars only, so the CSV writes plain round-trip floats
         records.append(
             PathRecord(
                 gamma=float(gamma),
-                j=j,
-                j_gamma=bundle.j_gamma,
-                penalty_term=bundle.penalty_term,
-                max_violation=max_violation,
+                j=float(j),
+                j_gamma=float(bundle.j_gamma),
+                penalty_term=float(bundle.penalty_term),
+                max_violation=float(max_violation),
                 sq_violation=sq_violation,
-                complementarity=report.complementarity,
-                multiplier_l1=report.multiplier_l1,
-                adjoint_l1=report.adjoint_l1,
-                concentration_index=report.concentration_index,
+                complementarity=float(report.complementarity),
+                multiplier_l1=float(report.multiplier_l1),
+                adjoint_l1=float(report.adjoint_l1),
+                concentration_index=float(report.concentration_index),
                 control_change=float(change),
-                iterations=result.iterations,
-                converged=result.converged,
-                stationarity=result.stationarity_norm,
+                iterations=int(result.iterations),
+                converged=bool(result.converged),
+                stationarity=float(result.stationarity_norm),
             )
         )
         if return_details:

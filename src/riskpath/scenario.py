@@ -8,7 +8,7 @@ reproducible across implementations of the same generator.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioSet:
+    """K scenarios stacked along the first axis of every per-scenario array."""
+
     count: int
-    weights: np.ndarray
+    weights: np.ndarray  # (K,)
     seed: int
-    conductivities: tuple[np.ndarray, ...]
-    bounds: tuple  # per-scenario bound field (array) or scalar, per constraint kind
+    conductivities: np.ndarray  # (K, n_cells)
+    bounds: np.ndarray  # (K, m): constraint bound per scenario, m = 1 for a scalar bound
     a_min: float
     generator: str = GENERATOR_NAME
 
@@ -48,25 +50,22 @@ class ScenarioSet:
         w = self.weights
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
-        for a in self.conductivities:
-            if np.any(a < self.a_min):
-                raise ValueError("conductivity below stored a_min")
+        if np.any(self.conductivities < self.a_min):
+            raise ValueError("conductivity below stored a_min")
 
 
-def _bound_values(spec, midpoints_or_nodes: np.ndarray, n_scenarios: int):
+def _bound_values(spec, midpoints_or_nodes: np.ndarray, n_scenarios: int) -> np.ndarray:
     kind = spec[0]
     if kind == "constant":
-        value = float(spec[1])
-        return tuple(np.full_like(midpoints_or_nodes, value) for _ in range(n_scenarios))
+        return np.full((n_scenarios, midpoints_or_nodes.size), float(spec[1]))
     if kind == "affine-in-s":
         c0, c1 = float(spec[1]), float(spec[2])
-        base = c0 + c1 * midpoints_or_nodes
-        return tuple(base.copy() for _ in range(n_scenarios))
+        return np.tile(c0 + c1 * midpoints_or_nodes, (n_scenarios, 1))
     if kind == "per-scenario-file":
         table = np.loadtxt(spec[1], ndmin=2)
         if table.shape[0] != n_scenarios:
             raise ValueError("per-scenario bound file row count != n_scenarios")
-        return tuple(np.array(row, dtype=float) for row in table)
+        return table
     raise ValueError(f"unknown bound_spec kind {kind!r}")
 
 
@@ -74,29 +73,25 @@ def sample(config: ScenarioConfig, n_cells: int, bound_points: np.ndarray | None
     """Draw a scenario set: truncated sine expansions for the conductivity.
 
     a_k(s) = a0 + sum_m xi_{k,m} sigma_m sin(m pi s) with xi uniform on [-1,1],
-    clipped from below at a_min (never active for valid configs). Weights are
-    uniform.
+    clipped from below at a_min (never active for valid configs). The xi are
+    drawn scenario by scenario, mode by mode. Weights are uniform. Bounds are
+    given at ``bound_points`` (nodes by default), one row per scenario.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_scenarios
     s = (np.arange(n_cells) + 0.5) / n_cells
-    conds = []
-    for _ in range(n):
-        a = np.full(n_cells, config.a0)
-        for m, sig in enumerate(config.sigma, start=1):
-            xi = rng.uniform(-1.0, 1.0)
-            a = a + xi * sig * np.sin(m * np.pi * s)
-        conds.append(np.maximum(a, config.a_min))
+    xi = rng.uniform(-1.0, 1.0, size=(n, len(config.sigma)))
+    a = np.full((n, n_cells), config.a0)
+    for m, sig in enumerate(config.sigma, start=1):
+        a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
     if bound_points is None:
-        # nodal bound fields by default
         bound_points = np.arange(1, n_cells) / n_cells
     bounds = _bound_values(config.bound_spec, np.asarray(bound_points, dtype=float), n)
-    weights = np.full(n, 1.0 / n)
     return ScenarioSet(
         count=n,
-        weights=weights,
+        weights=np.full(n, 1.0 / n),
         seed=config.seed,
-        conductivities=tuple(conds),
+        conductivities=np.maximum(a, config.a_min),
         bounds=bounds,
         a_min=config.a_min,
     )
@@ -112,25 +107,18 @@ def empirical_expectation(scenarios: ScenarioSet, values: np.ndarray) -> float:
 
 def export_table(scenarios: ScenarioSet) -> str:
     """Flat text table, one row per scenario: weight, conductivity..., bound..."""
-    buf = io.StringIO()
-    for k in range(scenarios.count):
-        b = np.atleast_1d(np.asarray(scenarios.bounds[k], dtype=float))
-        row = np.concatenate(([scenarios.weights[k]], scenarios.conductivities[k], b))
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    table = np.column_stack((scenarios.weights, scenarios.conductivities, scenarios.bounds))
+    return "".join(" ".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def import_table(text: str, n_cells: int, seed: int = 0, a_min: float = 1e-12) -> ScenarioSet:
     """Inverse of export_table; bound width is inferred from the row length."""
     rows = np.loadtxt(io.StringIO(text), ndmin=2)
-    weights = rows[:, 0].copy()
-    conds = tuple(row[1 : 1 + n_cells].copy() for row in rows)
-    bounds = tuple(row[1 + n_cells :].copy() for row in rows)
     return ScenarioSet(
         count=rows.shape[0],
-        weights=weights,
+        weights=rows[:, 0].copy(),
         seed=seed,
-        conductivities=conds,
-        bounds=bounds,
+        conductivities=rows[:, 1 : 1 + n_cells].copy(),
+        bounds=rows[:, 1 + n_cells :].copy(),
         a_min=a_min,
     )

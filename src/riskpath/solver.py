@@ -37,6 +37,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.tol_stationarity <= 0.0:
             raise ValueError("tol_stationarity must be positive")
+        if self.step_rule not in ("backtracking", "fixed"):
+            raise ValueError("step_rule must be backtracking | fixed")
         if not 0.0 < self.armijo < 0.5:
             raise ValueError("armijo constant must lie in (0, 0.5)")
         if not 0.0 < self.shrink < 1.0:

@@ -99,7 +99,7 @@ def test_criterion_03_gradient_correctness():
 def test_criterion_04_kkt_gamma_system_residuals(default_path):
     data, records, details, _ = default_path
     for step in details:
-        rep = check_gamma_system(data, step.result.bundle, step.result)
+        rep = check_gamma_system(data, step.result.bundle)
         assert rep.stationarity_x1 <= 1e-8
         assert rep.adjoint_residual <= 1e-10
         assert rep.rho_consistency <= 1e-10
@@ -140,7 +140,7 @@ def test_criterion_07_cone_projection_identities():
     failures = 0
     for trial in range(1000):
         dim = int(rng.integers(1, 12))
-        cone = ConeSpec(kind="nonneg-grid", weight=float(rng.uniform(0.01, 1.0)))
+        cone = ConeSpec(weight=float(rng.uniform(0.01, 1.0)))
         k = 3.0 * rng.standard_normal(dim)
         p = project(cone, k)
         ok = bool(np.all(p >= 0.0))

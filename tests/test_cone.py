@@ -16,7 +16,7 @@ from riskpath.grid import Grid
 @pytest.fixture
 def grid_cone():
     g = Grid(7)
-    return g, ConeSpec(kind="nonneg-grid", weight=g.h)
+    return g, ConeSpec(weight=g.h)
 
 
 def test_project_examples(grid_cone):
@@ -30,9 +30,9 @@ def test_project_examples(grid_cone):
 
 
 def test_project_scalar_cone():
-    cone = ConeSpec(kind="nonneg-scalar")
-    assert project(cone, -2.5) == 0.0
-    assert project(cone, 1.5) == 1.5
+    # a scalar constraint is the one-column case
+    cone = ConeSpec(weight=1.0)
+    assert np.array_equal(project(cone, np.array([[-2.5], [1.5]])), [[0.0], [1.5]])
 
 
 def test_project_is_coordinatewise_minimizer(grid_cone):
@@ -71,7 +71,7 @@ def test_projection_idempotent_and_nonexpansive(grid_cone):
 
 
 def test_penalty_single_node_closed_form():
-    cone = ConeSpec(kind="nonneg-grid", weight=1.0)
+    cone = ConeSpec(weight=1.0)
     pv = penalty(cone, gamma=2.0, i_value=np.array([0.5]))
     assert pv.value == pytest.approx(0.25, abs=1e-15)
 
@@ -121,9 +121,9 @@ def test_penalty_convex_along_segments(grid_cone):
 
 
 def test_multiplier_examples():
-    cone = ConeSpec(kind="nonneg-scalar")
-    assert penalty_multiplier(cone, 10.0, 0.3) == pytest.approx(3.0)
-    gcone = ConeSpec(kind="nonneg-grid", weight=0.25)
+    cone = ConeSpec(weight=1.0)
+    assert penalty_multiplier(cone, 10.0, np.array([0.3])) == pytest.approx([3.0])
+    gcone = ConeSpec(weight=0.25)
     assert np.array_equal(penalty_multiplier(gcone, 7.0, -np.ones(3)), np.zeros(3))
 
 
@@ -156,30 +156,31 @@ def test_multiplier_sign_and_complementarity(grid_cone):
 @pytest.fixture
 def mixed_map():
     g = Grid(3)
-    bounds = (np.full(3, 0.5),)
+    bounds = np.full((1, 3), 0.5)
     return g, ConstraintMap(kind="mixed", grid=g, bounds=bounds, epsilon=0.0)
 
 
 def test_mixed_eval_zero_at_bound(mixed_map):
     g, cmap = mixed_map
     x2 = np.full(3, 0.5)
-    assert np.allclose(constraint_eval(cmap, np.zeros(3), x2, 0), 0.0)
+    assert np.allclose(constraint_eval(cmap, np.zeros(3), x2), 0.0)
 
 
 def test_mixed_adjoints_epsilon_zero(mixed_map):
     g, cmap = mixed_map
     lam = np.array([1.0, 2.0, 3.0])
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.zeros(3), 0, lam)
+    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.zeros(3), lam)
     assert np.allclose(adj_u, 0.0)
     assert np.allclose(adj_y, g.h * lam)
 
 
 def test_volume_eval_and_adjoint():
     g = Grid(3)
-    cmap = ConstraintMap(kind="volume", grid=g, bounds=(0.5,))
-    val = constraint_eval(cmap, np.zeros(3), np.ones(3), 0)
-    assert val == pytest.approx(0.25)  # 3h - 0.5 with h = 0.25
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.ones(3), 0, 1.0)
+    cmap = ConstraintMap(kind="volume", grid=g, bounds=np.array([[0.5]]))
+    val = constraint_eval(cmap, np.zeros(3), np.ones((1, 3)))
+    assert val.shape == (1, 1)
+    assert val[0, 0] == pytest.approx(0.25)  # 3h - 0.5 with h = 0.25
+    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.ones((1, 3)), np.array([[1.0]]))
     assert np.allclose(adj_u, 0.0)
     assert np.allclose(adj_y, g.h * np.ones(3))
 
@@ -190,17 +191,17 @@ def test_gradient_eval_linear_state():
     x2 = slope * g.nodes
     # interior cells see slope 2 exactly; the last cell drops to the boundary
     cmap = ConstraintMap(
-        kind="gradient", grid=g, bounds=(np.ones(g.n_cells),), delta=0.0
+        kind="gradient", grid=g, bounds=np.ones((1, g.n_cells)), delta=0.0
     )
-    i = constraint_eval(cmap, np.zeros(7), x2, 0)
+    i = constraint_eval(cmap, np.zeros(7), x2)[0]
     assert np.allclose(i[:-1], 1.0)
 
 
 def test_gradient_adjoint_identity():
     g = Grid(9)
     rng = np.random.Generator(np.random.Philox(9))
-    psi = np.full(g.n_cells, 0.3)
-    cmap = ConstraintMap(kind="gradient", grid=g, bounds=(psi,), delta=1e-6)
+    psi = np.full((1, g.n_cells), 0.3)
+    cmap = ConstraintMap(kind="gradient", grid=g, bounds=psi, delta=1e-6)
     cone = cmap.cone_spec()
     x1 = rng.standard_normal(9)
     x2 = rng.standard_normal(9)
@@ -208,10 +209,10 @@ def test_gradient_adjoint_identity():
     du = rng.standard_normal(9)
     dy = rng.standard_normal(9)
     eps = 1e-7
-    ip = constraint_eval(cmap, x1 + eps * du, x2 + eps * dy, 0)
-    im = constraint_eval(cmap, x1 - eps * du, x2 - eps * dy, 0)
+    ip = constraint_eval(cmap, x1 + eps * du, x2 + eps * dy)[0]
+    im = constraint_eval(cmap, x1 - eps * du, x2 - eps * dy)[0]
     fd = cone.inner(lam, (ip - im) / (2 * eps))
-    adj_u, adj_y = constraint_adjoints(cmap, x1, x2, 0, lam)
+    adj_u, adj_y = constraint_adjoints(cmap, x1, x2, lam)
     an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
@@ -219,14 +220,14 @@ def test_gradient_adjoint_identity():
 def test_gradient_flat_state_tie_break():
     # delta = 0 with a flat state: subgradient value 0 at the kink
     g = Grid(5)
-    cmap = ConstraintMap(kind="gradient", grid=g, bounds=(np.ones(g.n_cells),), delta=0.0)
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(5), np.zeros(5), 0, np.ones(g.n_cells))
+    cmap = ConstraintMap(kind="gradient", grid=g, bounds=np.ones((1, g.n_cells)), delta=0.0)
+    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(5), np.zeros(5), np.ones(g.n_cells))
     assert np.allclose(adj_y, 0.0)
 
 
 def test_unknown_kind_rejected():
     g = Grid(3)
     with pytest.raises(ValueError):
-        ConstraintMap(kind="nope", grid=g, bounds=(np.zeros(3),))
+        ConstraintMap(kind="nope", grid=g, bounds=np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        ConeSpec(kind="weird")
+        ConeSpec(weight=0.0)

@@ -4,7 +4,6 @@ import pytest
 from riskpath.grid import (
     EllipticityError,
     Grid,
-    apply_adjoint_solve,
     assemble,
     inner_h,
     norm_h,
@@ -133,15 +132,6 @@ def test_inner_h_length_mismatch():
         inner_h(g, np.ones(3), np.ones(4))
 
 
-def test_adjoint_solve_equals_state_solve():
-    g = Grid(15)
-    rng = np.random.Generator(np.random.Philox(19))
-    a = 0.4 + rng.uniform(0.0, 1.0, g.n_cells)
-    op = assemble(g, a)
-    rhs = rng.standard_normal(g.n_interior)
-    assert np.array_equal(solve_state(op, rhs), apply_adjoint_solve(op, rhs))
-
-
 def test_self_adjointness_property():
     g = Grid(21)
     rng = np.random.Generator(np.random.Philox(23))
@@ -167,6 +157,27 @@ def test_uniform_state_bound_across_scenarios():
             rhs = rng.standard_normal(g.n_interior)
             u = solve_state(op, rhs)
             assert norm_h(g, u) <= 1.05 * c * norm_h(g, rhs)
+
+
+def test_stacked_solve_matches_per_scenario_solves():
+    # one block-diagonal factor for all scenarios reproduces each scenario's
+    # own factorization and solve bit for bit
+    g = Grid(15)
+    scen = sample(ScenarioConfig(n_scenarios=5, seed=19), g.n_cells)
+    op = assemble(g, scen.conductivities)
+    rng = np.random.Generator(np.random.Philox(19))
+    rhs = rng.standard_normal((scen.count, g.n_interior))
+    u = solve_state(op, rhs)
+    shared = solve_state(op, rhs[0])  # one right-hand side for every scenario
+    for k, a in enumerate(scen.conductivities):
+        op_k = assemble(g, a)
+        assert np.array_equal(op.diag[k], op_k.diag) and np.array_equal(op.off[k], op_k.off)
+        assert np.array_equal(u[k], solve_state(op_k, rhs[k]))
+        assert np.array_equal(shared[k], solve_state(op_k, rhs[0]))
+    per_scenario = [assemble(g, a).matvec(v) for a, v in zip(scen.conductivities, u)]
+    assert np.array_equal(op.matvec(u), per_scenario)
+    with pytest.raises(ValueError):
+        solve_state(op, np.ones((scen.count + 1, g.n_interior)))
 
 
 def test_constant_load_is_reproduced_exactly():

@@ -24,7 +24,7 @@ def converged_run():
 
 def test_gamma_system_residuals_small_at_solution(converged_run):
     data, res = converged_run
-    rep = check_gamma_system(data, res.bundle, res)
+    rep = check_gamma_system(data, res.bundle)
     assert rep.stationarity_x1 <= 1e-8
     # structural equations are recomputed independently and must agree to
     # rounding, not merely to solver tolerance
@@ -38,7 +38,7 @@ def test_adjoint_residual_detects_perturbed_adjoint(converged_run):
     data, res = converged_run
     bundle = evaluate(data, res.bundle.gamma, res.x1_opt)
     bundle.lambda_e[0] = bundle.lambda_e[0] + 0.01
-    rep = check_gamma_system(data, bundle, res)
+    rep = check_gamma_system(data, bundle)
     assert rep.adjoint_residual > 1e-4
     assert rep.rho_consistency > 1e-4
 
@@ -47,7 +47,7 @@ def test_multiplier_residual_detects_scaled_multiplier(converged_run):
     data, res = converged_run
     bundle = evaluate(data, res.bundle.gamma, res.x1_opt)
     bundle.lambda_i[0] = np.asarray(bundle.lambda_i[0]) + 0.01
-    rep = check_gamma_system(data, bundle, res)
+    rep = check_gamma_system(data, bundle)
     assert rep.multiplier_formula_residual > 1e-6
 
 
@@ -55,7 +55,7 @@ def test_limit_system_zeros_on_slack_problem():
     # a problem whose constraint never activates: every limit residual is zero
     data = make_problem(n=11, bound=10.0)
     res = minimize(data, 1000.0, SolveOptions(tol_stationarity=1e-10))
-    rep = check_limit_system(data, res.bundle, res)
+    rep = check_limit_system(data, res.bundle)
     assert rep.primal_feasibility == 0.0
     assert rep.dual_cone_violation == 0.0
     assert rep.complementarity == 0.0
@@ -137,7 +137,7 @@ def test_limit_quantities_decay_along_gamma(converged_run):
         res = minimize(data, gamma, SolveOptions(tol_stationarity=1e-8), warm_start=x)
         assert res.converged
         x = res.x1_opt
-        reports.append(check_limit_system(data, res.bundle, res))
+        reports.append(check_limit_system(data, res.bundle))
     feas = [r.primal_feasibility for r in reports]
     comp = [r.complementarity for r in reports]
     assert feas[2] < feas[0]
@@ -151,7 +151,7 @@ def test_limit_quantities_decay_along_gamma(converged_run):
 
 def test_report_as_dict_roundtrip(converged_run):
     data, res = converged_run
-    rep = check_limit_system(data, res.bundle, res)
+    rep = check_limit_system(data, res.bundle)
     d = rep.as_dict()
     assert set(d) == set(rep.__dict__)
     assert all(isinstance(v, float) for v in d.values())

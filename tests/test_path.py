@@ -196,5 +196,13 @@ def test_records_to_csv_layout(active_path):
     # round-trip precision: parsing the gamma column reproduces the floats
     for line, r in zip(lines[2:], records):
         assert float(line.split(",")[0]) == r.gamma
+    # plain cells: every float parses with float(), booleans are true/false
+    header = PathRecord.csv_header()
+    for line, r in zip(lines[2:], records):
+        for name, cell in zip(header, line.split(",")):
+            if name == "converged":
+                assert cell in ("true", "false")
+            elif name != "iterations":
+                assert float(cell) == getattr(r, name) or np.isnan(getattr(r, name))
     # deterministic serialization
     assert records_to_csv(records) == text

@@ -19,12 +19,12 @@ def make_recovery_problem(n=15, mu_tik=1.0, seed=0):
     data = make_problem(n=n, n_scen=1, seed=seed, bound=100.0, mu_tik=mu_tik)
     rng = np.random.Generator(np.random.Philox(seed + 100))
     x_star = np.clip(rng.standard_normal(n), -2.0, 2.0)
-    op = data.operators[0]
+    op = data.operator
     # stationarity of 0.5 mu ||u||_h^2 + 0.5 ||S u - y_d||_h^2 at x_star:
     # mu x_star + S^* (S x_star - y_d) = 0  =>  y_d = S x_star + mu A_h x_star
     # with S = A^{-1} and the mass-weighted pairing folding into A directly
-    s_x = solve_state(op, x_star)
-    y_d = s_x + mu_tik * op.matvec(x_star)
+    s_x = solve_state(op, x_star)[0]
+    y_d = s_x + mu_tik * op.matvec(x_star)[0]
     return ProblemData.build(
         grid=data.grid,
         scenarios=data.scenarios,
