@@ -40,17 +40,27 @@ DEFAULTS = {
         "bound_spec": {"kind": "constant", "value": 0.1},
     },
     "risk": {"kind": "expectation", "alpha": 0.5, "tau": 1e-3},
-    "solver": {
-        "max_iters": 50000,
-        "tol_stationarity": 1e-8,
-        "step_rule": "backtracking",
-        "accelerate": True,
-        "subgradient_mode": False,
-    },
+    "solver": {"max_iters": 50000, "tol_stationarity": 1e-8, "accelerate": True},
     "gamma_schedule": {"start_exp": 0, "stop_exp": 6, "per_decade": 1},
     "feasible_reference": {"mode": "scaled-initial"},
     "output_dir": "out",
 }
+
+
+# Subsections that an override replaces wholesale instead of merging key by key:
+# name -> (selector key, its default, {selector value: {allowed key: required}}).
+# Keys hold numbers, except "path" (a string) and "values" (a list of numbers).
+VARIANTS = {
+    "problem.y_d": ("kind", "parabola", {"zero": {}, "parabola": {"amplitude": False},
+                                         "sine": {"amplitude": False}, "values": {"values": True}}),
+    "problem.constraint": ("kind", None, {kind: {"epsilon": False, "delta": False}
+                                          for kind in ("mixed", "volume", "gradient")}),
+    "scenarios.bound_spec": ("kind", None, {"constant": {"value": True},
+                                            "affine-in-s": {"c0": True, "c1": True},
+                                            "per-scenario-file": {"path": True}}),
+    "feasible_reference": ("mode", "none", {"scaled-initial": {}, "none": {}}),
+}
+SCHEDULE_KEYS = {"start_exp": False, "stop_exp": False, "per_decade": False}
 
 
 def _merge(defaults, overrides, prefix=""):
@@ -60,9 +70,11 @@ def _merge(defaults, overrides, prefix=""):
     for key, default in defaults.items():
         if key in overrides:
             value = overrides[key]
-            if isinstance(default, dict) and key not in ("y_d", "constraint", "bound_spec",
-                                                          "gamma_schedule", "feasible_reference"):
-                value = _merge(default, value, f"{prefix}{key}.")
+            name = f"{prefix}{key}"
+            if name in VARIANTS:
+                _variant(value, name)
+            elif isinstance(default, dict) and name != "gamma_schedule":
+                value = _merge(default, value, f"{name}.")
             merged[key] = value
         else:
             merged[key] = default
@@ -70,6 +82,38 @@ def _merge(defaults, overrides, prefix=""):
         if key not in defaults:
             raise ConfigError(f"unknown config key {prefix}{key}")
     return merged
+
+
+def _subsection(spec, name: str, keys: dict, selector=None):
+    """Reject unknown or missing keys of a wholesale subsection and type-check its values."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object")
+    for key, value in spec.items():
+        if key == selector:
+            continue
+        if key not in keys:
+            raise ConfigError(f"unknown config key {name}.{key}")
+        if key == "path":
+            _require(isinstance(value, str), f"{name}.path must be a string")
+        elif key == "values":
+            _require(isinstance(value, list), f"{name}.values must be a list of numbers")
+            for v in value:
+                _number(v, f"{name}.values")
+        else:
+            _number(value, f"{name}.{key}", integer=name == "gamma_schedule")
+    for key, required in keys.items():
+        if required and key not in spec:
+            raise ConfigError(f"{name}.{key} is required")
+
+
+def _variant(spec, name: str):
+    selector, default, variants = VARIANTS[name]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object")
+    value = spec.get(selector, default)
+    if not (isinstance(value, str) and value in variants):
+        raise ConfigError(f"{name}.{selector} must be {' | '.join(variants)}")
+    _subsection(spec, name, variants[value], selector)
 
 
 def load_config(path) -> dict:
@@ -92,13 +136,10 @@ def resolve(raw: dict) -> dict:
         <= _number(problem["control_hi"], "problem.control_hi"),
         "problem.control_lo must be <= problem.control_hi",
     )
-    kind = constraint.get("kind")
-    _require(kind in ("mixed", "volume", "gradient"),
-             "problem.constraint.kind must be mixed | volume | gradient")
-    _require(_number(constraint.get("epsilon", 0.0), "problem.constraint.epsilon") >= 0.0,
-             "problem.constraint.epsilon must be >= 0")
-    _require(_number(constraint.get("delta", 0.0), "problem.constraint.delta") >= 0.0,
-             "problem.constraint.delta must be >= 0")
+    _number(problem["tol_feas"], "problem.tol_feas")
+    _require(isinstance(cfg["output_dir"], str), "output_dir must be a string")
+    _require(constraint.get("epsilon", 0.0) >= 0.0, "problem.constraint.epsilon must be >= 0")
+    _require(constraint.get("delta", 0.0) >= 0.0, "problem.constraint.delta must be >= 0")
     _require(_number(scenarios["n_scenarios"], "scenarios.n_scenarios", integer=True) >= 1,
              "scenarios.n_scenarios must be >= 1")
     _number(scenarios["seed"], "scenarios.seed", integer=True)
@@ -114,18 +155,24 @@ def resolve(raw: dict) -> dict:
     _require(0.0 < _number(cfg["risk"]["alpha"], "risk.alpha") <= 1.0,
              "risk.alpha must lie in (0, 1]")
     _number(cfg["risk"]["tau"], "risk.tau")
-    _require(_number(cfg["solver"]["tol_stationarity"], "solver.tol_stationarity") > 0.0,
+    solver = cfg["solver"]
+    _require(_number(solver["max_iters"], "solver.max_iters", integer=True) >= 1,
+             "solver.max_iters must be >= 1")
+    _require(_number(solver["tol_stationarity"], "solver.tol_stationarity") > 0.0,
              "solver.tol_stationarity must be > 0")
+    _require(isinstance(solver["accelerate"], bool), "solver.accelerate must be true or false")
     sched = cfg["gamma_schedule"]
-    if "values" in sched:
+    values = isinstance(sched, dict) and "values" in sched
+    _subsection(sched, "gamma_schedule", {"values": True} if values else SCHEDULE_KEYS)
+    if values:
         try:
             path_mod.validate_schedule(sched["values"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"gamma_schedule.values: {exc}") from exc
     else:
-        _require(_number(sched.get("stop_exp", 6), "gamma_schedule.stop_exp", integer=True)
-                 > _number(sched.get("start_exp", 0), "gamma_schedule.start_exp", integer=True),
+        _require(sched.get("stop_exp", 6) > sched.get("start_exp", 0),
                  "gamma_schedule.stop_exp must exceed start_exp")
+        _require(sched.get("per_decade", 1) >= 1, "gamma_schedule.per_decade must be >= 1")
     cfg["generator"] = GENERATOR_NAME
     return cfg
 
@@ -156,25 +203,19 @@ def _target_field(spec, nodes: np.ndarray) -> np.ndarray:
         return spec.get("amplitude", 1.0) * nodes * (1.0 - nodes)
     if kind == "sine":
         return spec.get("amplitude", 1.0) * np.sin(np.pi * nodes)
-    if kind == "values":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.shape != nodes.shape:
-            raise ConfigError("problem.y_d.values length must equal n_interior")
-        return values
-    raise ConfigError("problem.y_d.kind must be zero | parabola | sine | values")
+    values = np.asarray(spec["values"], dtype=float)
+    if values.shape != nodes.shape:
+        raise ConfigError("problem.y_d.values length must equal n_interior")
+    return values
 
 
 def _bound_spec_tuple(spec: dict):
-    kind = spec.get("kind")
+    kind = spec["kind"]  # checked by resolve against VARIANTS
     if kind == "constant":
         return ("constant", float(spec["value"]))
     if kind == "affine-in-s":
         return ("affine-in-s", float(spec["c0"]), float(spec["c1"]))
-    if kind == "per-scenario-file":
-        return ("per-scenario-file", str(spec["path"]))
-    raise ConfigError(
-        "scenarios.bound_spec.kind must be constant | affine-in-s | per-scenario-file"
-    )
+    return ("per-scenario-file", spec["path"])
 
 
 def build_problem(cfg: dict) -> ProblemData:
@@ -195,9 +236,9 @@ def build_problem(cfg: dict) -> ProblemData:
             a_min=float(cfg["scenarios"]["a_min"]),
             bound_spec=_bound_spec_tuple(cfg["scenarios"]["bound_spec"]),
         )
+        scenarios = sample(scen_cfg, grid.n_cells, bound_points)
     except ValueError as exc:
         raise ConfigError(f"scenarios: {exc}") from exc
-    scenarios = sample(scen_cfg, grid.n_cells, bound_points)
     constraint = ConstraintMap(
         kind=ckind,
         grid=grid,
@@ -239,14 +280,4 @@ def build_schedule(cfg: dict) -> np.ndarray:
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:
-    s = cfg["solver"]
-    try:
-        return SolveOptions(
-            max_iters=int(s.get("max_iters", 50000)),
-            tol_stationarity=float(s.get("tol_stationarity", 1e-8)),
-            step_rule=str(s.get("step_rule", "backtracking")),
-            accelerate=bool(s.get("accelerate", True)),
-            subgradient_mode=bool(s.get("subgradient_mode", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    return SolveOptions(**cfg["solver"])  # the solver section holds exactly its fields

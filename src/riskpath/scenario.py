@@ -63,8 +63,9 @@ def _bound_values(spec, midpoints_or_nodes: np.ndarray, n_scenarios: int) -> np.
         return np.tile(c0 + c1 * midpoints_or_nodes, (n_scenarios, 1))
     if kind == "per-scenario-file":
         table = np.loadtxt(spec[1], ndmin=2)
-        if table.shape[0] != n_scenarios:
-            raise ValueError("per-scenario bound file row count != n_scenarios")
+        if table.shape[0] != n_scenarios or table.shape[1] not in (1, midpoints_or_nodes.size):
+            raise ValueError(f"per-scenario bound file must be {n_scenarios} rows (scenarios) "
+                             f"by 1 or {midpoints_or_nodes.size} columns (bound points)")
         return table
     raise ValueError(f"unknown bound_spec kind {kind!r}")
 

@@ -1,20 +1,32 @@
 """Projected first-order minimization of the penalized objective over the box C.
 
-Plain projected gradient with Armijo backtracking, an accelerated (momentum
-with restart-on-increase) variant, and a diminishing-step subgradient mode for
-the nonsmooth exact tail-risk objective. The initial step comes from a short
-power iteration estimating the curvature of the objective at the start point.
+The Moreau–Yosida penalty (gamma/2) ||max(0, i)||^2 is C^1, so each gamma
+point is a box-constrained problem, smooth but for the kink of the exact tail
+mean (which both methods also solve to stationarity). Two methods:
+
+- the default: accelerated projected gradient (momentum with restart on
+  objective increase; Beck & Teboulle 2009) with Armijo backtracking;
+- the reference: plain, monotone projected gradient with Armijo
+  backtracking, kept to cross-check the default.
+
+Both take their first step from a power iteration on the curvature at the
+start. A full evaluation yields gradient and objective together, so no point
+is evaluated twice in a row; a solve returns its last stationarity check's bundle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import objective as obj_mod
 from .grid import norm_h
 from .objective import EvalBundle, ProblemData
+
+ARMIJO = 1e-4  # sufficient-decrease constant
+SHRINK = 0.5  # backtracking factor
+CHECK_EVERY = 5  # iterations between stationarity checks of the accelerated method
 
 
 class DivergedError(RuntimeError):
@@ -25,24 +37,13 @@ class DivergedError(RuntimeError):
 class SolveOptions:
     max_iters: int = 50000
     tol_stationarity: float = 1e-8
-    step_rule: str = "backtracking"  # "backtracking" | "fixed"
-    fixed_step: float | None = None
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    accelerate: bool = True
-    subgradient_mode: bool = False
-    subgrad_c: float = 1.0
-    check_every: int = 5  # stationarity checks in accelerated mode
+    accelerate: bool = True  # False selects the projected-gradient reference
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol_stationarity <= 0.0:
             raise ValueError("tol_stationarity must be positive")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError("step_rule must be backtracking | fixed")
-        if not 0.0 < self.armijo < 0.5:
-            raise ValueError("armijo constant must lie in (0, 0.5)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
 
 
 @dataclass
@@ -105,57 +106,34 @@ def minimize(
     Returns converged=False (not an error) when the iteration budget runs out.
     """
     opts = opts or SolveOptions()
-    if warm_start is None:
-        x = data.clamp(np.zeros(data.grid.n_interior))
-    else:
-        x = data.clamp(np.asarray(warm_start, dtype=float))
+    start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
+    x = data.clamp(np.asarray(start, dtype=float))
+    mode = "accelerated" if opts.accelerate else "projected-gradient"
+    if np.all(data.lo == data.hi):  # x is the only point of the box
+        return _finish(data, x, obj_mod.evaluate(data, gamma, x), 0, opts.tol_stationarity, mode)
 
-    mode = (
-        "subgradient"
-        if opts.subgradient_mode
-        else ("accelerated" if opts.accelerate else "projected-gradient")
-    )
-
-    if np.all(data.lo == data.hi):
-        bundle = obj_mod.evaluate(data, gamma, data.lo.copy())
-        return SolveResult(
-            x1_opt=data.lo.copy(),
-            bundle=bundle,
-            xi=-bundle.gradient,
-            iterations=0,
-            stationarity_norm=0.0,
-            converged=True,
-            mode=mode,
-        )
-
-    if opts.step_rule == "fixed" and opts.fixed_step is not None:
-        s0 = opts.fixed_step
-    else:
-        curv = _estimate_curvature(data, gamma, x)
-        s0 = 1.0 / curv if curv > 0.0 else 1.0
-
-    if opts.subgradient_mode:
-        return _minimize_subgradient(data, gamma, opts, x, s0, callback)
+    curv = _estimate_curvature(data, gamma, x)
+    s0 = 1.0 / curv if curv > 0.0 else 1.0
     if opts.accelerate:
         return _minimize_accelerated(data, gamma, opts, x, s0, callback)
     return _minimize_pg(data, gamma, opts, x, s0, callback)
 
 
-def _armijo_step(data, gamma, x, g, f, s, opts):
+def _armijo_step(data, gamma, x, g, f, s):
     """Backtrack until sufficient decrease; returns (x_new, f_new, s_used)."""
     for _ in range(60):
         x_new = data.clamp(x - s * g)
         f_new = obj_mod.objective_only(data, gamma, x_new)
         if not np.isfinite(f_new):
             raise DivergedError("non-finite objective during line search")
-        if f_new <= f + opts.armijo * float(np.dot(g, x_new - x)) or np.array_equal(x_new, x):
+        if f_new <= f + ARMIJO * float(np.dot(g, x_new - x)) or np.array_equal(x_new, x):
             return x_new, f_new, s
-        s *= opts.shrink
+        s *= SHRINK
     return x_new, f_new, s
 
 
-def _finish(data, gamma, x, iters, tol, mode):
-    bundle = obj_mod.evaluate(data, gamma, x)
+def _finish(data, x, bundle, iters, tol, mode):
+    """SolveResult at x from its evaluation bundle."""
     stat = _stationarity(data, x, bundle.gradient)
     return SolveResult(
         x1_opt=x,
@@ -170,69 +148,45 @@ def _finish(data, gamma, x, iters, tol, mode):
 
 def _minimize_pg(data, gamma, opts, x, s0, callback):
     s = s0
-    f = obj_mod.objective_only(data, gamma, x)
-    for it in range(1, opts.max_iters + 1):
-        g = obj_mod.evaluate(data, gamma, x).gradient
+    for it in range(opts.max_iters + 1):
+        bundle = obj_mod.evaluate(data, gamma, x)
+        g, f = bundle.gradient, bundle.j_gamma
         stat = _stationarity(data, x, g)
         if callback:
-            callback(it - 1, f, stat, s)
-        if stat <= opts.tol_stationarity:
-            return _finish(data, gamma, x, it - 1, opts.tol_stationarity, "projected-gradient")
-        if opts.step_rule == "fixed":
-            x_new = data.clamp(x - s * g)
-            f_new = obj_mod.objective_only(data, gamma, x_new)
-            if not np.isfinite(f_new):
-                raise DivergedError("non-finite objective")
-        else:
-            x_new, f_new, s = _armijo_step(data, gamma, x, g, f, min(s * 2.0, 1e6 * s0), opts)
-        x, f = x_new, f_new
-    return _finish(data, gamma, x, opts.max_iters, opts.tol_stationarity, "projected-gradient")
+            callback(it, f, stat, s)
+        if stat <= opts.tol_stationarity or it == opts.max_iters:
+            return _finish(data, x, bundle, it, opts.tol_stationarity, "projected-gradient")
+        x, _, s = _armijo_step(data, gamma, x, g, f, min(s * 2.0, 1e6 * s0))
 
 
 def _minimize_accelerated(data, gamma, opts, x, s0, callback):
-    s = s0
-    f = obj_mod.objective_only(data, gamma, x)
-    y = x.copy()
-    t = 1.0
-    x_prev = x.copy()
+    s, t, y = s0, 1.0, x.copy()
+    bundle = obj_mod.evaluate(data, gamma, y)
+    g_y, f_y = bundle.gradient, bundle.j_gamma
+    g_x, f = g_y, f_y  # gradient (None until known) and j_gamma at x; x == y at the start
     for it in range(1, opts.max_iters + 1):
-        g_y = obj_mod.evaluate(data, gamma, y).gradient
-        x_new, f_new, s = _armijo_step(data, gamma, y, g_y, obj_mod.objective_only(data, gamma, y), s, opts)
+        x_new, f_new, s = _armijo_step(data, gamma, y, g_y, f_y, s)
         if f_new > f:  # restart on objective increase, fall back to a plain step
             t = 1.0
-            y = x.copy()
-            g_x = obj_mod.evaluate(data, gamma, x).gradient
-            x_new, f_new, s = _armijo_step(data, gamma, x, g_x, f, s, opts)
+            if g_x is None:
+                g_x = obj_mod.evaluate(data, gamma, x).gradient
+            x_new, f_new, s = _armijo_step(data, gamma, x, g_x, f, s)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = data.clamp(x_new + ((t - 1.0) / t_new) * (x_new - x))
-        x_prev, x, f, t = x, x_new, f_new, t_new
-        if it % opts.check_every == 0 or it == opts.max_iters:
-            g = obj_mod.evaluate(data, gamma, x).gradient
-            stat = _stationarity(data, x, g)
+        x, f, t = x_new, f_new, t_new
+        g_x = g_y = None
+        if it % CHECK_EVERY == 0 or it == opts.max_iters:
+            bundle = obj_mod.evaluate(data, gamma, x)
+            stat = _stationarity(data, x, bundle.gradient)
             if callback:
                 callback(it, f, stat, s)
-            if stat <= opts.tol_stationarity:
-                return _finish(data, gamma, x, it, opts.tol_stationarity, "accelerated")
+            if stat <= opts.tol_stationarity or it == opts.max_iters:
+                return _finish(data, x, bundle, it, opts.tol_stationarity, "accelerated")
+            g_x = bundle.gradient
+            if np.array_equal(y, x):  # no momentum after a restart: y is the point just checked
+                g_y, f_y = g_x, bundle.j_gamma
         # allow the step to grow back between iterations
         s = min(s * 1.3, 1e3 * s0)
-    return _finish(data, gamma, x, opts.max_iters, opts.tol_stationarity, "accelerated")
-
-
-def _minimize_subgradient(data, gamma, opts, x, s0, callback):
-    best_x = x.copy()
-    best_f = obj_mod.objective_only(data, gamma, x)
-    for it in range(1, opts.max_iters + 1):
-        g = obj_mod.evaluate(data, gamma, x).gradient
-        stat = _stationarity(data, x, g)
-        if callback:
-            callback(it - 1, best_f, stat, s0)
-        if stat <= opts.tol_stationarity:
-            break
-        step = opts.subgrad_c * s0 / np.sqrt(it)
-        x = data.clamp(x - step * g)
-        f = obj_mod.objective_only(data, gamma, x)
-        if not np.isfinite(f):
-            raise DivergedError("non-finite objective")
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-    return _finish(data, gamma, best_x, min(it, opts.max_iters), opts.tol_stationarity, "subgradient")
+        if g_y is None:
+            bundle = obj_mod.evaluate(data, gamma, y)
+            g_y, f_y = bundle.gradient, bundle.j_gamma

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import riskpath.objective as objective_mod
-from riskpath.cli import main
-from riskpath.config import ConfigError, config_hash, load_config, resolve
+from riskpath.cli import main, reduced_gradient_fd_error
+from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
 from riskpath.path import CSV_SCHEMA_VERSION
 
 SMALL = {
@@ -162,6 +162,15 @@ def test_verify_catches_adjoint_sign_mutation(tmp_path, monkeypatch, capsys):
     assert "reduced_gradient_fd" in err
 
 
+def test_reduced_gradient_check_passes_for_every_draw():
+    # directions nearly orthogonal to the gradient are redrawn, so the check on
+    # the default config no longer passes or fails with the random draw
+    data = build_problem(resolve({}))
+    for seed in range(60):
+        worst = reduced_gradient_fd_error(data, np.random.Generator(np.random.Philox(seed)))
+        assert worst <= 1e-6, f"seed {seed}: max rel err {worst:.3e}"
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.json"), "--gamma", "1",
                "--out", str(tmp_path / "out")])
@@ -170,11 +179,40 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
-    cases = [
+    cases = []
+    # bound tables of the wrong shape: 4 scenarios by 15 nodes is right
+    for rows, cols in ((2, 15), (4, 3)):
+        table = tmp_path / f"bounds_{rows}x{cols}.txt"
+        table.write_text(("0.1 " * cols + "\n") * rows)
+        spec = {"kind": "per-scenario-file", "path": str(table)}
+        cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
+                      "scenarios: per-scenario bound file"))
+    cases += [
         ({"scenarios": {"n_scenarios": 0, "seed": 1}}, "scenarios.n_scenarios"),
         ({"problem": {"n_interior": "15"}}, "problem.n_interior"),
         ({"risk": {"kind": "avar-smooth", "tau": 0}}, "tau"),
         ({"solver": {"step_rule": "bogus"}}, "step_rule"),
+        ({"solver": {"step_rule": "fixed"}}, "solver.step_rule"),
+        ({"solver": {"subgradient_mode": True}}, "solver.subgradient_mode"),
+        ({"solver": {"max_iters": "100"}}, "solver.max_iters"),
+        ({"solver": {"accelerate": 1}}, "solver.accelerate"),
+        ({"gamma_schedule": {"start_exp": 0, "stopexp": 2}}, "gamma_schedule.stopexp"),
+        ({"gamma_schedule": {"stop_exp": 2, "per_decade": 0}}, "gamma_schedule.per_decade"),
+        ({"gamma_schedule": {"values": [1.0, "10"]}}, "gamma_schedule.values"),
+        ({"problem": {"constraint": {"kind": "mixed", "epsilon": 0.05, "delat": 1}}},
+         "problem.constraint.delat"),
+        ({"problem": {"constraint": {"epsilon": 0.05}}}, "problem.constraint.kind"),
+        ({"problem": {"y_d": {"kind": "values"}}}, "problem.y_d.values"),
+        ({"problem": {"y_d": {"kind": "sine", "amplitde": 2.0}}}, "problem.y_d.amplitde"),
+        ({"scenarios": {"bound_spec": {"kind": "constant"}}}, "scenarios.bound_spec.value"),
+        ({"scenarios": {"bound_spec": {"kind": "constant", "value": "0.1"}}},
+         "scenarios.bound_spec.value"),
+        ({"scenarios": {"bound_spec": {"kind": "affine-in-s", "c0": 0.1}}},
+         "scenarios.bound_spec.c1"),
+        ({"feasible_reference": {"mdoe": "none"}}, "feasible_reference.mdoe"),
+        ({"feasible_reference": {"mode": "scaled"}}, "feasible_reference.mode"),
+        ({"problem": {"tol_feas": "1e-9"}}, "problem.tol_feas"),
+        ({"output_dir": 5}, "output_dir"),
     ]
     for overrides, field in cases:
         cfg_path = write_config(tmp_path, overrides)
@@ -182,6 +220,20 @@ def test_malformed_config_names_field(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+def test_per_scenario_bound_file_loads(tmp_path):
+    # one bound per node, and one constant bound per scenario (broadcast over the nodes)
+    rows = np.arange(1, 5)[:, None] * 0.01
+    for table in (rows + 1e-3 * np.arange(15), rows):
+        path = tmp_path / f"bounds_{table.shape[1]}.txt"
+        np.savetxt(path, table)
+        spec = {"kind": "per-scenario-file", "path": str(path)}
+        raw = json.loads(json.dumps(SMALL))
+        raw["scenarios"]["bound_spec"] = spec
+        data = build_problem(resolve(raw))
+        np.testing.assert_array_equal(data.scenarios.bounds, table)
+        assert np.all(np.isfinite(objective_mod.evaluate(data, 10.0, np.zeros(15)).gradient))
 
 
 def test_invalid_json_exits_one(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import riskpath.objective as obj_mod
 from riskpath.grid import Grid, assemble, inner_h, solve_state
 from riskpath.objective import ProblemData, evaluate, objective_only
 from riskpath.solver import (
+    CHECK_EVERY,
     SolveOptions,
     SolveResult,
     minimize,
@@ -83,18 +85,6 @@ def test_methods_agree_on_strongly_convex_instances():
         assert np.max(np.abs(ra.x1_opt - rb.x1_opt)) <= 1e-5
 
 
-def test_subgradient_mode_approaches_smooth_solution():
-    data = make_problem(n=11, bound=0.1, mu_tik=1.0)
-    ref = minimize(data, 10.0, SolveOptions(tol_stationarity=1e-11))
-    res = minimize(
-        data,
-        10.0,
-        SolveOptions(max_iters=4000, tol_stationarity=1e-11, subgradient_mode=True, subgrad_c=1.0),
-    )
-    assert res.mode == "subgradient"
-    assert res.bundle.j_gamma <= ref.bundle.j_gamma + 1e-4
-
-
 def test_plain_projected_gradient_descends_monotonically():
     data = make_problem(n=11, bound=0.05, mu_tik=0.5)
     values = []
@@ -169,21 +159,36 @@ def test_unconverged_run_is_flagged_not_raised():
     assert res.iterations == 3
 
 
-def test_fixed_step_rule():
-    data = make_problem(n=11, bound=10.0, mu_tik=1.0)
-    res = minimize(
-        data,
-        1.0,
-        SolveOptions(step_rule="fixed", fixed_step=0.5, accelerate=False,
-                     max_iters=5000, tol_stationarity=1e-10),
-    )
-    assert res.converged
+def test_accelerated_solve_evaluates_each_point_once(monkeypatch):
+    # the full evaluation at y already carries j_gamma, a check's gradient at x
+    # serves a restart from x, and the last check evaluated the returned point
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(data, gamma, x1):
+            value = fn(data, gamma, x1)
+            calls.append((name, np.array(x1, dtype=float), value))
+            return value
+        return wrapper
+
+    monkeypatch.setattr(obj_mod, "evaluate", recording("evaluate", obj_mod.evaluate))
+    monkeypatch.setattr(obj_mod, "objective_only", recording("objective_only", obj_mod.objective_only))
+    data = make_problem(n=15, seed=0, bound=0.05, mu_tik=0.01)  # restarts right after checks
+    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9))
+    assert res.converged and res.mode == "accelerated" and res.iterations > CHECK_EVERY
+    for (first, x_first, _), (second, x_second, _) in zip(calls, calls[1:]):
+        assert not (first == "evaluate" and np.array_equal(x_first, x_second)), (
+            f"{second} called again on the point evaluate just saw"
+        )
+    evaluated = [x.tobytes() for name, x, _ in calls if name == "evaluate"]
+    assert len(set(evaluated)) == len(evaluated), "evaluate called twice on one point"
+    name, x_last, bundle = calls[-1]
+    assert name == "evaluate" and bundle is res.bundle
+    assert np.array_equal(x_last, res.x1_opt)
 
 
 def test_invalid_options_rejected():
     with pytest.raises(ValueError):
         SolveOptions(tol_stationarity=0.0)
     with pytest.raises(ValueError):
-        SolveOptions(armijo=0.7)
-    with pytest.raises(ValueError):
-        SolveOptions(shrink=1.5)
+        SolveOptions(max_iters=0)
