@@ -25,7 +25,7 @@ ENV_OUT_DIR = "RISKPATH_OUT"
 
 
 def _out_dir(cfg, cli_out):
-    out = os.environ.get(ENV_OUT_DIR) or cli_out or cfg.get("output_dir", "out")
+    out = os.environ.get(ENV_OUT_DIR) or cli_out or cfg["output_dir"]
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -120,8 +120,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     assertions["sq_violation_decreasing_after_first_decade"] = all(
         b < a for a, b in zip(sq[1:], sq[2:])
     )
-    ref_spec = cfg.get("feasible_reference") or {}
-    if ref_spec.get("mode") == "scaled-initial":
+    if cfg["feasible_reference"]["mode"] == "scaled-initial":
         ref = path_mod.shrink_to_feasible(data, details[-1].result.x1_opt)
         j_ref, _, _ = obj_mod.unpenalized_objective(data, ref)
         assertions["sandwich_j_le_jgamma_le_jref"] = all(

@@ -1,9 +1,11 @@
-"""Run configuration: JSON schema, validation with field-level messages, builders."""
+"""Run configuration: one schema table, validation with field-level messages, builders."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,99 +23,136 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-DEFAULTS = {
+# JSON value kinds, each named as its error message names it.
+INT, NUM, BOOL, STR = "an integer", "a finite number", "true or false", "a string"
+NUMS = "a list of finite numbers"
+REQUIRED = object()  # the default of a key that must be given
+_MAX = sys.float_info.max
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and -_MAX <= v <= _MAX  # NaN, ±inf, huge ints, bool: False
+
+
+_IS = {
+    INT: lambda v: type(v) is int,
+    NUM: _finite,
+    BOOL: lambda v: type(v) is bool,
+    STR: lambda v: type(v) is str,
+    NUMS: lambda v: type(v) is list and all(map(_finite, v)),
+}
+
+# Range rules: (test, what the error message says the value must do).
+POSITIVE = (lambda v: v > 0, "be > 0")
+NONNEGATIVE = (lambda v: v >= 0, "be >= 0")
+AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A section whose keys depend on its form: ``forms`` maps each form to its keys.
+
+    The form is the value of the selector ``key``, or ``fallback`` when the section
+    omits it (no fallback: the key is required). Without a selector the form is the
+    one a key of the section names, else ``fallback``. ``absent`` stands in for an
+    omitted section; a section given in part takes the defaults of its form's keys.
+    """
+
+    absent: dict
+    key: str | None
+    fallback: str | None
+    forms: dict
+
+
+_CONSTRAINT_KEYS = {"epsilon": (0.0, NUM, NONNEGATIVE), "delta": (1e-8, NUM, NONNEGATIVE)}
+
+# Every config key: (default, JSON kind[, range rule]), a nested section or a Variant.
+SCHEMA = {
     "problem": {
-        "n_interior": 127,
-        "y_d": {"kind": "parabola", "amplitude": 2.0},
-        "mu_tik": 0.01,
-        "control_lo": -50.0,
-        "control_hi": 50.0,
-        "constraint": {"kind": "mixed", "epsilon": 0.05, "delta": 1e-8},
-        "tol_feas": 1e-9,
+        "n_interior": (127, INT, AT_LEAST_ONE),
+        "y_d": Variant({"kind": "parabola", "amplitude": 2.0}, "kind", "parabola", {
+            "zero": {},
+            "parabola": {"amplitude": (1.0, NUM)},
+            "sine": {"amplitude": (1.0, NUM)},
+            "values": {"values": (REQUIRED, NUMS)},
+        }),
+        "mu_tik": (0.01, NUM, POSITIVE),
+        "control_lo": (-50.0, NUM),
+        "control_hi": (50.0, NUM),
+        "constraint": Variant({"kind": "mixed", "epsilon": 0.05, "delta": 1e-8}, "kind", None,
+                              dict.fromkeys(("mixed", "volume", "gradient"), _CONSTRAINT_KEYS)),
+        "tol_feas": (1e-9, NUM),
     },
     "scenarios": {
-        "n_scenarios": 16,
-        "seed": 7,
-        "a0": 1.0,
-        "sigma": [0.3, 0.15],
-        "a_min": 0.3,
-        "bound_spec": {"kind": "constant", "value": 0.1},
+        "n_scenarios": (16, INT, AT_LEAST_ONE),
+        "seed": (7, INT, NONNEGATIVE),
+        "a0": (1.0, NUM),
+        "sigma": ([0.3, 0.15], NUMS),
+        "a_min": (0.3, NUM, POSITIVE),
+        "bound_spec": Variant({"kind": "constant", "value": 0.1}, "kind", None, {
+            "constant": {"value": (REQUIRED, NUM)},
+            "affine-in-s": {"c0": (REQUIRED, NUM), "c1": (REQUIRED, NUM)},
+            "per-scenario-file": {"path": (REQUIRED, STR)},
+        }),
     },
-    "risk": {"kind": "expectation", "alpha": 0.5, "tau": 1e-3},
-    "solver": {"max_iters": 50000, "tol_stationarity": 1e-8, "accelerate": True},
-    "gamma_schedule": {"start_exp": 0, "stop_exp": 6, "per_decade": 1},
-    "feasible_reference": {"mode": "scaled-initial"},
-    "output_dir": "out",
+    "risk": {
+        "kind": ("expectation", STR, (lambda v: v in ("expectation", "avar", "avar-smooth"),
+                                      "be expectation | avar | avar-smooth")),
+        "alpha": (0.5, NUM, (lambda v: 0 < v <= 1, "lie in (0, 1]")),
+        "tau": (1e-3, NUM),
+    },
+    "solver": {
+        "max_iters": (50000, INT, AT_LEAST_ONE),
+        "tol_stationarity": (1e-8, NUM, POSITIVE),
+        "accelerate": (True, BOOL),
+    },
+    "gamma_schedule": Variant({}, None, "exponents", {
+        "values": {"values": (REQUIRED, NUMS)},
+        "exponents": {"start_exp": (0, INT), "stop_exp": (6, INT),
+                      "per_decade": (1, INT, AT_LEAST_ONE)},
+    }),
+    "feasible_reference": Variant({"mode": "scaled-initial"}, "mode", "none",
+                                  {"scaled-initial": {}, "none": {}}),
+    "output_dir": ("out", STR),
 }
 
 
-# Subsections that an override replaces wholesale instead of merging key by key:
-# name -> (selector key, its default, {selector value: {allowed key: required}}).
-# Keys hold numbers, except "path" (a string) and "values" (a list of numbers).
-VARIANTS = {
-    "problem.y_d": ("kind", "parabola", {"zero": {}, "parabola": {"amplitude": False},
-                                         "sine": {"amplitude": False}, "values": {"values": True}}),
-    "problem.constraint": ("kind", None, {kind: {"epsilon": False, "delta": False}
-                                          for kind in ("mixed", "volume", "gradient")}),
-    "scenarios.bound_spec": ("kind", None, {"constant": {"value": True},
-                                            "affine-in-s": {"c0": True, "c1": True},
-                                            "per-scenario-file": {"path": True}}),
-    "feasible_reference": ("mode", "none", {"scaled-initial": {}, "none": {}}),
-}
-SCHEDULE_KEYS = {"start_exp": False, "stop_exp": False, "per_decade": False}
+def _field(name: str, key: str) -> str:
+    return f"{name}.{key}" if name else key
 
 
-def _merge(defaults, overrides, prefix=""):
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{prefix or 'config'} must be an object")
-    merged = {}
-    for key, default in defaults.items():
-        if key in overrides:
-            value = overrides[key]
-            name = f"{prefix}{key}"
-            if name in VARIANTS:
-                _variant(value, name)
-            elif isinstance(default, dict) and name != "gamma_schedule":
-                value = _merge(default, value, f"{name}.")
-            merged[key] = value
+def _section(schema, raw, name: str) -> dict:
+    """A new dict of every key of ``schema``: ``raw``'s value, checked, or the default."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{name or 'config'} must be an object")
+    out = {}
+    if isinstance(schema, Variant):
+        if schema.key is None:
+            form = next((f for f in schema.forms if f in raw), schema.fallback)
         else:
-            merged[key] = default
-    for key in overrides:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-    return merged
-
-
-def _subsection(spec, name: str, keys: dict, selector=None):
-    """Reject unknown or missing keys of a wholesale subsection and type-check its values."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object")
-    for key, value in spec.items():
-        if key == selector:
-            continue
-        if key not in keys:
-            raise ConfigError(f"unknown config key {name}.{key}")
-        if key == "path":
-            _require(isinstance(value, str), f"{name}.path must be a string")
-        elif key == "values":
-            _require(isinstance(value, list), f"{name}.values must be a list of numbers")
-            for v in value:
-                _number(v, f"{name}.values")
+            form = out[schema.key] = raw.get(schema.key, schema.fallback)
+            if type(form) is not str or form not in schema.forms:
+                raise ConfigError(f"{name}.{schema.key} must be {' | '.join(schema.forms)}")
+        schema = schema.forms[form]
+    for key, entry in schema.items():
+        if type(entry) is tuple:
+            if key not in raw:
+                if entry[0] is REQUIRED:
+                    raise ConfigError(f"{_field(name, key)} is required")
+                out[key] = entry[0]
+                continue
+            value = out[key] = raw[key]
+            if not _IS[entry[1]](value):
+                raise ConfigError(f"{_field(name, key)} must be {entry[1]}")
+            if len(entry) > 2 and not entry[2][0](value):
+                raise ConfigError(f"{_field(name, key)} must {entry[2][1]}")
         else:
-            _number(value, f"{name}.{key}", integer=name == "gamma_schedule")
-    for key, required in keys.items():
-        if required and key not in spec:
-            raise ConfigError(f"{name}.{key} is required")
-
-
-def _variant(spec, name: str):
-    selector, default, variants = VARIANTS[name]
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object")
-    value = spec.get(selector, default)
-    if not (isinstance(value, str) and value in variants):
-        raise ConfigError(f"{name}.{selector} must be {' | '.join(variants)}")
-    _subsection(spec, name, variants[value], selector)
+            absent = entry.absent if isinstance(entry, Variant) else {}
+            out[key] = _section(entry, raw.get(key, absent), _field(name, key))
+    for key in raw:
+        if key not in out:
+            raise ConfigError(f"unknown config key {_field(name, key)}")
+    return out
 
 
 def load_config(path) -> dict:
@@ -125,54 +164,21 @@ def load_config(path) -> dict:
 
 
 def resolve(raw: dict) -> dict:
-    """Merge with defaults and validate; returns the fully resolved config."""
-    cfg = _merge(DEFAULTS, raw)
-    problem, scenarios, constraint = cfg["problem"], cfg["scenarios"], cfg["problem"]["constraint"]
-    _require(_number(problem["n_interior"], "problem.n_interior", integer=True) >= 1,
-             "problem.n_interior must be >= 1")
-    _require(_number(problem["mu_tik"], "problem.mu_tik") > 0.0, "problem.mu_tik must be > 0")
-    _require(
-        _number(problem["control_lo"], "problem.control_lo")
-        <= _number(problem["control_hi"], "problem.control_hi"),
-        "problem.control_lo must be <= problem.control_hi",
-    )
-    _number(problem["tol_feas"], "problem.tol_feas")
-    _require(isinstance(cfg["output_dir"], str), "output_dir must be a string")
-    _require(constraint.get("epsilon", 0.0) >= 0.0, "problem.constraint.epsilon must be >= 0")
-    _require(constraint.get("delta", 0.0) >= 0.0, "problem.constraint.delta must be >= 0")
-    _require(_number(scenarios["n_scenarios"], "scenarios.n_scenarios", integer=True) >= 1,
-             "scenarios.n_scenarios must be >= 1")
-    _number(scenarios["seed"], "scenarios.seed", integer=True)
-    _require(_number(scenarios["a_min"], "scenarios.a_min") > 0.0, "scenarios.a_min must be > 0")
-    _require(isinstance(scenarios["sigma"], list), "scenarios.sigma must be a list of numbers")
-    _require(
-        _number(scenarios["a0"], "scenarios.a0")
-        - sum(abs(_number(s, "scenarios.sigma")) for s in scenarios["sigma"]) > 0.0,
-        "scenarios.a0 minus the sigma budget must stay positive",
-    )
-    _require(cfg["risk"]["kind"] in ("expectation", "avar", "avar-smooth"),
-             "risk.kind must be expectation | avar | avar-smooth")
-    _require(0.0 < _number(cfg["risk"]["alpha"], "risk.alpha") <= 1.0,
-             "risk.alpha must lie in (0, 1]")
-    _number(cfg["risk"]["tau"], "risk.tau")
-    solver = cfg["solver"]
-    _require(_number(solver["max_iters"], "solver.max_iters", integer=True) >= 1,
-             "solver.max_iters must be >= 1")
-    _require(_number(solver["tol_stationarity"], "solver.tol_stationarity") > 0.0,
-             "solver.tol_stationarity must be > 0")
-    _require(isinstance(solver["accelerate"], bool), "solver.accelerate must be true or false")
-    sched = cfg["gamma_schedule"]
-    values = isinstance(sched, dict) and "values" in sched
-    _subsection(sched, "gamma_schedule", {"values": True} if values else SCHEDULE_KEYS)
-    if values:
+    """Check ``raw`` against SCHEMA and fill in defaults; returns the complete config."""
+    cfg = _section(SCHEMA, raw, "")
+    problem, scenarios, sched = cfg["problem"], cfg["scenarios"], cfg["gamma_schedule"]
+    _require(problem["control_lo"] <= problem["control_hi"],
+             "problem.control_lo must be <= problem.control_hi")
+    _require(scenarios["a0"] - sum(abs(s) for s in scenarios["sigma"]) > 0.0,
+             "scenarios.a0 minus the sigma budget must stay positive")
+    if "values" in sched:
         try:
             path_mod.validate_schedule(sched["values"])
         except ValueError as exc:
             raise ConfigError(f"gamma_schedule.values: {exc}") from exc
     else:
-        _require(sched.get("stop_exp", 6) > sched.get("start_exp", 0),
+        _require(sched["stop_exp"] > sched["start_exp"],
                  "gamma_schedule.stop_exp must exceed start_exp")
-        _require(sched.get("per_decade", 1) >= 1, "gamma_schedule.per_decade must be >= 1")
     cfg["generator"] = GENERATOR_NAME
     return cfg
 
@@ -182,40 +188,23 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _number(value, name: str, integer: bool = False):
-    """value if it is a JSON number (an integer if asked); ConfigError naming the field otherwise."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}")
-    return value
-
-
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def _target_field(spec, nodes: np.ndarray) -> np.ndarray:
-    kind = spec.get("kind", "parabola")
+    kind = spec["kind"]
     if kind == "zero":
         return np.zeros_like(nodes)
     if kind == "parabola":
-        return spec.get("amplitude", 1.0) * nodes * (1.0 - nodes)
+        return spec["amplitude"] * nodes * (1.0 - nodes)
     if kind == "sine":
-        return spec.get("amplitude", 1.0) * np.sin(np.pi * nodes)
+        return spec["amplitude"] * np.sin(np.pi * nodes)
     values = np.asarray(spec["values"], dtype=float)
     if values.shape != nodes.shape:
         raise ConfigError("problem.y_d.values length must equal n_interior")
     return values
-
-
-def _bound_spec_tuple(spec: dict):
-    kind = spec["kind"]  # checked by resolve against VARIANTS
-    if kind == "constant":
-        return ("constant", float(spec["value"]))
-    if kind == "affine-in-s":
-        return ("affine-in-s", float(spec["c0"]), float(spec["c1"]))
-    return ("per-scenario-file", spec["path"])
 
 
 def build_problem(cfg: dict) -> ProblemData:
@@ -234,7 +223,8 @@ def build_problem(cfg: dict) -> ProblemData:
             a0=float(cfg["scenarios"]["a0"]),
             sigma=tuple(cfg["scenarios"]["sigma"]),
             a_min=float(cfg["scenarios"]["a_min"]),
-            bound_spec=_bound_spec_tuple(cfg["scenarios"]["bound_spec"]),
+            # (kind, then the keys of its form in SCHEMA order), e.g. ("constant", value)
+            bound_spec=tuple(cfg["scenarios"]["bound_spec"].values()),
         )
         scenarios = sample(scen_cfg, grid.n_cells, bound_points)
     except ValueError as exc:
@@ -243,8 +233,8 @@ def build_problem(cfg: dict) -> ProblemData:
         kind=ckind,
         grid=grid,
         bounds=scenarios.bounds,
-        epsilon=float(cfg["problem"]["constraint"].get("epsilon", 0.0)),
-        delta=float(cfg["problem"]["constraint"].get("delta", 1e-8)),
+        epsilon=float(cfg["problem"]["constraint"]["epsilon"]),
+        delta=float(cfg["problem"]["constraint"]["delta"]),
     )
     try:
         risk = RiskMeasure(
@@ -264,7 +254,7 @@ def build_problem(cfg: dict) -> ProblemData:
         mu_tik=float(cfg["problem"]["mu_tik"]),
         lo=float(cfg["problem"]["control_lo"]),
         hi=float(cfg["problem"]["control_hi"]),
-        tol_feas=float(cfg["problem"].get("tol_feas", 1e-9)),
+        tol_feas=float(cfg["problem"]["tol_feas"]),
     )
 
 
@@ -272,11 +262,7 @@ def build_schedule(cfg: dict) -> np.ndarray:
     sched = cfg["gamma_schedule"]
     if "values" in sched:
         return path_mod.validate_schedule(sched["values"])
-    return path_mod.decade_schedule(
-        int(sched.get("start_exp", 0)),
-        int(sched.get("stop_exp", 6)),
-        int(sched.get("per_decade", 1)),
-    )
+    return path_mod.decade_schedule(sched["start_exp"], sched["stop_exp"], sched["per_decade"])
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:

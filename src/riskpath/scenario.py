@@ -66,6 +66,8 @@ def _bound_values(spec, midpoints_or_nodes: np.ndarray, n_scenarios: int) -> np.
         if table.shape[0] != n_scenarios or table.shape[1] not in (1, midpoints_or_nodes.size):
             raise ValueError(f"per-scenario bound file must be {n_scenarios} rows (scenarios) "
                              f"by 1 or {midpoints_or_nodes.size} columns (bound points)")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("per-scenario bound file holds a non-finite entry")
         return table
     raise ValueError(f"unknown bound_spec kind {kind!r}")
 

@@ -14,7 +14,7 @@ import pytest
 
 from riskpath.cli import main
 from riskpath.cone import ConeSpec, penalty, penalty_multiplier, project
-from riskpath.config import DEFAULTS, build_problem, build_schedule, resolve
+from riskpath.config import build_problem, build_schedule, resolve
 from riskpath.grid import Grid, assemble, inner_h, solve_state
 from riskpath.kkt import check_gamma_system, complementarity_value
 from riskpath.objective import evaluate, objective_only, unpenalized_objective

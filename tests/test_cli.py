@@ -1,4 +1,6 @@
 import json
+from math import inf, nan
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,13 +215,59 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ({"feasible_reference": {"mode": "scaled"}}, "feasible_reference.mode"),
         ({"problem": {"tol_feas": "1e-9"}}, "problem.tol_feas"),
         ({"output_dir": 5}, "output_dir"),
+        # json reads NaN and Infinity; every number must be finite
+        ({"risk": {"kind": "avar-smooth", "tau": nan}}, "risk.tau"),
+        ({"problem": {"tol_feas": nan}}, "problem.tol_feas"),
+        ({"problem": {"mu_tik": inf}}, "problem.mu_tik"),
+        ({"scenarios": {"a0": inf}}, "scenarios.a0"),
+        ({"scenarios": {"a_min": inf}}, "scenarios.a_min"),
+        ({"problem": {"constraint": {"kind": "mixed", "epsilon": inf}}},
+         "problem.constraint.epsilon"),
+        ({"scenarios": {"bound_spec": {"kind": "constant", "value": nan}}},
+         "scenarios.bound_spec.value"),
+        ({"problem": {"n_interior": 15, "y_d": {"kind": "values", "values": [0.0] * 14 + [inf]}}},
+         "problem.y_d.values"),
+        ({"gamma_schedule": {"values": [1.0, nan]}}, "gamma_schedule.values"),
+        ({"solver": {"tol_stationarity": inf}}, "solver.tol_stationarity"),
+        ({"scenarios": {"seed": -1}}, "scenarios.seed"),
+        ({"risk": 5}, "error: risk must be an object"),
     ]
+    table = tmp_path / "bounds_nan.txt"
+    table.write_text(("0.1 " * 14 + "nan\n") * 4)
+    spec = {"kind": "per-scenario-file", "path": str(table)}
+    cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
+                  "scenarios: per-scenario bound file holds a non-finite entry"))
     for overrides, field in cases:
         cfg_path = write_config(tmp_path, overrides)
         rc = main(["path", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"problem": {"mu_tik": 1e400}}')  # json reads 1e400 as inf
+    assert main(["path", "--config", str(overflow), "--out", str(tmp_path / "out")]) == 1
+    assert "problem.mu_tik" in capsys.readouterr().err
+
+
+def test_resolved_config_is_complete():
+    # a section given in part resolves to the values that run, so the same run has the same tag
+    assert resolve({"gamma_schedule": {"stop_exp": 6}}) == resolve({})
+    y_d = resolve({"problem": {"y_d": {"kind": "parabola"}}})["problem"]["y_d"]
+    assert y_d == {"kind": "parabola", "amplitude": 1.0}
+    constraint = resolve({"problem": {"constraint": {"kind": "volume"}}})["problem"]["constraint"]
+    assert constraint == {"kind": "volume", "epsilon": 0.0, "delta": 1e-8}
+    assert resolve({"feasible_reference": {}})["feasible_reference"] == {"mode": "none"}
+    assert type(resolve({"problem": {"mu_tik": 1}})["problem"]["mu_tik"]) is int  # no coercion
+    assert config_hash(resolve({})) == "fa675b22b783"
+
+
+def test_readme_config_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    data = build_problem(resolve(example))
+    assert data.grid.n_interior == example["problem"]["n_interior"]
+    assert data.scenarios.count == example["scenarios"]["n_scenarios"]
 
 
 def test_per_scenario_bound_file_loads(tmp_path):
