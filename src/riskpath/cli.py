@@ -66,8 +66,9 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
     tag = _tag(cfg)
     log_lines = []
 
-    def log_cb(it, f, stat, step):
-        log_lines.append(f"iter={it} j_gamma={f!r} stationarity={stat!r} step={step!r}")
+    def log_cb(it, f, stat, step, products):
+        log_lines.append(f"iter={it} j_gamma={float(f)!r} stationarity={float(stat)!r} "
+                         f"step={float(step)!r} cg={products}")
 
     result = solver_mod.minimize(data, gamma, opts, callback=log_cb)
     report = kkt_mod.check_limit_system(data, result.bundle)
@@ -79,6 +80,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
             "mode": result.mode,
             "converged": result.converged,
             "iterations": result.iterations,
+            "hessian_products": result.hessian_products,
             "stationarity": result.stationarity_norm,
             "j_gamma": result.bundle.j_gamma,
             "j": j,
@@ -121,7 +123,11 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
         b < a for a, b in zip(sq[1:], sq[2:])
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
-        ref = path_mod.shrink_to_feasible(data, details[-1].result.x1_opt)
+        try:
+            ref = path_mod.shrink_to_feasible(data, details[-1].result.x1_opt)
+        except ValueError as exc:
+            print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
+            return 1
         j_ref, _, _ = obj_mod.unpenalized_objective(data, ref)
         assertions["sandwich_j_le_jgamma_le_jref"] = all(
             r.j <= r.j_gamma + 1e-10 and r.j_gamma <= j_ref + 1e-10 for r in records

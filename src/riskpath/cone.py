@@ -6,8 +6,9 @@ form (gamma/2) ||max(0, i)||_H^2 with gradient gamma * max(0, i).
 
 Three constraint maps are realized: a mixed control/state bound, a scalar
 volume bound, and a bound on the state gradient magnitude (delta-smoothed so
-the map stays continuously differentiable). Constraint values are stacked
-(K, m) arrays, one row per scenario; the volume bound is the case m = 1.
+the map stays continuously differentiable), each with its linearisation and
+adjoints. Constraint values are stacked (K, m) arrays, one row per scenario;
+the volume bound is the case m = 1.
 """
 
 from __future__ import annotations
@@ -111,6 +112,27 @@ def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
     return smooth - cmap.delta - cmap.bounds
 
 
+def _slope(cmap: ConstraintMap, x2: np.ndarray) -> np.ndarray:
+    """Derivative of the smoothed norm at the cell gradients of x2 (gradient kind)."""
+    du = cmap._grad_cells(x2)
+    denom = np.sqrt(du**2 + cmap.delta**2)
+    # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
+    return np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
+
+
+def constraint_jvp(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, dx1, dx2):
+    """Linearisation i_x1 dx1 + i_x2 dx2 at (x1, x2), stacked (K, m) like the values.
+
+    Exact for the affine kinds; for the gradient kind it is the first-order term
+    of the smoothed norm (its curvature is left out).
+    """
+    if cmap.kind == "mixed":
+        return dx2 - cmap.epsilon * np.asarray(dx1, dtype=float)
+    if cmap.kind == "volume":
+        return cmap.grid.h * np.sum(dx2, axis=-1, keepdims=True)
+    return _slope(cmap, x2) * cmap._grad_cells(dx2)
+
+
 def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, lam):
     """Adjoints (i_x1^* lam, i_x2^* lam) as dual (mass-weighted) vectors.
 
@@ -124,10 +146,6 @@ def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, lam
     if cmap.kind == "volume":
         dual_x2 = h * lam * np.ones(cmap.grid.n_interior)
     else:
-        du = cmap._grad_cells(x2)
-        denom = np.sqrt(du**2 + cmap.delta**2)
-        # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
-        w = np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
-        c = lam * w
+        c = lam * _slope(cmap, x2)
         dual_x2 = c[..., :-1] - c[..., 1:]
     return np.zeros_like(dual_x2), dual_x2

@@ -16,7 +16,7 @@ from .grid import Grid
 from .objective import ProblemData
 from .risk import RiskMeasure
 from .scenario import GENERATOR_NAME, ScenarioConfig, sample
-from .solver import SolveOptions
+from .solver import METHODS, SolveOptions
 
 
 class ConfigError(ValueError):
@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 
 # JSON value kinds, each named as its error message names it.
-INT, NUM, BOOL, STR = "an integer", "a finite number", "true or false", "a string"
+INT, NUM, STR = "an integer", "a finite number", "a string"
 NUMS = "a list of finite numbers"
 REQUIRED = object()  # the default of a key that must be given
 _MAX = sys.float_info.max
@@ -37,7 +37,6 @@ def _finite(v) -> bool:
 _IS = {
     INT: lambda v: type(v) is int,
     NUM: _finite,
-    BOOL: lambda v: type(v) is bool,
     STR: lambda v: type(v) is str,
     NUMS: lambda v: type(v) is list and all(map(_finite, v)),
 }
@@ -104,7 +103,7 @@ SCHEMA = {
     "solver": {
         "max_iters": (50000, INT, AT_LEAST_ONE),
         "tol_stationarity": (1e-8, NUM, POSITIVE),
-        "accelerate": (True, BOOL),
+        "method": ("newton", STR, (lambda v: v in METHODS, f"be {' | '.join(METHODS)}")),
     },
     "gamma_schedule": Variant({}, None, "exponents", {
         "values": {"values": (REQUIRED, NUMS)},
@@ -179,6 +178,11 @@ def resolve(raw: dict) -> dict:
     else:
         _require(sched["stop_exp"] > sched["start_exp"],
                  "gamma_schedule.stop_exp must exceed start_exp")
+        # gamma = 10^exp must be a finite, positive, normal float
+        _require(sched["stop_exp"] <= sys.float_info.max_10_exp,
+                 f"gamma_schedule.stop_exp must be <= {sys.float_info.max_10_exp}")
+        _require(sched["start_exp"] >= sys.float_info.min_10_exp,
+                 f"gamma_schedule.start_exp must be >= {sys.float_info.min_10_exp}")
     cfg["generator"] = GENERATOR_NAME
     return cfg
 

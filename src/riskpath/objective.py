@@ -1,4 +1,4 @@
-"""Penalized composite objective and its adjoint-based reduced gradient.
+"""Penalized composite objective, its adjoint-based reduced gradient and Hessian products.
 
 The state equation is kept in the mass-weighted (Galerkin-like) form: the
 stiffness part is h * A with A the assembled stencil, and the control enters
@@ -153,8 +153,43 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
     )
 
 
+def hessian_operator(data: ProblemData, bundle: EvalBundle):
+    """Generalised Hessian of j^gamma at the bundle's point, as a product v -> H v.
+
+    Each product is one stacked state solve (the state directions) and one
+    stacked adjoint solve. The penalty contributes gamma times the active
+    indicator of max(0, i) on the constraint linearisation (Gauss-Newton for
+    the gradient constraint). The risk weights each scenario by its density
+    theta, frozen for the exact tail mean, which is piecewise linear. The
+    smoothed tail mean adds the derivative of theta: the sigmoid slope
+    sigma'/(alpha tau) on grad J_k minus the rank-one threshold correction;
+    the grad J_k of all scenarios take one more stacked solve, made here.
+    """
+    h, w = data.grid.h, data.scenarios.weights
+    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
+    if data.risk.kind == "avar-smooth":
+        grad_j = solve_state(data.operator, bundle.zeta2)  # grad J_k, (K, n)
+        # sigma'(z_k)/(alpha tau) with sigma(z_k) = alpha theta_k, weighted
+        slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
+        total = float(slope.sum())
+
+    def product(v: np.ndarray) -> np.ndarray:
+        d_states = solve_state(data.operator, v)
+        d_lam = curvature * cone_mod.constraint_jvp(data.constraint, x1, states, v, d_states)
+        adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, d_lam)
+        rho = solve_state(data.operator, theta[:, None] * h * d_states + adj_y) + adj_u
+        hv = data.mu_tik * h * v + (w[:, None] * rho).sum(axis=0)
+        if data.risk.kind == "avar-smooth" and total > 0.0:
+            dj = grad_j @ v
+            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
+        return hv
+
+    return product
+
+
 def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
-    """j^gamma without adjoints (line-search evaluation)."""
+    """j^gamma without adjoints (for difference quotients)."""
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ValueError("gamma must be a finite positive real")
     x1 = np.asarray(x1, dtype=float)

@@ -40,8 +40,9 @@ def decade_schedule(start_exp: int = 0, stop_exp: int = 6, per_decade: int = 1):
 
 def validate_schedule(values):
     values = np.asarray(values, dtype=float)
-    if values.size == 0 or np.any(values <= 0.0) or np.any(np.diff(values) <= 0.0):
-        raise ValueError("gamma schedule must be strictly increasing and positive")
+    finite_positive = np.isfinite(values) & (values > 0.0)
+    if values.size == 0 or not np.all(finite_positive) or np.any(np.diff(values) <= 0.0):
+        raise ValueError("gamma schedule must be finite, strictly increasing and positive")
     return values
 
 

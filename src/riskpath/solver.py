@@ -1,17 +1,23 @@
-"""Projected first-order minimization of the penalized objective over the box C.
+"""Minimization of the penalized objective over the box C, one gamma point at a time.
 
-The Moreau–Yosida penalty (gamma/2) ||max(0, i)||^2 is C^1, so each gamma
-point is a box-constrained problem, smooth but for the kink of the exact tail
-mean (which both methods also solve to stationarity). Two methods:
+The Moreau–Yosida penalty (gamma/2) ||max(0, i)||^2 is C^1 with the semismooth
+gradient gamma * max(0, i), so each gamma point is a box-constrained problem
+that generalised Newton solves with the warm start of the previous point
+(Hintermüller, Ito & Kunisch 2003). Two methods:
 
-- the default: accelerated projected gradient (momentum with restart on
-  objective increase; Beck & Teboulle 2009) with Armijo backtracking;
-- the reference: plain, monotone projected gradient with Armijo
-  backtracking, kept to cross-check the default.
+- the default, "newton": projected semismooth Newton (Bertsekas 1982). The
+  bounds that bind (gradient pointing out of the box) take a gradient step;
+  on the free variables the Newton system with the generalised Hessian is
+  solved by unpreconditioned conjugate gradients, matrix-free through
+  ``objective.hessian_operator``. The exact tail mean keeps its scenario
+  weights frozen within a step.
+- the reference, "projected-gradient": plain, monotone projected gradient,
+  its first step from a power iteration on the curvature at the start, kept
+  to cross-check the default.
 
-Both take their first step from a power iteration on the curvature at the
-start. A full evaluation yields gradient and objective together, so no point
-is evaluated twice in a row; a solve returns its last stationarity check's bundle.
+Both backtrack (Armijo) along the projected path, and each trial point gets
+one full evaluation, whose bundle the next iteration takes if it is accepted:
+no point is evaluated twice. A solve returns the bundle of its last point.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ from .objective import EvalBundle, ProblemData
 
 ARMIJO = 1e-4  # sufficient-decrease constant
 SHRINK = 0.5  # backtracking factor
-CHECK_EVERY = 5  # iterations between stationarity checks of the accelerated method
+BACKTRACKS = 60  # trial steps per line search
+ROUNDOFF = 64.0 * np.finfo(float).eps  # |change of j_gamma| / |j_gamma| below round-off
+BINDING_EPS = 1e-3  # largest distance to a bound at which it can bind
+METHODS = ("newton", "projected-gradient")
 
 
 class DivergedError(RuntimeError):
@@ -37,13 +46,15 @@ class DivergedError(RuntimeError):
 class SolveOptions:
     max_iters: int = 50000
     tol_stationarity: float = 1e-8
-    accelerate: bool = True  # False selects the projected-gradient reference
+    method: str = "newton"  # or "projected-gradient", the reference
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol_stationarity <= 0.0:
             raise ValueError("tol_stationarity must be positive")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be {' | '.join(METHODS)}")
 
 
 @dataclass
@@ -55,6 +66,7 @@ class SolveResult:
     stationarity_norm: float
     converged: bool
     mode: str
+    hessian_products: int  # conjugate-gradient products over the solve
 
 
 def _normal_cone_element(data: ProblemData, x1: np.ndarray, g: np.ndarray, tol=1e-10):
@@ -103,36 +115,47 @@ def minimize(
 ) -> SolveResult:
     """Minimize j^gamma over the box; deterministic given inputs.
 
-    Returns converged=False (not an error) when the iteration budget runs out.
+    ``callback(it, j_gamma, stationarity, step, hessian_products)`` sees every
+    iterate, with the products counted so far. Returns converged=False (not an
+    error) when the iteration budget runs out or no step decreases j_gamma.
     """
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
     x = data.clamp(np.asarray(start, dtype=float))
-    mode = "accelerated" if opts.accelerate else "projected-gradient"
+    bundle = obj_mod.evaluate(data, gamma, x)
     if np.all(data.lo == data.hi):  # x is the only point of the box
-        return _finish(data, x, obj_mod.evaluate(data, gamma, x), 0, opts.tol_stationarity, mode)
+        return _finish(data, x, bundle, 0, opts, 0)
+    if opts.method == "newton":
 
-    curv = _estimate_curvature(data, gamma, x)
-    s0 = 1.0 / curv if curv > 0.0 else 1.0
-    if opts.accelerate:
-        return _minimize_accelerated(data, gamma, opts, x, s0, callback)
-    return _minimize_pg(data, gamma, opts, x, s0, callback)
+        def propose(x, bundle, stat, s):  # (direction, first step, Hessian products)
+            direction, products = _newton_direction(data, bundle, x, stat)
+            return direction, 1.0, products
+
+        s = 1.0
+    else:
+        curv = _estimate_curvature(data, gamma, x)
+        s = s0 = 1.0 / curv if curv > 0.0 else 1.0
+
+        def propose(x, bundle, stat, s):  # the step may grow back after backtracking
+            return -bundle.gradient, min(2.0 * s, 1e6 * s0), 0
+
+    products = 0
+    for it in range(opts.max_iters + 1):
+        stat = _stationarity(data, x, bundle.gradient)
+        if callback:
+            callback(it, bundle.j_gamma, stat, s, products)
+        if stat <= opts.tol_stationarity or it == opts.max_iters:
+            break
+        direction, first, used = propose(x, bundle, stat, s)
+        products += used
+        accepted = _line_search(data, gamma, x, bundle, stat, direction, first)
+        if accepted is None:
+            break
+        x, bundle, s = accepted
+    return _finish(data, x, bundle, it, opts, products)
 
 
-def _armijo_step(data, gamma, x, g, f, s):
-    """Backtrack until sufficient decrease; returns (x_new, f_new, s_used)."""
-    for _ in range(60):
-        x_new = data.clamp(x - s * g)
-        f_new = obj_mod.objective_only(data, gamma, x_new)
-        if not np.isfinite(f_new):
-            raise DivergedError("non-finite objective during line search")
-        if f_new <= f + ARMIJO * float(np.dot(g, x_new - x)) or np.array_equal(x_new, x):
-            return x_new, f_new, s
-        s *= SHRINK
-    return x_new, f_new, s
-
-
-def _finish(data, x, bundle, iters, tol, mode):
+def _finish(data, x, bundle, iters, opts, products):
     """SolveResult at x from its evaluation bundle."""
     stat = _stationarity(data, x, bundle.gradient)
     return SolveResult(
@@ -141,52 +164,77 @@ def _finish(data, x, bundle, iters, tol, mode):
         xi=_normal_cone_element(data, x, bundle.gradient),
         iterations=iters,
         stationarity_norm=stat,
-        converged=stat <= tol,
-        mode=mode,
+        converged=stat <= opts.tol_stationarity,
+        mode=opts.method,
+        hessian_products=products,
     )
 
 
-def _minimize_pg(data, gamma, opts, x, s0, callback):
-    s = s0
-    for it in range(opts.max_iters + 1):
-        bundle = obj_mod.evaluate(data, gamma, x)
-        g, f = bundle.gradient, bundle.j_gamma
-        stat = _stationarity(data, x, g)
-        if callback:
-            callback(it, f, stat, s)
-        if stat <= opts.tol_stationarity or it == opts.max_iters:
-            return _finish(data, x, bundle, it, opts.tol_stationarity, "projected-gradient")
-        x, _, s = _armijo_step(data, gamma, x, g, f, min(s * 2.0, 1e6 * s0))
+def _line_search(data, gamma, x, bundle, stat, direction, s):
+    """Backtrack along clamp(x + s * direction) until j_gamma decreases enough.
+
+    Sufficient decrease is Armijo's along the projected path. A change of
+    j_gamma within round-off of its size carries no information, so there a
+    step is accepted when it lowers the stationarity residual instead.
+    Returns (x_new, bundle_new, s), or None when no trial step qualifies.
+    """
+    g, f = bundle.gradient, bundle.j_gamma
+    for _ in range(BACKTRACKS):
+        x_new = data.clamp(x + s * direction)
+        if np.array_equal(x_new, x):
+            return None
+        new = obj_mod.evaluate(data, gamma, x_new)
+        if not np.isfinite(new.j_gamma):
+            raise DivergedError("non-finite objective during line search")
+        slope = float(np.dot(g, x_new - x))
+        if slope < 0.0 and new.j_gamma <= f + ARMIJO * slope:
+            return x_new, new, s
+        if abs(new.j_gamma - f) <= ROUNDOFF * abs(f) and (
+            _stationarity(data, x_new, new.gradient) < stat
+        ):
+            return x_new, new, s
+        s *= SHRINK
+    return None
 
 
-def _minimize_accelerated(data, gamma, opts, x, s0, callback):
-    s, t, y = s0, 1.0, x.copy()
-    bundle = obj_mod.evaluate(data, gamma, y)
-    g_y, f_y = bundle.gradient, bundle.j_gamma
-    g_x, f = g_y, f_y  # gradient (None until known) and j_gamma at x; x == y at the start
-    for it in range(1, opts.max_iters + 1):
-        x_new, f_new, s = _armijo_step(data, gamma, y, g_y, f_y, s)
-        if f_new > f:  # restart on objective increase, fall back to a plain step
-            t = 1.0
-            if g_x is None:
-                g_x = obj_mod.evaluate(data, gamma, x).gradient
-            x_new, f_new, s = _armijo_step(data, gamma, x, g_x, f, s)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = data.clamp(x_new + ((t - 1.0) / t_new) * (x_new - x))
-        x, f, t = x_new, f_new, t_new
-        g_x = g_y = None
-        if it % CHECK_EVERY == 0 or it == opts.max_iters:
-            bundle = obj_mod.evaluate(data, gamma, x)
-            stat = _stationarity(data, x, bundle.gradient)
-            if callback:
-                callback(it, f, stat, s)
-            if stat <= opts.tol_stationarity or it == opts.max_iters:
-                return _finish(data, x, bundle, it, opts.tol_stationarity, "accelerated")
-            g_x = bundle.gradient
-            if np.array_equal(y, x):  # no momentum after a restart: y is the point just checked
-                g_y, f_y = g_x, bundle.j_gamma
-        # allow the step to grow back between iterations
-        s = min(s * 1.3, 1e3 * s0)
-        if g_y is None:
-            bundle = obj_mod.evaluate(data, gamma, y)
-            g_y, f_y = bundle.gradient, bundle.j_gamma
+def _conjugate_gradients(product, b, tol, max_products):
+    """Approximate solution of H d = b for symmetric positive definite H; (d, products)."""
+    d = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(np.dot(r, r))
+    products = 0
+    while np.sqrt(rr) > tol and products < max_products:
+        hp = product(p)
+        products += 1
+        php = float(np.dot(p, hp))
+        if php <= 0.0:  # no positive curvature left (round-off): keep what we have
+            break
+        a = rr / php
+        d += a * p
+        r -= a * hp
+        rr_new = float(np.dot(r, r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return d, products
+
+
+def _newton_direction(data, bundle, x, stat):
+    """Projected Newton direction and its products: -g on the binding bounds, CG on the rest."""
+    g = bundle.gradient
+    eps = min(BINDING_EPS, stat)
+    binding = ((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0))
+    free = ~binding
+    hessian = obj_mod.hessian_operator(data, bundle)
+    v = np.zeros_like(x)
+
+    def product(p):
+        v[free] = p
+        return hessian(v)[free]
+
+    direction = -g
+    norm = float(np.linalg.norm(g[free]))
+    direction[free], products = _conjugate_gradients(
+        product, -g[free], min(0.1, np.sqrt(norm)) * norm, x.size
+    )
+    return direction, products

@@ -205,15 +205,15 @@ def test_criterion_08_risk_axioms_and_duality():
 def test_criterion_09_cross_solver_agreement():
     for seed in (1, 2, 3, 4, 5):
         data = make_problem(n=15, seed=seed, bound=0.1, mu_tik=1.0)
-        fista = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, accelerate=True, max_iters=20000))
-        pg = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, accelerate=False, max_iters=20000))
-        assert fista.converged and pg.converged
-        scale = max(1.0, abs(fista.bundle.j_gamma))
-        assert abs(fista.bundle.j_gamma - pg.bundle.j_gamma) <= 1e-8 * scale, (
+        newton = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, method="newton", max_iters=20000))
+        pg = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, method="projected-gradient", max_iters=20000))
+        assert newton.converged and pg.converged
+        scale = max(1.0, abs(newton.bundle.j_gamma))
+        assert abs(newton.bundle.j_gamma - pg.bundle.j_gamma) <= 1e-8 * scale, (
             f"seed {seed}: objectives differ by "
-            f"{abs(fista.bundle.j_gamma - pg.bundle.j_gamma):.3e}"
+            f"{abs(newton.bundle.j_gamma - pg.bundle.j_gamma):.3e}"
         )
-    _report(9, "accelerated and plain projected gradient agree to 1e-8")
+    _report(9, "semismooth Newton and plain projected gradient agree to 1e-8")
 
 
 def test_criterion_10_pde_verification():

@@ -73,6 +73,34 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert (out / f"iterations_{tag}.log").read_text().startswith("iter=")
 
 
+def test_solve_reports_hessian_products(tmp_path):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--gamma", "100"]) == 0
+    tag = tag_of(cfg_path)
+    summary = json.loads((out / f"solve_{tag}.json").read_text())
+    assert summary["mode"] == "newton"
+    lines = (out / f"iterations_{tag}.log").read_text().splitlines()
+    assert len(lines) == summary["iterations"] + 1
+    assert not any("np." in line for line in lines)  # plain floats, not numpy reprs
+    counts = [int(line.rsplit(" cg=", 1)[1]) for line in lines]
+    assert counts[0] == 0 and counts[-1] == summary["hessian_products"] > 0
+
+
+def test_path_with_infeasible_zero_control_exits_one(tmp_path, capsys):
+    # a negative bound makes the zero control infeasible, so no scaled reference exists
+    spec = {"kind": "constant", "value": -0.1}
+    cfg_path = write_config(tmp_path, {"scenarios": dict(SMALL["scenarios"], bound_spec=spec),
+                                       "feasible_reference": {"mode": "scaled-initial"}})
+    out = tmp_path / "out"
+    assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "feasible_reference.mode" in err
+    tag = tag_of(cfg_path)
+    assert len((out / f"path_{tag}.csv").read_text().splitlines()) == 2 + 4
+    assert len(json.loads((out / f"path_{tag}.json").read_text())) == 4
+
+
 def test_solve_exit_two_when_budget_exhausted(tmp_path):
     cfg_path = write_config(tmp_path, {"solver": {"tol_stationarity": 1e-14, "max_iters": 3}})
     rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--gamma", "100"])
@@ -198,6 +226,10 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ({"solver": {"subgradient_mode": True}}, "solver.subgradient_mode"),
         ({"solver": {"max_iters": "100"}}, "solver.max_iters"),
         ({"solver": {"accelerate": 1}}, "solver.accelerate"),
+        ({"solver": {"accelerate": True}}, "unknown config key solver.accelerate"),
+        ({"solver": {"method": "accelerated"}}, "solver.method"),
+        ({"gamma_schedule": {"start_exp": 0, "stop_exp": 400}}, "gamma_schedule.stop_exp"),
+        ({"gamma_schedule": {"start_exp": -400, "stop_exp": 0}}, "gamma_schedule.start_exp"),
         ({"gamma_schedule": {"start_exp": 0, "stopexp": 2}}, "gamma_schedule.stopexp"),
         ({"gamma_schedule": {"stop_exp": 2, "per_decade": 0}}, "gamma_schedule.per_decade"),
         ({"gamma_schedule": {"values": [1.0, "10"]}}, "gamma_schedule.values"),
@@ -258,7 +290,7 @@ def test_resolved_config_is_complete():
     assert constraint == {"kind": "volume", "epsilon": 0.0, "delta": 1e-8}
     assert resolve({"feasible_reference": {}})["feasible_reference"] == {"mode": "none"}
     assert type(resolve({"problem": {"mu_tik": 1}})["problem"]["mu_tik"]) is int  # no coercion
-    assert config_hash(resolve({})) == "fa675b22b783"
+    assert config_hash(resolve({})) == "ae2493e50685"
 
 
 def test_readme_config_example_builds():

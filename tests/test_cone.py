@@ -6,6 +6,7 @@ from riskpath.cone import (
     ConstraintMap,
     constraint_adjoints,
     constraint_eval,
+    constraint_jvp,
     penalty,
     penalty_multiplier,
     project,
@@ -215,6 +216,28 @@ def test_gradient_adjoint_identity():
     adj_u, adj_y = constraint_adjoints(cmap, x1, x2, lam)
     an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_linearisation_matches_differences_and_adjoints(kind):
+    g = Grid(9)
+    rng = np.random.Generator(np.random.Philox(10))
+    m = {"mixed": g.n_interior, "volume": 1, "gradient": g.n_cells}[kind]
+    cmap = ConstraintMap(kind=kind, grid=g, bounds=np.full((3, m), 0.3), epsilon=0.05, delta=1e-2)
+    cone = cmap.cone_spec()
+    x1, du = rng.standard_normal(9), rng.standard_normal(9)
+    x2, dy = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
+    jvp = constraint_jvp(cmap, x1, x2, du, dy)
+    eps = 1e-7
+    fd = (constraint_eval(cmap, x1 + eps * du, x2 + eps * dy)
+          - constraint_eval(cmap, x1 - eps * du, x2 - eps * dy)) / (2 * eps)
+    assert jvp.shape == (3, m)
+    assert np.allclose(jvp, fd, rtol=1e-6, atol=1e-6)
+    # the adjoints are the transpose of the linearisation, row by row
+    lam = rng.standard_normal((3, m))
+    adj_u, adj_y = constraint_adjoints(cmap, x1, x2, lam)
+    pairing = adj_u @ du + np.sum(adj_y * dy, axis=-1)
+    assert np.allclose(cone.inner(lam, jvp), pairing, rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_flat_state_tie_break():

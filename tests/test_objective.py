@@ -7,6 +7,7 @@ from riskpath.grid import Grid, inner_h
 from riskpath.objective import (
     ProblemData,
     evaluate,
+    hessian_operator,
     objective_only,
     unpenalized_objective,
 )
@@ -100,6 +101,45 @@ def test_gradient_matches_finite_differences_smoothed_risk():
         fd = (objective_only(data, 50.0, x + eps * d) - objective_only(data, 50.0, x - eps * d)) / (2 * eps)
         an = float(np.dot(b.gradient, d))
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume"])
+@pytest.mark.parametrize("risk_kind", ["expectation", "avar-smooth"])
+def test_hessian_product_matches_gradient_differences(kind, risk_kind):
+    # affine constraints: the generalised Hessian is exact away from the kinks of max(0, i)
+    data = make_problem(bound=0.01 if kind == "volume" else 0.05, kind=kind,
+                        risk_kind=risk_kind, alpha=0.3, tau=1e-2, mu_tik=0.01)
+    rng = np.random.Generator(np.random.Philox(14))
+    x = 5.0 + rng.standard_normal(15)
+    b = evaluate(data, 50.0, x)
+    assert np.any(b.constraint_values > 0.0)  # the penalty is active somewhere
+    assert np.min(np.abs(b.constraint_values)) > 1e-3  # and no difference crosses a kink
+    hessian = hessian_operator(data, b)
+    eps = 1e-5
+    for _ in range(5):
+        d = rng.standard_normal(15)
+        fd = (evaluate(data, 50.0, x + eps * d).gradient
+              - evaluate(data, 50.0, x - eps * d).gradient) / (2 * eps)
+        assert np.linalg.norm(hessian(d) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+@pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
+def test_hessian_product_is_symmetric_positive_definite(kind, risk_kind):
+    # beyond the Tikhonov term mu_tik h I, the risk and penalty parts are
+    # positive semidefinite (the gradient constraint in its Gauss-Newton form)
+    data = make_problem(bound=0.05, kind=kind, risk_kind=risk_kind, alpha=0.3,
+                        tau=1e-2, mu_tik=0.01)
+    rng = np.random.Generator(np.random.Philox(15))
+    b = evaluate(data, 100.0, 3.0 + 3.0 * rng.standard_normal(15))
+    assert np.any(b.penalty_residuals > 0.0)
+    hessian = hessian_operator(data, b)
+    for _ in range(10):
+        u, v = rng.standard_normal(15), rng.standard_normal(15)
+        hu, hv = hessian(u), hessian(v)
+        assert abs(np.dot(u, hv) - np.dot(v, hu)) <= 1e-12 * np.linalg.norm(hu) * np.linalg.norm(v)
+        tikhonov = data.mu_tik * data.grid.h * np.dot(v, v)
+        assert np.dot(v, hv) >= tikhonov * (1.0 - 1e-12)
 
 
 def test_objective_only_consistent_with_full_evaluation():

@@ -36,6 +36,11 @@ def test_decade_schedule_examples():
         validate_schedule([10.0, 1.0])
     with pytest.raises(ValueError):
         validate_schedule([])
+    for bad in ([1.0, np.inf], [1.0, np.nan, 10.0]):
+        with pytest.raises(ValueError, match="finite"):
+            validate_schedule(bad)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        decade_schedule(0, 400)  # 10^400 overflows to inf
 
 
 def test_path_on_slack_problem_is_flat():

@@ -5,7 +5,6 @@ import riskpath.objective as obj_mod
 from riskpath.grid import Grid, assemble, inner_h, solve_state
 from riskpath.objective import ProblemData, evaluate, objective_only
 from riskpath.solver import (
-    CHECK_EVERY,
     SolveOptions,
     SolveResult,
     minimize,
@@ -40,13 +39,14 @@ def make_recovery_problem(n=15, mu_tik=1.0, seed=0):
 
 
 @pytest.mark.parametrize(
-    "accelerate,tol,err_tol",
-    [(True, 1e-9, 1e-7), (False, 1e-7, 1e-5)],
-    ids=["fista", "pg"],
+    "method,tol,err_tol",
+    [("newton", 1e-9, 1e-7), ("projected-gradient", 1e-7, 1e-5)],
+    ids=["newton", "pg"],
 )
-def test_recovers_manufactured_minimizer(accelerate, tol, err_tol):
+def test_recovers_manufactured_minimizer(method, tol, err_tol):
+    # j_gamma is ~1.1e5 here: near x_star its decrease is below round-off
     data, x_star = make_recovery_problem()
-    opts = SolveOptions(tol_stationarity=tol, accelerate=accelerate, max_iters=20000)
+    opts = SolveOptions(tol_stationarity=tol, method=method, max_iters=20000)
     res = minimize(data, 1.0, opts)
     assert res.converged
     assert np.max(np.abs(res.x1_opt - x_star)) <= err_tol
@@ -76,8 +76,8 @@ def test_methods_agree_on_strongly_convex_instances():
     # well conditioned instances: cross-method objective and control agreement
     for seed in (1, 2, 3):
         data = make_problem(n=11, seed=seed, bound=0.1, mu_tik=1.0)
-        opts_a = SolveOptions(tol_stationarity=1e-9, accelerate=True, max_iters=20000)
-        opts_b = SolveOptions(tol_stationarity=1e-9, accelerate=False, max_iters=20000)
+        opts_a = SolveOptions(tol_stationarity=1e-9, method="newton", max_iters=20000)
+        opts_b = SolveOptions(tol_stationarity=1e-9, method="projected-gradient", max_iters=20000)
         ra = minimize(data, 100.0, opts_a)
         rb = minimize(data, 100.0, opts_b)
         assert ra.converged and rb.converged
@@ -91,8 +91,8 @@ def test_plain_projected_gradient_descends_monotonically():
     minimize(
         data,
         50.0,
-        SolveOptions(max_iters=200, tol_stationarity=1e-12, accelerate=False),
-        callback=lambda it, f, stat, s: values.append(f),
+        SolveOptions(max_iters=200, tol_stationarity=1e-12, method="projected-gradient"),
+        callback=lambda it, f, stat, s, products: values.append(f),
     )
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -152,16 +152,18 @@ def test_stationarity_residual_examples():
 
 
 def test_unconverged_run_is_flagged_not_raised():
+    # Newton needs three steps here, so a budget of one runs out
     data = make_problem(n=15, bound=0.05)
-    res = minimize(data, 1e6, SolveOptions(max_iters=3, tol_stationarity=1e-14))
+    res = minimize(data, 1e6, SolveOptions(max_iters=1, tol_stationarity=1e-14))
     assert isinstance(res, SolveResult)
     assert not res.converged
-    assert res.iterations == 3
+    assert res.iterations == 1
 
 
-def test_accelerated_solve_evaluates_each_point_once(monkeypatch):
-    # the full evaluation at y already carries j_gamma, a check's gradient at x
-    # serves a restart from x, and the last check evaluated the returned point
+@pytest.mark.parametrize("method", ["newton", "projected-gradient"])
+def test_solve_evaluates_each_point_once(monkeypatch, method):
+    # each trial point of a line search gets one full evaluation, whose bundle
+    # the next iteration takes, and the result carries the last one
     calls = []
 
     def recording(name, fn):
@@ -173,18 +175,45 @@ def test_accelerated_solve_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(obj_mod, "evaluate", recording("evaluate", obj_mod.evaluate))
     monkeypatch.setattr(obj_mod, "objective_only", recording("objective_only", obj_mod.objective_only))
-    data = make_problem(n=15, seed=0, bound=0.05, mu_tik=0.01)  # restarts right after checks
-    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9))
-    assert res.converged and res.mode == "accelerated" and res.iterations > CHECK_EVERY
-    for (first, x_first, _), (second, x_second, _) in zip(calls, calls[1:]):
-        assert not (first == "evaluate" and np.array_equal(x_first, x_second)), (
-            f"{second} called again on the point evaluate just saw"
-        )
-    evaluated = [x.tobytes() for name, x, _ in calls if name == "evaluate"]
+    data = make_problem(n=15, seed=1, bound=0.1, mu_tik=1.0)
+    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, method=method))
+    assert res.converged and res.mode == method and res.iterations > 1
+    assert [name for name, _, _ in calls] == ["evaluate"] * len(calls)
+    evaluated = [x.tobytes() for _, x, _ in calls]
     assert len(set(evaluated)) == len(evaluated), "evaluate called twice on one point"
-    name, x_last, bundle = calls[-1]
-    assert name == "evaluate" and bundle is res.bundle
+    _, x_last, bundle = calls[-1]
+    assert bundle is res.bundle
     assert np.array_equal(x_last, res.x1_opt)
+
+
+def test_newton_counts_hessian_products():
+    data = make_problem(n=15, bound=0.05)
+    lines = []
+    res = minimize(data, 100.0, SolveOptions(), callback=lambda *args: lines.append(args))
+    assert res.converged and res.mode == "newton"
+    assert [args[0] for args in lines] == list(range(res.iterations + 1))
+    counts = [args[4] for args in lines]
+    assert counts[0] == 0 and counts == sorted(counts)
+    assert counts[-1] == res.hessian_products
+    # at most one product per free variable and Newton step
+    assert 0 < res.hessian_products <= res.iterations * 15
+    pg = minimize(data, 100.0, SolveOptions(method="projected-gradient"))
+    assert pg.hessian_products == 0
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+@pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
+def test_newton_agrees_with_reference(kind, risk_kind):
+    bound = 0.01 if kind == "volume" else 0.05
+    data = make_problem(n=15, bound=bound, risk_kind=risk_kind, mu_tik=0.01, kind=kind)
+    opts = dict(tol_stationarity=1e-9, max_iters=20000)
+    newton = minimize(data, 100.0, SolveOptions(method="newton", **opts))
+    ref = minimize(data, 100.0, SolveOptions(method="projected-gradient", **opts))
+    assert newton.converged and ref.converged
+    assert np.any(newton.bundle.penalty_residuals > 0.0)  # the penalty is active
+    scale = max(1.0, abs(ref.bundle.j_gamma))
+    assert abs(newton.bundle.j_gamma - ref.bundle.j_gamma) <= 1e-8 * scale
+    assert newton.iterations < ref.iterations
 
 
 def test_invalid_options_rejected():
@@ -192,3 +221,5 @@ def test_invalid_options_rejected():
         SolveOptions(tol_stationarity=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    with pytest.raises(ValueError, match="method"):
+        SolveOptions(method="accelerated")
