@@ -12,7 +12,7 @@ import numpy as np
 
 from . import path as path_mod
 from .cone import ConstraintMap
-from .grid import Grid
+from .grid import EllipticityError, Grid
 from .objective import ProblemData
 from .risk import RiskMeasure
 from .scenario import GENERATOR_NAME, ScenarioConfig, sample
@@ -249,17 +249,20 @@ def build_problem(cfg: dict) -> ProblemData:
     except ValueError as exc:
         raise ConfigError(f"risk: {exc}") from exc
     y_d = _target_field(cfg["problem"]["y_d"], grid.nodes)
-    return ProblemData.build(
-        grid=grid,
-        scenarios=scenarios,
-        constraint=constraint,
-        risk=risk,
-        y_d=y_d,
-        mu_tik=float(cfg["problem"]["mu_tik"]),
-        lo=float(cfg["problem"]["control_lo"]),
-        hi=float(cfg["problem"]["control_hi"]),
-        tol_feas=float(cfg["problem"]["tol_feas"]),
-    )
+    try:
+        return ProblemData.build(
+            grid=grid,
+            scenarios=scenarios,
+            constraint=constraint,
+            risk=risk,
+            y_d=y_d,
+            mu_tik=float(cfg["problem"]["mu_tik"]),
+            lo=float(cfg["problem"]["control_lo"]),
+            hi=float(cfg["problem"]["control_hi"]),
+            tol_feas=float(cfg["problem"]["tol_feas"]),
+        )
+    except EllipticityError as exc:  # the sampled conductivities give no finite stencil
+        raise ConfigError(f"scenarios: {exc}") from exc
 
 
 def build_schedule(cfg: dict) -> np.ndarray:

@@ -7,7 +7,9 @@ pointwise operations (clipping, projections) are exactly orthogonal in it.
 Scenario data is stacked: K conductivity fields form one (K, n_cells) array,
 their stencils one block-diagonal operator, and K grid functions one (K, n)
 array. Every function here acts on the last axis, so an unstacked (n,) grid
-function is the K-less case of the same code.
+function is the K-less case of the same code. The stacked SPD tridiagonal
+matrix is factored once as L D L^T by LAPACK's dpttrf and solved by dpttrs
+(Anderson et al., LAPACK Users' Guide, SIAM 1999).
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 class EllipticityError(ValueError):
-    """Conductivity violates uniform ellipticity (some entry <= 0)."""
+    """Conductivity violates uniform ellipticity (some entry <= 0, or a stencil not finite)."""
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -59,16 +61,16 @@ class EllipticOperator:
     """Assembled tridiagonal stencils for -(a u')', one per conductivity row, SPD.
 
     ``diag``/``off`` store the bands of each stencil (shapes (..., n) and
-    (..., n-1); each matrix is symmetric). One banded Cholesky factor of the
-    block-diagonal matrix of all stencils is cached at assembly, so a solve for
-    every scenario is one pair of triangular sweeps.
+    (..., n-1); each matrix is symmetric). The L D L^T factor (dpttrf's d, e) of
+    the block-diagonal matrix of all stencils is cached at assembly, so a solve
+    for every scenario is one forward and one backward sweep.
     """
 
     grid: Grid
     conductivity: np.ndarray
     diag: np.ndarray
     off: np.ndarray
-    _cho: np.ndarray = field(repr=False, compare=False, default=None)
+    _ldl: tuple = field(repr=False, compare=False, default=None)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         v = self.diag * u
@@ -78,20 +80,16 @@ class EllipticOperator:
 
     def to_dense(self) -> np.ndarray:
         """The (block-diagonal) matrix of all stencils."""
-        ab = _upper_bands(self.diag, self.off)
-        return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+        e = _stacked_off(self.diag, self.off)
+        return np.diag(self.diag.reshape(-1)) + np.diag(e, 1) + np.diag(e, -1)
 
 
-def _upper_bands(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Upper banded storage of the block-diagonal matrix with the given stencils.
-
-    The superdiagonal entry at the first row of each block is zero, which keeps
-    the blocks uncoupled in the factorization and the triangular sweeps.
-    """
-    ab = np.zeros((2,) + diag.shape)
-    ab[0, ..., 1:] = off
-    ab[1] = diag
-    return ab.reshape(2, -1)
+def _stacked_off(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Off-diagonal of the block-diagonal matrix of the stencils, flat. Its zero
+    entries between blocks keep the blocks uncoupled in the factor and sweeps."""
+    e = np.zeros(diag.shape)
+    e[..., :-1] = off
+    return e.reshape(-1)[:-1]
 
 
 def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
@@ -109,13 +107,17 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     if np.any(a <= 0.0):
         raise EllipticityError("conductivity must be strictly positive on every cell")
     h2 = grid.h**2
-    diag = (a[..., :-1] + a[..., 1:]) / h2
-    off = -a[..., 1:-1] / h2
-    try:
-        cho = cholesky_banded(_upper_bands(diag, off), lower=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericalDegeneracyError(f"factorization failed: {exc}") from exc
-    return EllipticOperator(grid=grid, conductivity=a, diag=diag, off=off, _cho=cho)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        diag = (a[..., :-1] + a[..., 1:]) / h2
+        off = -a[..., 1:-1] / h2
+    if not np.all(np.isfinite(diag)):  # then each off-diagonal entry is finite too
+        raise EllipticityError("stencil is not finite: conductivity / h^2 must be finite")
+    e = _stacked_off(diag, off)
+    # f2py's dpttrf rejects an empty off-diagonal; one node has nothing to couple
+    d_ldl, e_ldl, info = dpttrf(diag.reshape(-1), e if e.size else np.zeros(1))
+    if info != 0:  # pragma: no cover - SPD by construction
+        raise NumericalDegeneracyError(f"dpttrf failed with info={info}")
+    return EllipticOperator(grid=grid, conductivity=a, diag=diag, off=off, _ldl=(d_ldl, e_ldl))
 
 
 def solve_state(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
@@ -125,10 +127,10 @@ def solve_state(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
     right-hand side for every scenario).
     """
     rhs = np.broadcast_to(np.asarray(rhs, dtype=float), op.diag.shape)
-    u = cho_solve_banded((op._cho, False), rhs.reshape(-1)).reshape(op.diag.shape)
-    if not np.all(np.isfinite(u)):
-        raise NumericalDegeneracyError("non-finite solution from tridiagonal solve")
-    return u
+    u, info = dpttrs(*op._ldl, rhs.reshape(-1))
+    if info != 0 or not np.all(np.isfinite(u)):
+        raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")
+    return u.reshape(op.diag.shape)
 
 
 def dot_last(u: np.ndarray, v: np.ndarray):

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import cone as cone_mod
 from . import kkt as kkt_mod
 from . import objective as obj_mod
 from . import solver as solver_mod
@@ -100,7 +101,8 @@ def run_path(
             raise PathAborted(f"solve diverged at gamma={gamma}", records) from exc
         bundle = result.bundle
         report = kkt_mod.check_limit_system(data, bundle)
-        j, _, max_violation = obj_mod.unpenalized_objective(data, result.x1_opt)
+        j = bundle.j1 + bundle.risk_value  # the unpenalized objective
+        max_violation = max(0.0, np.max(bundle.constraint_values))
         sq_violation = empirical_expectation(
             data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
         )
@@ -137,27 +139,35 @@ def run_path(
 def shrink_to_feasible(data: ProblemData, base_control: np.ndarray, iters: int = 60):
     """Scale a control toward zero until the unpenalized problem is feasible.
 
-    Bisection on the scale factor; valid because the per-node constraint values
-    are linear in the scale and strictly feasible at zero for positive bounds.
-    Fixture construction for the reference-control comparisons, not part of the
-    optimization method.
+    Bisection on the scale, valid as the constraint is convex in it and strictly
+    feasible at zero for positive bounds. One solve of the clamped base gives the
+    (linear) states of all scales; fresh solves differ by round-off, so the result
+    is the largest iterate that unpenalized_objective also passes. Fixture for the
+    reference-control comparisons, not part of the optimization method.
     """
     base = data.clamp(np.asarray(base_control, dtype=float))
-    _, feasible, _ = obj_mod.unpenalized_objective(data, base)
-    if feasible:
+    states = obj_mod.solve_state(data.operator, base)
+
+    def feasible(t):
+        i_vals = cone_mod.constraint_eval(data.constraint, t * base, t * states)
+        return np.max(i_vals) <= data.tol_feas
+
+    if feasible(1.0):
         return base
-    _, feasible0, _ = obj_mod.unpenalized_objective(data, np.zeros_like(base))
-    if not feasible0:
+    if not feasible(0.0):
         raise ValueError("zero control is infeasible; no scaled reference exists")
-    t_lo, t_hi = 0.0, 1.0
+    passed, t_hi = [0.0], 1.0  # the feasible iterates, increasing
     for _ in range(iters):
-        t = 0.5 * (t_lo + t_hi)
-        _, feasible, _ = obj_mod.unpenalized_objective(data, t * base)
-        if feasible:
-            t_lo = t
+        t = 0.5 * (passed[-1] + t_hi)
+        if t in (passed[-1], t_hi):  # the bracket is one ulp wide
+            break
+        if feasible(t):
+            passed.append(t)
         else:
             t_hi = t
-    return t_lo * base
+    # zero passes: its states are exactly zero either way
+    return next(t * base for t in reversed(passed)
+                if obj_mod.unpenalized_objective(data, t * base)[1])
 
 
 def fit_decay_slope(records, field_name: str):

@@ -262,6 +262,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ({"gamma_schedule": {"values": [1.0, nan]}}, "gamma_schedule.values"),
         ({"solver": {"tol_stationarity": inf}}, "solver.tol_stationarity"),
         ({"scenarios": {"seed": -1}}, "scenarios.seed"),
+        # finite conductivities whose stencil overflows
+        ({"scenarios": {"a0": 1e308, "sigma": [1e300]}}, "scenarios: stencil is not finite"),
         ({"risk": 5}, "error: risk must be an object"),
     ]
     table = tmp_path / "bounds_nan.txt"

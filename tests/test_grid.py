@@ -4,6 +4,7 @@ import pytest
 from riskpath.grid import (
     EllipticityError,
     Grid,
+    NumericalDegeneracyError,
     assemble,
     inner_h,
     norm_h,
@@ -54,6 +55,23 @@ def test_assemble_matches_literal_loop():
     assert np.allclose(op.to_dense(), dense, rtol=0, atol=0)
 
 
+def test_solve_single_node():
+    # K n = 1: the stacked off-diagonal is empty
+    g = Grid(1)
+    op = assemble(g, np.full(2, 2.0))
+    assert np.array_equal(solve_state(op, np.array([8.0])), [0.5])  # diag 16
+    op3 = assemble(g, np.array([[2.0, 2.0], [1.0, 3.0], [4.0, 4.0]]))
+    assert np.array_equal(solve_state(op3, np.array([8.0])), 8.0 / op3.diag)
+
+
+def test_assemble_rejects_non_finite_stencil():
+    # a finite conductivity can still overflow once divided by h^2
+    g = Grid(3)
+    for a in (np.full(4, 1e308), np.array([1.0, np.nan, 1.0, 1.0]), np.full(4, np.inf)):
+        with pytest.raises(EllipticityError, match="not finite"):
+            assemble(g, a)
+
+
 def test_assemble_rejects_nonpositive_conductivity():
     g = Grid(3)
     a = np.ones(4)
@@ -99,6 +117,45 @@ def test_solve_matches_dense_lu():
     u = solve_state(op, rhs)
     u_dense = np.linalg.solve(op.to_dense(), rhs)
     assert np.allclose(u, u_dense, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
+
+
+def _unequal_stack():
+    # three scenarios whose conductivities differ by a factor of up to 100
+    g = Grid(9)
+    rng = np.random.Generator(np.random.Philox(31))
+    a = (0.2 + rng.uniform(0.0, 2.0, (3, g.n_cells))) * np.array([[1.0], [10.0], [0.1]])
+    op = assemble(g, a)
+    return op, rng.standard_normal((3, g.n_interior))
+
+
+def test_stacked_solve_matches_dense_per_block():
+    op, rhs = _unequal_stack()
+    u = solve_state(op, rhs)
+    for k in range(3):
+        block = np.diag(op.diag[k]) + np.diag(op.off[k], 1) + np.diag(op.off[k], -1)
+        exact = np.linalg.solve(block, rhs[k])
+        assert np.linalg.norm(u[k] - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_stacked_solve_matches_banded_cholesky():
+    # oracle: scipy's banded Cholesky pair on each block's upper bands
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    op, rhs = _unequal_stack()
+    u = solve_state(op, rhs)
+    for k in range(3):
+        bands = np.zeros((2, op.diag.shape[1]))
+        bands[0, 1:] = op.off[k]
+        bands[1] = op.diag[k]
+        ref = cho_solve_banded((cholesky_banded(bands), False), rhs[k])
+        assert np.linalg.norm(u[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_solve_rejects_non_finite_solution():
+    op, rhs = _unequal_stack()
+    rhs[1, 4] = np.inf
+    with pytest.raises(NumericalDegeneracyError, match="non-finite"):
+        solve_state(op, rhs)
 
 
 def test_solve_residual_contract():

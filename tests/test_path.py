@@ -12,6 +12,8 @@ from riskpath.path import (
     shrink_to_feasible,
     validate_schedule,
 )
+from riskpath import objective
+from riskpath.grid import solve_state
 from riskpath.objective import unpenalized_objective
 from riskpath.solver import SolveOptions, minimize
 
@@ -133,6 +135,77 @@ def test_shrink_to_feasible_basics():
     # already-feasible controls come back unchanged
     z = np.zeros(11)
     assert np.array_equal(shrink_to_feasible(data, z), z)
+
+
+def _resolving_bisection(data, base_control, iters=60):
+    # oracle: the bisection that solves the state afresh at every trial scale
+    base = data.clamp(np.asarray(base_control, dtype=float))
+    if unpenalized_objective(data, base)[1]:
+        return base
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(iters):
+        t = 0.5 * (t_lo + t_hi)
+        if unpenalized_objective(data, t * base)[1]:
+            t_lo = t
+        else:
+            t_hi = t
+    return t_lo * base
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_shrink_to_feasible_solves_once_and_certifies(kind, monkeypatch):
+    # one solve of the base plus the certifying checks, and the same reference
+    # as re-solving at every bisection step
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind=kind)
+    rng = np.random.Generator(np.random.Philox(7))
+    solves = []
+
+    def counted(op, rhs):
+        solves.append(rhs)
+        return solve_state(op, rhs)
+
+    for _ in range(8):
+        base = 20.0 * np.abs(rng.standard_normal(15))
+        assert not unpenalized_objective(data, base)[1]
+        solves.clear()
+        monkeypatch.setattr(objective, "solve_state", counted)
+        ref = shrink_to_feasible(data, base)
+        monkeypatch.undo()
+        assert len(solves) <= 5
+        j, feasible, _ = unpenalized_objective(data, ref)
+        assert feasible
+        j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))
+        assert feasible_oracle
+        assert abs(j - j_oracle) <= 1e-12 * abs(j_oracle)
+
+
+def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
+    # when the real test rejects the last scaled-feasible iterates, the result
+    # is the next smaller bisection iterate that it accepts
+    data = make_problem(n=11, bound=0.05, mu_tik=0.01)
+    base = 5.0 * np.ones(11)
+    checked = []
+
+    def rejecting_three(d, x1):
+        checked.append(x1)
+        j, feasible, viol = unpenalized_objective(d, x1)
+        return j, feasible and len(checked) > 3, viol
+
+    monkeypatch.setattr(objective, "unpenalized_objective", rejecting_three)
+    ref = shrink_to_feasible(data, base)
+    scales = [x[0] / base[0] for x in checked]
+    assert len(checked) >= 4 and np.all(np.diff(scales) < 0.0)
+    assert np.array_equal(ref, checked[-1])
+    assert unpenalized_objective(data, ref)[1]
+
+
+def test_records_read_objective_and_violation_from_the_bundle(active_path):
+    # j and max_violation equal unpenalized_objective at each point, bit for bit
+    data, records = active_path
+    _, details = run_path(data, [r.gamma for r in records], OPTS, return_details=True)
+    for step in details:
+        j, _, max_violation = unpenalized_objective(data, step.result.x1_opt)
+        assert step.record.j == j and step.record.max_violation == max_violation
 
 
 def test_fit_decay_slope_synthetic():
