@@ -30,6 +30,6 @@ from .path import (
 )
 from .risk import RiskMeasure, RiskSubgradient, duality_gap, evaluate as risk_evaluate, subgradient
 from .scenario import ScenarioConfig, ScenarioSet, empirical_expectation, sample
-from .solver import DivergedError, SolveOptions, SolveResult, minimize, stationarity_residual
+from .solver import DivergedError, SolveOptions, SolveResult, minimize
 
 __version__ = "0.1.0"

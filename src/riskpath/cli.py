@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,11 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
         log_lines.append(f"iter={it} j_gamma={float(f)!r} stationarity={float(stat)!r} "
                          f"step={float(step)!r} cg={products}")
 
-    result = solver_mod.minimize(data, gamma, opts, callback=log_cb)
+    try:
+        result = solver_mod.minimize(data, gamma, opts, callback=log_cb)
+    except solver_mod.DivergedError as exc:
+        print(f"solve diverged at gamma={gamma}: {exc}", file=sys.stderr)
+        return 1
     report = kkt_mod.check_limit_system(data, result.bundle)
     j, feasible, max_violation = obj_mod.unpenalized_objective(data, result.x1_opt)
     summary = _summary_base(cfg)
@@ -295,7 +300,8 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskpath",
         description="Penalty-path solver for scenario-based risk-averse control "
@@ -311,8 +317,14 @@ def main(argv=None) -> int:
         if name == "path":
             p.add_argument("--cold", action="store_true",
                            help="disable warm starts along the schedule")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
+        if args.command == "solve" and not (np.isfinite(args.gamma) and args.gamma > 0.0):
+            raise ConfigError("--gamma must be a finite positive number")
         cfg = config_mod.load_config(args.config)
         out = _out_dir(cfg, args.out)
         if args.command == "solve":

@@ -120,17 +120,21 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     return EllipticOperator(grid=grid, conductivity=a, diag=diag, off=off, _ldl=(d_ldl, e_ldl))
 
 
-def solve_state(op: EllipticOperator, rhs: np.ndarray) -> np.ndarray:
+def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Solve op . u = rhs for every stencil by the cached direct factorization.
 
     ``rhs`` has the shape of ``op.diag`` or broadcasts to it (one (n,)
-    right-hand side for every scenario).
+    right-hand side for every scenario). It is copied into ``out`` (a new array
+    when None; else a C-contiguous float array of that shape, which may be
+    ``rhs`` itself), and dpttrs overwrites ``out`` with the solution.
     """
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), op.diag.shape)
-    u, info = dpttrs(*op._ldl, rhs.reshape(-1))
-    if info != 0 or not np.all(np.isfinite(u)):
+    if out is None:
+        out = np.empty(op.diag.shape)
+    out[...] = rhs
+    u, info = dpttrs(*op._ldl, out.reshape(-1), overwrite_b=1)
+    if info != 0 or not np.isfinite(u).all():
         raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")
-    return u.reshape(op.diag.shape)
+    return out
 
 
 def dot_last(u: np.ndarray, v: np.ndarray):

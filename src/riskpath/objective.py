@@ -99,9 +99,10 @@ class EvalBundle:
 
 
 def _states_and_costs(data: ProblemData, x1: np.ndarray):
+    """States, their tracking residuals x2 - y_d and the scenario costs J2."""
     states = solve_state(data.operator, x1)
     diff = states - data.y_d
-    return states, 0.5 * inner_h(data.grid, diff, diff)
+    return states, diff, 0.5 * inner_h(data.grid, diff, diff)
 
 
 def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
@@ -112,10 +113,11 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
     g = data.grid
     h = g.h
     weights = data.scenarios.weights
-    states, costs = _states_and_costs(data, x1)
+    states, zeta2, costs = _states_and_costs(data, x1)
+    zeta2 *= h  # the residual, mass-weighted
 
-    theta = risk_mod.subgradient(data.risk, costs, weights).theta
-    risk_value = risk_mod.evaluate(data.risk, costs, weights)
+    risk = risk_mod.subgradient(data.risk, costs, weights)
+    theta = risk.theta
     j1 = 0.5 * data.mu_tik * inner_h(g, x1, x1)
     eta = data.mu_tik * h * x1
 
@@ -123,10 +125,13 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
     pv = cone_mod.penalty(data.cone, gamma, i_vals)
     lam_i = cone_mod.penalty_multiplier(data.cone, gamma, i_vals)
     adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, lam_i)
-    zeta2 = h * (states - data.y_d)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
-    lam_e = solve_state(data.operator, -_ADJOINT_SIGN * (theta[:, None] * zeta2 + adj_y) / h)
-    rho = -h * lam_e + adj_u  # e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)
+    lam_e = np.multiply(theta[:, None], zeta2)
+    lam_e += adj_y
+    lam_e /= -_ADJOINT_SIGN * h  # exact, as the sign is +-1
+    lam_e = solve_state(data.operator, lam_e, out=lam_e)
+    rho = np.multiply(-h, lam_e)  # e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)
+    rho += adj_u
     # the axis-0 sum adds the scenarios in index order
     rho_mean = (weights[:, None] * rho).sum(axis=0)
     penalty_term = empirical_expectation(data.scenarios, pv.value)
@@ -146,9 +151,9 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
         theta=theta,
         eta=eta,
         j1=j1,
-        risk_value=risk_value,
+        risk_value=risk.value,
         penalty_term=penalty_term,
-        j_gamma=j1 + risk_value + penalty_term,
+        j_gamma=j1 + risk.value + penalty_term,
         gradient=eta + rho_mean,
     )
 
@@ -174,12 +179,19 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
         slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
         total = float(slope.sum())
 
+    risk_weight, scenario_weight = theta[:, None] * h, w[:, None]
+    work = np.empty(data.operator.diag.shape)  # the states, then the adjoints, of a direction
+
     def product(v: np.ndarray) -> np.ndarray:
-        d_states = solve_state(data.operator, v)
+        d_states = solve_state(data.operator, v, out=work)
         d_lam = curvature * cone_mod.constraint_jvp(data.constraint, x1, states, v, d_states)
         adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, d_lam)
-        rho = solve_state(data.operator, theta[:, None] * h * d_states + adj_y) + adj_u
-        hv = data.mu_tik * h * v + (w[:, None] * rho).sum(axis=0)
+        d_states *= risk_weight
+        d_states += adj_y
+        rho = solve_state(data.operator, d_states, out=work)
+        rho += adj_u
+        rho *= scenario_weight
+        hv = data.mu_tik * h * v + rho.sum(axis=0)
         if data.risk.kind == "avar-smooth" and total > 0.0:
             dj = grad_j @ v
             hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
@@ -193,7 +205,7 @@ def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise ValueError("gamma must be a finite positive real")
     x1 = np.asarray(x1, dtype=float)
-    states, costs = _states_and_costs(data, x1)
+    states, _, costs = _states_and_costs(data, x1)
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
     pen = empirical_expectation(data.scenarios, cone_mod.penalty(data.cone, gamma, i_vals).value)
     j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
@@ -203,7 +215,7 @@ def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
 def unpenalized_objective(data: ProblemData, x1: np.ndarray):
     """(j, feasible, max_violation) without the penalty term."""
     x1 = np.asarray(x1, dtype=float)
-    states, costs = _states_and_costs(data, x1)
+    states, _, costs = _states_and_costs(data, x1)
     max_i = float(np.max(cone_mod.constraint_eval(data.constraint, x1, states)))
     j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
     j = j1 + risk_mod.evaluate(data.risk, costs, data.scenarios.weights)

@@ -40,9 +40,10 @@ class RiskMeasure:
 
 @dataclass(frozen=True)
 class RiskSubgradient:
-    """Density theta w.r.t. the weights: theta >= 0, E[theta] = 1."""
+    """Density theta w.r.t. the weights (theta >= 0, E[theta] = 1) and the risk value."""
 
     theta: np.ndarray
+    value: float
 
 
 def _check(xi, weights):
@@ -79,40 +80,34 @@ def _smooth_threshold(xi, weights, alpha, tau):
 
 
 def evaluate(rm: RiskMeasure, xi, weights) -> float:
-    """Risk value of the sample.
-
-    AVaR uses the epigraph form min_t { t + (1/alpha) E[max(0, xi - t)] },
-    minimized exactly at the alpha-tail quantile.
-    """
-    xi, weights = _check(xi, weights)
-    if rm.kind == "expectation":
-        return float(np.dot(weights, xi))
-    if rm.kind == "avar":
-        t = _quantile_threshold(xi, weights, rm.alpha)
-        return t + float(np.dot(weights, np.maximum(0.0, xi - t))) / rm.alpha
-    t = _smooth_threshold(xi, weights, rm.alpha, rm.tau)
-    z = (xi - t) / rm.tau
-    softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
-    return t + rm.tau * float(np.dot(weights, softplus)) / rm.alpha
+    """Risk value of the sample (see subgradient, which computes it)."""
+    return subgradient(rm, xi, weights).value
 
 
 def subgradient(rm: RiskMeasure, xi, weights) -> RiskSubgradient:
-    """A maximizing density from the dual representation.
+    """The risk value and a maximizing density from the dual representation.
 
-    For AVaR: 1/alpha strictly above the tail quantile, 0 strictly below, and
-    the boundary atoms take fractional values filled in ascending scenario
-    index until E[theta] = 1. A constant sample returns theta = 1 (documented
-    tie-break; every feasible density is then optimal).
+    AVaR uses the epigraph form min_t { t + (1/alpha) E[max(0, xi - t)] },
+    minimized exactly at the alpha-tail quantile t. Its density is 1/alpha
+    strictly above t, 0 strictly below, and the boundary atoms take fractional
+    values filled in ascending scenario index until E[theta] = 1. A constant
+    sample returns theta = 1 (documented tie-break; every feasible density is
+    then optimal). The smoothed AVaR replaces max(0, .) by tau softplus(./tau)
+    and its density is the sigmoid slope.
     """
     xi, weights = _check(xi, weights)
     if rm.kind == "expectation":
-        return RiskSubgradient(theta=np.ones_like(xi))
+        return RiskSubgradient(theta=np.ones_like(xi), value=float(np.dot(weights, xi)))
     if rm.kind == "avar-smooth":
         t = _smooth_threshold(xi, weights, rm.alpha, rm.tau)
-        return RiskSubgradient(theta=expit((xi - t) / rm.tau) / rm.alpha)
-    if np.ptp(xi) == 0.0:
-        return RiskSubgradient(theta=np.ones_like(xi))
+        z = (xi - t) / rm.tau
+        softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
+        value = t + rm.tau * float(np.dot(weights, softplus)) / rm.alpha
+        return RiskSubgradient(theta=expit(z) / rm.alpha, value=value)
     t = _quantile_threshold(xi, weights, rm.alpha)
+    value = t + float(np.dot(weights, np.maximum(0.0, xi - t))) / rm.alpha
+    if np.ptp(xi) == 0.0:
+        return RiskSubgradient(theta=np.ones_like(xi), value=value)
     cap = 1.0 / rm.alpha
     theta = np.zeros_like(xi)
     theta[xi > t] = cap
@@ -123,7 +118,7 @@ def subgradient(rm: RiskMeasure, xi, weights) -> RiskSubgradient:
         take = min(cap, remaining / weights[k]) if weights[k] > 0 else cap
         theta[k] = take
         remaining -= take * weights[k]
-    return RiskSubgradient(theta=theta)
+    return RiskSubgradient(theta=theta, value=value)
 
 
 def dual_infeasibility_reason(rm: RiskMeasure, theta, weights, tol=1e-9) -> str | None:

@@ -9,8 +9,12 @@ that generalised Newton solves with the warm start of the previous point
   bounds that bind (gradient pointing out of the box) take a gradient step;
   on the free variables the Newton system with the generalised Hessian is
   solved by unpreconditioned conjugate gradients, matrix-free through
-  ``objective.hessian_operator``. The exact tail mean keeps its scenario
-  weights frozen within a step.
+  ``objective.hessian_operator``. CG stops at the forcing term
+  min(0.1, sqrt|g_F|) |g_F| on the free gradient g_F, or once its residual
+  alone would pass CG_MARGIN times the stopping test, so the last step of a
+  solve does not oversolve (Kelley, Iterative Methods for Linear and Nonlinear
+  Equations, SIAM 1995, 6.3). The exact tail mean keeps its scenario weights
+  frozen within a step.
 - the reference, "projected-gradient": plain, monotone projected gradient,
   its first step from a power iteration on the curvature at the start, kept
   to cross-check the default.
@@ -35,11 +39,12 @@ SHRINK = 0.5  # backtracking factor
 BACKTRACKS = 60  # trial steps per line search
 ROUNDOFF = 64.0 * np.finfo(float).eps  # |change of j_gamma| / |j_gamma| below round-off
 BINDING_EPS = 1e-3  # largest distance to a bound at which it can bind
+CG_MARGIN = 0.5  # CG stops once its residual alone would pass this share of the test
 METHODS = ("newton", "projected-gradient")
 
 
 class DivergedError(RuntimeError):
-    """Objective became non-finite during the iteration."""
+    """Objective or gradient non-finite at the start point, or objective along a line search."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,6 @@ def _stationarity(data: ProblemData, x1: np.ndarray, g: np.ndarray) -> float:
     return norm_h(data.grid, x1 - data.clamp(x1 - g))
 
 
-def stationarity_residual(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
-    """Norm of the projected-gradient step x1 - clamp(x1 - g); zero iff KKT-stationary."""
-    bundle = obj_mod.evaluate(data, gamma, x1)
-    return _stationarity(data, x1, bundle.gradient)
-
-
 def _estimate_curvature(data, gamma, x0, iters=5, rng_seed=0):
     """Power iteration on the finite-difference Hessian of the objective at x0."""
     rng = np.random.Generator(np.random.Philox(rng_seed))
@@ -123,12 +122,14 @@ def minimize(
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
     x = data.clamp(np.asarray(start, dtype=float))
     bundle = obj_mod.evaluate(data, gamma, x)
+    if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
+        raise DivergedError("non-finite objective or gradient at the start point")
     if np.all(data.lo == data.hi):  # x is the only point of the box
         return _finish(data, x, bundle, 0, opts, 0)
     if opts.method == "newton":
 
         def propose(x, bundle, stat, s):  # (direction, first step, Hessian products)
-            direction, products = _newton_direction(data, bundle, x, stat)
+            direction, products = _newton_direction(data, bundle, x, stat, opts.tol_stationarity)
             return direction, 1.0, products
 
         s = 1.0
@@ -219,8 +220,12 @@ def _conjugate_gradients(product, b, tol, max_products):
     return d, products
 
 
-def _newton_direction(data, bundle, x, stat):
-    """Projected Newton direction and its products: -g on the binding bounds, CG on the rest."""
+def _newton_direction(data, bundle, x, stat, tol_stationarity):
+    """Projected Newton direction and its products: -g on the binding bounds, CG on the rest.
+
+    On the quadratic model the free gradient after the step is minus the CG
+    residual r, which the stopping test measures as sqrt(h) |r|.
+    """
     g = bundle.gradient
     eps = min(BINDING_EPS, stat)
     binding = ((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0))
@@ -234,7 +239,6 @@ def _newton_direction(data, bundle, x, stat):
 
     direction = -g
     norm = float(np.linalg.norm(g[free]))
-    direction[free], products = _conjugate_gradients(
-        product, -g[free], min(0.1, np.sqrt(norm)) * norm, x.size
-    )
+    tol = max(min(0.1, np.sqrt(norm)) * norm, CG_MARGIN * tol_stationarity / np.sqrt(data.grid.h))
+    direction[free], products = _conjugate_gradients(product, -g[free], tol, x.size)
     return direction, products

@@ -107,6 +107,30 @@ def test_solve_exit_two_when_budget_exhausted(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+def test_solve_rejects_bad_gamma(tmp_path, capsys, gamma):
+    cfg_path = write_config(tmp_path)
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), f"--gamma={gamma}"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --gamma must be a finite positive number\n"
+
+
+@pytest.mark.parametrize("amplitude,code", [(1e308, 1), (1e150, 0)])
+def test_non_finite_start_is_divergence(tmp_path, capsys, amplitude, code):
+    # a target of 1e308 makes the scenario costs overflow at the start point
+    problem = dict(SMALL["problem"], y_d={"kind": "parabola", "amplitude": amplitude})
+    cfg_path = write_config(tmp_path, {"problem": problem})
+    out = str(tmp_path / "out")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", str(cfg_path), "--out", out, "--gamma", "10"]) == code
+        assert main(["path", "--config", str(cfg_path), "--out", out]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "solve diverged at gamma=10.0" in err
+        assert "path aborted: solve diverged at gamma=1.0" in err
+
+
 def test_path_writes_csv_and_assertions(tmp_path):
     for overrides in (None, VOLUME):
         cfg_path = write_config(tmp_path, overrides)

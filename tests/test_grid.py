@@ -151,6 +151,25 @@ def test_stacked_solve_matches_banded_cholesky():
         assert np.linalg.norm(u[k] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_solve_into_buffer():
+    op, rhs = _unequal_stack()
+    fresh = solve_state(op, rhs)
+    buf = np.full(op.diag.shape, np.nan)
+    assert solve_state(op, rhs, out=buf) is buf
+    assert np.array_equal(buf, fresh)
+    # the right-hand side may be the buffer itself
+    buf[...] = rhs
+    assert solve_state(op, buf, out=buf) is buf
+    assert np.array_equal(buf, fresh)
+    # one (n,) right-hand side is broadcast to every scenario
+    assert np.array_equal(solve_state(op, rhs[1], out=buf), solve_state(op, rhs[1]))
+    assert np.array_equal(buf[0], solve_state(op, np.tile(rhs[1], (3, 1)))[0])
+    bad = rhs.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(NumericalDegeneracyError, match="non-finite"):
+        solve_state(op, bad, out=buf)
+
+
 def test_solve_rejects_non_finite_solution():
     op, rhs = _unequal_stack()
     rhs[1, 4] = np.inf

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import riskpath.objective as objective_mod
+from riskpath import cone, risk
 from riskpath.cone import ConstraintMap
-from riskpath.grid import Grid, inner_h
+from riskpath.grid import Grid, inner_h, solve_state
 from riskpath.objective import (
     ProblemData,
     evaluate,
@@ -140,6 +141,86 @@ def test_hessian_product_is_symmetric_positive_definite(kind, risk_kind):
         assert abs(np.dot(u, hv) - np.dot(v, hu)) <= 1e-12 * np.linalg.norm(hu) * np.linalg.norm(v)
         tikhonov = data.mu_tik * data.grid.h * np.dot(v, v)
         assert np.dot(v, hv) >= tikhonov * (1.0 - 1e-12)
+
+
+def _boxed_problem(kind, risk_kind):
+    """A problem whose penalty is active and whose control box is [-3, 3].
+
+    Neither h = 1/13 nor the weights 1/3 are powers of two, so a reordered
+    operation shows in the last bits.
+    """
+    data = make_problem(n=12, n_scen=3, bound=0.01 if kind == "volume" else 0.05, kind=kind,
+                        risk_kind=risk_kind, alpha=0.3, tau=1e-2, mu_tik=0.01)
+    return ProblemData.build(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
+                             risk=data.risk, y_d=data.y_d, mu_tik=data.mu_tik, lo=-3.0, hi=3.0)
+
+
+KINDS = pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+RISK_KINDS = pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
+
+
+@KINDS
+@RISK_KINDS
+def test_evaluate_equals_previous_formula(kind, risk_kind):
+    # the in-place adjoint solve reproduces the allocating formulas bit for bit
+    data = _boxed_problem(kind, risk_kind)
+    rng = np.random.Generator(np.random.Philox(16))
+    x = data.clamp(3.0 + 3.0 * rng.standard_normal(12))
+    b = evaluate(data, 100.0, x)
+    h, w = data.grid.h, data.scenarios.weights
+    states = solve_state(data.operator, x)
+    zeta2 = h * (states - data.y_d)
+    costs = 0.5 * inner_h(data.grid, states - data.y_d, states - data.y_d)
+    theta = risk.subgradient(data.risk, costs, w).theta
+    i_vals = cone.constraint_eval(data.constraint, x, states)
+    lam_i = cone.penalty_multiplier(data.cone, 100.0, i_vals)
+    adj_u, adj_y = cone.constraint_adjoints(data.constraint, x, states, lam_i)
+    lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
+    rho = -h * lam_e + adj_u
+    assert np.array_equal(b.zeta2, zeta2)
+    assert np.array_equal(b.lambda_e, lam_e)
+    assert np.array_equal(b.rho, rho)
+    assert np.array_equal(b.gradient, b.eta + (w[:, None] * rho).sum(axis=0))
+    assert b.risk_value == risk.evaluate(data.risk, costs, w)
+
+
+def _previous_product(data, bundle, v):
+    """The generalised Hessian product as it was computed with fresh arrays."""
+    h, w = data.grid.h, data.scenarios.weights
+    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
+    d_states = solve_state(data.operator, v)
+    d_lam = curvature * cone.constraint_jvp(data.constraint, x1, states, v, d_states)
+    adj_u, adj_y = cone.constraint_adjoints(data.constraint, x1, states, d_lam)
+    rho = solve_state(data.operator, theta[:, None] * h * d_states + adj_y) + adj_u
+    hv = data.mu_tik * h * v + (w[:, None] * rho).sum(axis=0)
+    if data.risk.kind == "avar-smooth":
+        grad_j = solve_state(data.operator, bundle.zeta2)
+        slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
+        total = float(slope.sum())
+        if total > 0.0:
+            dj = grad_j @ v
+            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
+    return hv
+
+
+@KINDS
+@RISK_KINDS
+def test_hessian_product_equals_previous_formula(kind, risk_kind):
+    data = _boxed_problem(kind, risk_kind)
+    rng = np.random.Generator(np.random.Philox(17))
+    x = data.clamp(1.0 + 5.0 * rng.standard_normal(12))
+    b = evaluate(data, 100.0, x)
+    assert np.any(b.penalty_residuals > 0.0)
+    at_bound = (x <= data.lo) | (x >= data.hi)
+    assert np.any(at_bound) and not np.all(at_bound)
+    hessian = hessian_operator(data, b)
+    directions = list(rng.standard_normal((3, 12)))
+    # a Newton step restricts its CG directions to the free nodes
+    directions.append(np.where(at_bound, 0.0, directions[0]))
+    products = [hessian(v) for v in directions]  # every product reuses one work array
+    for v, hv in zip(directions, products):
+        assert np.array_equal(hv, _previous_product(data, b, v))
 
 
 def test_objective_only_consistent_with_full_evaluation():

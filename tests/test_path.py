@@ -77,6 +77,16 @@ def test_path_converges_everywhere(active_path):
     assert all(r.stationarity <= OPTS.tol_stationarity for r in records)
 
 
+def test_full_small_path_steps_and_products():
+    # CG stops once the step would pass the stopping test: the Newton steps
+    # stay as they were and the products fall from 114
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    records, details = run_path(data, decade_schedule(0, 6), OPTS, return_details=True)
+    assert [r.iterations for r in records] == [3, 4, 4, 6, 3, 3, 3]
+    assert sum(d.result.hessian_products for d in details) <= 105
+    assert all(r.converged and r.stationarity <= OPTS.tol_stationarity for r in records)
+
+
 def test_penalized_value_nondecreasing_along_path(active_path):
     _, records = active_path
     jg = [r.j_gamma for r in records]

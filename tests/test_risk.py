@@ -3,6 +3,8 @@ import pytest
 
 from riskpath.risk import (
     RiskMeasure,
+    _quantile_threshold,
+    _smooth_threshold,
     duality_gap,
     evaluate,
     subgradient,
@@ -190,3 +192,36 @@ def test_invalid_parameters_rejected():
         RiskMeasure(kind="avar-smooth", alpha=0.5, tau=0.0)
     with pytest.raises(ValueError):
         evaluate(RiskMeasure(), np.array([]), np.array([]))
+
+
+def _previous_value(rm, xi, w):
+    """The value formulas evaluate used before subgradient returned the value."""
+    if rm.kind == "expectation":
+        return float(np.dot(w, xi))
+    if rm.kind == "avar":
+        t = _quantile_threshold(xi, w, rm.alpha)
+        return t + float(np.dot(w, np.maximum(0.0, xi - t))) / rm.alpha
+    t = _smooth_threshold(xi, w, rm.alpha, rm.tau)
+    z = (xi - t) / rm.tau
+    softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
+    return t + rm.tau * float(np.dot(w, softplus)) / rm.alpha
+
+
+@pytest.mark.parametrize(
+    "rm",
+    [RiskMeasure("expectation"), RiskMeasure("avar", alpha=0.3),
+     RiskMeasure("avar-smooth", alpha=0.3, tau=1e-2)],
+    ids=["expectation", "avar", "avar-smooth"],
+)
+def test_subgradient_value_equals_evaluate(rm):
+    rng = np.random.Generator(np.random.Philox(21))
+    samples = [(rng.standard_normal(7), rng.dirichlet(np.ones(7))) for _ in range(20)]
+    samples += [
+        (np.array([1.0, 2.0, 2.0, 2.0, 3.0]), np.full(5, 0.2)),  # ties at the quantile
+        (np.array([2.0, 1.0, 2.0, 0.5]), UNIFORM4),  # ties in the tail
+        (np.full(5, 4.2), np.full(5, 0.2)),  # constant sample
+    ]
+    for xi, w in samples:
+        value = subgradient(rm, xi, w).value
+        assert isinstance(value, float)
+        assert value == evaluate(rm, xi, w) == _previous_value(rm, xi, w)
