@@ -86,6 +86,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
             "converged": result.converged,
             "iterations": result.iterations,
             "hessian_products": result.hessian_products,
+            "backtracks": result.backtracks,
             "stationarity": result.stationarity_norm,
             "j_gamma": result.bundle.j_gamma,
             "j": j,

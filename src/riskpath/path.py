@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -140,22 +140,31 @@ def shrink_to_feasible(data: ProblemData, base_control: np.ndarray, iters: int =
     """Scale a control toward zero until the unpenalized problem is feasible.
 
     Bisection on the scale, valid as the constraint is convex in it and strictly
-    feasible at zero for positive bounds. One solve of the clamped base gives the
-    (linear) states of all scales; fresh solves differ by round-off, so the result
-    is the largest iterate that unpenalized_objective also passes. Fixture for the
-    reference-control comparisons, not part of the optimization method.
+    feasible at zero for positive bounds. Convexity also makes a scenario that is
+    feasible at the full scale feasible at every smaller one, so the bisection
+    looks only at the scenarios infeasible at full scale. One solve of the clamped
+    base gives the (linear) states of all scales; fresh solves differ by
+    round-off, so the result is the largest iterate that unpenalized_objective
+    also passes. Fixture for the reference-control comparisons, not part of the
+    optimization method.
     """
     base = data.clamp(np.asarray(base_control, dtype=float))
     states = obj_mod.solve_state(data.operator, base)
+    cmap = data.constraint
+
+    def constraint(t):
+        return cone_mod.constraint_eval(cmap, t * base, t * states)
 
     def feasible(t):
-        i_vals = cone_mod.constraint_eval(data.constraint, t * base, t * states)
-        return np.max(i_vals) <= data.tol_feas
+        return np.max(constraint(t)) <= data.tol_feas
 
-    if feasible(1.0):
+    rows = np.max(constraint(1.0), axis=-1) > data.tol_feas  # the infeasible scenarios
+    if not rows.any():
         return base
     if not feasible(0.0):
         raise ValueError("zero control is infeasible; no scaled reference exists")
+    cmap = replace(cmap, bounds=cmap.bounds[rows])  # from here on, only these rows
+    states = states[rows]
     passed, t_hi = [0.0], 1.0  # the feasible iterates, increasing
     for _ in range(iters):
         t = 0.5 * (passed[-1] + t_hi)

@@ -10,11 +10,14 @@ that generalised Newton solves with the warm start of the previous point
   on the free variables the Newton system with the generalised Hessian is
   solved by unpreconditioned conjugate gradients, matrix-free through
   ``objective.hessian_operator``. CG stops at the forcing term
-  min(0.1, sqrt|g_F|) |g_F| on the free gradient g_F, or once its residual
+  min(ETA_MAX, sqrt|g_F|) |g_F| on the free gradient g_F, or once its residual
   alone would pass CG_MARGIN times the stopping test, so the last step of a
   solve does not oversolve (Kelley, Iterative Methods for Linear and Nonlinear
-  Equations, SIAM 1995, 6.3). The exact tail mean keeps its scenario weights
-  frozen within a step.
+  Equations, SIAM 1995, 6.3). ETA_MAX is 0.03, not Kelley's 0.1: the first
+  steps of a warm-started gamma point have sqrt|g_F| above 0.03, and a
+  direction cut off after one or two products there costs whole Newton steps
+  and backtracks. The exact tail mean keeps its scenario weights frozen
+  within a step.
 - the reference, "projected-gradient": plain, monotone projected gradient,
   its first step from a power iteration on the curvature at the start, kept
   to cross-check the default.
@@ -40,6 +43,7 @@ BACKTRACKS = 60  # trial steps per line search
 ROUNDOFF = 64.0 * np.finfo(float).eps  # |change of j_gamma| / |j_gamma| below round-off
 BINDING_EPS = 1e-3  # largest distance to a bound at which it can bind
 CG_MARGIN = 0.5  # CG stops once its residual alone would pass this share of the test
+ETA_MAX = 0.03  # cap of the CG forcing term min(ETA_MAX, sqrt|g_F|)
 METHODS = ("newton", "projected-gradient")
 
 
@@ -72,6 +76,7 @@ class SolveResult:
     converged: bool
     mode: str
     hessian_products: int  # conjugate-gradient products over the solve
+    backtracks: int  # trial points the line search rejected
 
 
 def _normal_cone_element(data: ProblemData, x1: np.ndarray, g: np.ndarray, tol=1e-10):
@@ -121,11 +126,12 @@ def minimize(
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
     x = data.clamp(np.asarray(start, dtype=float))
-    bundle = obj_mod.evaluate(data, gamma, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
+        bundle = obj_mod.evaluate(data, gamma, x)
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
     if np.all(data.lo == data.hi):  # x is the only point of the box
-        return _finish(data, x, bundle, 0, opts, 0)
+        return _finish(data, x, bundle, 0, opts, 0, 0)
     if opts.method == "newton":
 
         def propose(x, bundle, stat, s):  # (direction, first step, Hessian products)
@@ -140,7 +146,7 @@ def minimize(
         def propose(x, bundle, stat, s):  # the step may grow back after backtracking
             return -bundle.gradient, min(2.0 * s, 1e6 * s0), 0
 
-    products = 0
+    products = backtracks = 0
     for it in range(opts.max_iters + 1):
         stat = _stationarity(data, x, bundle.gradient)
         if callback:
@@ -149,14 +155,15 @@ def minimize(
             break
         direction, first, used = propose(x, bundle, stat, s)
         products += used
-        accepted = _line_search(data, gamma, x, bundle, stat, direction, first)
+        accepted, rejected = _line_search(data, gamma, x, bundle, stat, direction, first)
+        backtracks += rejected
         if accepted is None:
             break
         x, bundle, s = accepted
-    return _finish(data, x, bundle, it, opts, products)
+    return _finish(data, x, bundle, it, opts, products, backtracks)
 
 
-def _finish(data, x, bundle, iters, opts, products):
+def _finish(data, x, bundle, iters, opts, products, backtracks):
     """SolveResult at x from its evaluation bundle."""
     stat = _stationarity(data, x, bundle.gradient)
     return SolveResult(
@@ -168,6 +175,7 @@ def _finish(data, x, bundle, iters, opts, products):
         converged=stat <= opts.tol_stationarity,
         mode=opts.method,
         hessian_products=products,
+        backtracks=backtracks,
     )
 
 
@@ -177,25 +185,27 @@ def _line_search(data, gamma, x, bundle, stat, direction, s):
     Sufficient decrease is Armijo's along the projected path. A change of
     j_gamma within round-off of its size carries no information, so there a
     step is accepted when it lowers the stationarity residual instead.
-    Returns (x_new, bundle_new, s), or None when no trial step qualifies.
+    Returns ((x_new, bundle_new, s), rejected) with the number of rejected
+    trial points, or (None, rejected) when no trial step qualifies.
     """
     g, f = bundle.gradient, bundle.j_gamma
-    for _ in range(BACKTRACKS):
+    for rejected in range(BACKTRACKS):
         x_new = data.clamp(x + s * direction)
         if np.array_equal(x_new, x):
-            return None
-        new = obj_mod.evaluate(data, gamma, x_new)
+            return None, rejected
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
+            new = obj_mod.evaluate(data, gamma, x_new)
         if not np.isfinite(new.j_gamma):
             raise DivergedError("non-finite objective during line search")
         slope = float(np.dot(g, x_new - x))
         if slope < 0.0 and new.j_gamma <= f + ARMIJO * slope:
-            return x_new, new, s
+            return (x_new, new, s), rejected
         if abs(new.j_gamma - f) <= ROUNDOFF * abs(f) and (
             _stationarity(data, x_new, new.gradient) < stat
         ):
-            return x_new, new, s
+            return (x_new, new, s), rejected
         s *= SHRINK
-    return None
+    return None, BACKTRACKS
 
 
 def _conjugate_gradients(product, b, tol, max_products):
@@ -239,6 +249,7 @@ def _newton_direction(data, bundle, x, stat, tol_stationarity):
 
     direction = -g
     norm = float(np.linalg.norm(g[free]))
-    tol = max(min(0.1, np.sqrt(norm)) * norm, CG_MARGIN * tol_stationarity / np.sqrt(data.grid.h))
+    floor = CG_MARGIN * tol_stationarity / np.sqrt(data.grid.h)
+    tol = max(min(ETA_MAX, np.sqrt(norm)) * norm, floor)
     direction[free], products = _conjugate_gradients(product, -g[free], tol, x.size)
     return direction, products

@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import inf, nan
 from pathlib import Path
 
@@ -85,6 +86,7 @@ def test_solve_reports_hessian_products(tmp_path):
     assert not any("np." in line for line in lines)  # plain floats, not numpy reprs
     counts = [int(line.rsplit(" cg=", 1)[1]) for line in lines]
     assert counts[0] == 0 and counts[-1] == summary["hessian_products"] > 0
+    assert summary["backtracks"] >= 0
 
 
 def test_path_with_infeasible_zero_control_exits_one(tmp_path, capsys):
@@ -121,11 +123,13 @@ def test_non_finite_start_is_divergence(tmp_path, capsys, amplitude, code):
     problem = dict(SMALL["problem"], y_d={"kind": "parabola", "amplitude": amplitude})
     cfg_path = write_config(tmp_path, {"problem": problem})
     out = str(tmp_path / "out")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["solve", "--config", str(cfg_path), "--out", out, "--gamma", "10"]) == code
         assert main(["path", "--config", str(cfg_path), "--out", out]) == code
+    assert [str(w.message) for w in caught] == []  # the overflow is reported, not warned
     err = capsys.readouterr().err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
     if code:
         assert "solve diverged at gamma=10.0" in err
         assert "path aborted: solve diverged at gamma=1.0" in err

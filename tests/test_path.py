@@ -12,7 +12,8 @@ from riskpath.path import (
     shrink_to_feasible,
     validate_schedule,
 )
-from riskpath import objective
+from riskpath import cone, objective
+from riskpath.config import build_problem, build_schedule, build_solve_options, resolve
 from riskpath.grid import solve_state
 from riskpath.objective import unpenalized_objective
 from riskpath.solver import SolveOptions, minimize
@@ -78,13 +79,25 @@ def test_path_converges_everywhere(active_path):
 
 
 def test_full_small_path_steps_and_products():
-    # CG stops once the step would pass the stopping test: the Newton steps
-    # stay as they were and the products fall from 114
+    # the forcing term capped at ETA_MAX: the first direction at gamma = 1e3 is
+    # usable, so that point takes 4 steps (6 with the cap at 0.1) and the path
+    # 89 products (105)
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     records, details = run_path(data, decade_schedule(0, 6), OPTS, return_details=True)
-    assert [r.iterations for r in records] == [3, 4, 4, 6, 3, 3, 3]
-    assert sum(d.result.hessian_products for d in details) <= 105
+    assert [r.iterations for r in records] == [3, 4, 4, 4, 3, 3, 3]
+    assert sum(d.result.hessian_products for d in details) == 89
     assert all(r.converged and r.stationarity <= OPTS.tol_stationarity for r in records)
+
+
+def test_default_path_does_not_creep_at_large_gamma():
+    # the default config with 64 scenarios took 10 and 13 Newton steps at
+    # gamma = 1e5 and 1e6 with the forcing term capped at 0.1
+    cfg = resolve({"scenarios": {"n_scenarios": 64},
+                   "gamma_schedule": {"start_exp": 0, "stop_exp": 8}})
+    records = run_path(build_problem(cfg), build_schedule(cfg), build_solve_options(cfg))
+    assert len(records) == 9
+    assert all(r.converged for r in records)
+    assert max(r.iterations for r in records) <= 8
 
 
 def test_penalized_value_nondecreasing_along_path(active_path):
@@ -182,6 +195,31 @@ def test_shrink_to_feasible_solves_once_and_certifies(kind, monkeypatch):
         ref = shrink_to_feasible(data, base)
         monkeypatch.undo()
         assert len(solves) <= 5
+        j, feasible, _ = unpenalized_objective(data, ref)
+        assert feasible
+        j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))
+        assert feasible_oracle
+        assert abs(j - j_oracle) <= 1e-12 * abs(j_oracle)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_shrink_to_feasible_with_some_scenarios_feasible(kind):
+    # scenarios feasible at full scale stay feasible at every smaller one, so
+    # leaving them out of the bisection gives the re-solving oracle's reference
+    data = make_problem(n=15, n_scen=8, bound=0.05, mu_tik=0.01, kind=kind)
+    rng = np.random.Generator(np.random.Philox(11))
+    direction = np.abs(rng.standard_normal(15))
+    states = solve_state(data.operator, direction)
+
+    def infeasible_scenarios(c):
+        i_vals = cone.constraint_eval(data.constraint, c * direction, c * states)
+        return np.sum(np.max(i_vals, axis=-1) > data.tol_feas)
+
+    scales = [c for c in np.geomspace(0.01, 100.0, 400) if 0 < infeasible_scenarios(c) < 8]
+    assert len(scales) >= 3
+    for c in (scales[0], scales[len(scales) // 2], scales[-1]):
+        base = c * direction
+        ref = shrink_to_feasible(data, base)
         j, feasible, _ = unpenalized_objective(data, ref)
         assert feasible
         j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))

@@ -205,6 +205,22 @@ def test_newton_counts_hessian_products():
     assert pg.hessian_products == 0
 
 
+def test_backtracks_count_rejected_trial_points(monkeypatch):
+    # every evaluation is the start point, an accepted step or a rejected trial
+    # point; cold-started at gamma = 1 the gradient bound rejects two of them
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind="gradient")
+    evaluations = []
+
+    def counted(data, gamma, x1):
+        evaluations.append(x1)
+        return evaluate(data, gamma, x1)
+
+    monkeypatch.setattr(obj_mod, "evaluate", counted)
+    res = minimize(data, 1.0, SolveOptions())
+    assert res.converged and res.backtracks == 2
+    assert res.backtracks == len(evaluations) - res.iterations - 1
+
+
 @pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
 @pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
 def test_newton_agrees_with_reference(kind, risk_kind):
