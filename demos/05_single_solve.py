@@ -20,7 +20,7 @@ data = build_problem(cfg)
 result = minimize(data, gamma=100.0, opts=SolveOptions(tol_stationarity=1e-8))
 j, feasible, max_violation = unpenalized_objective(data, result.x1_opt)
 
-print(f"mode={result.mode}  converged={result.converged}  iterations={result.iterations}")
+print(f"converged={result.converged}  iterations={result.iterations}")
 print(f"stationarity            {result.stationarity_norm:.3e}")
 print(f"penalized objective     {result.bundle.j_gamma:.8f}")
 print(f"unpenalized objective   {j:.8f}")

@@ -82,7 +82,6 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
     summary.update(
         {
             "gamma": gamma,
-            "mode": result.mode,
             "converged": result.converged,
             "iterations": result.iterations,
             "hessian_products": result.hessian_products,

@@ -16,7 +16,7 @@ from .grid import EllipticityError, Grid
 from .objective import ProblemData
 from .risk import RiskMeasure
 from .scenario import GENERATOR_NAME, ScenarioConfig, sample
-from .solver import METHODS, SolveOptions
+from .solver import SolveOptions
 
 
 class ConfigError(ValueError):
@@ -103,7 +103,6 @@ SCHEMA = {
     "solver": {
         "max_iters": (50000, INT, AT_LEAST_ONE),
         "tol_stationarity": (1e-8, NUM, POSITIVE),
-        "method": ("newton", STR, (lambda v: v in METHODS, f"be {' | '.join(METHODS)}")),
     },
     "gamma_schedule": Variant({}, None, "exponents", {
         "values": {"values": (REQUIRED, NUMS)},

@@ -80,12 +80,12 @@ def run_path(
     data: ProblemData,
     schedule,
     opts: SolveOptions | None = None,
-    initial: np.ndarray | None = None,
     warm_start: bool = True,
     return_details: bool = False,
 ):
     """Solve the penalized problem along the schedule, warm-starting each point.
 
+    The first point, and every point of a cold path, starts from the zero control.
     A diverging solve raises PathAborted carrying the records gathered so far.
     """
     schedule = validate_schedule(schedule)
@@ -94,7 +94,7 @@ def run_path(
     details: list[PathStep] = []
     x_prev = None
     for gamma in schedule:
-        start = x_prev if (warm_start and x_prev is not None) else initial
+        start = x_prev if warm_start else None
         try:
             result = solver_mod.minimize(data, gamma, opts, warm_start=start)
         except solver_mod.DivergedError as exc:

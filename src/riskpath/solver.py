@@ -1,30 +1,24 @@
 """Minimization of the penalized objective over the box C, one gamma point at a time.
 
 The Moreau–Yosida penalty (gamma/2) ||max(0, i)||^2 is C^1 with the semismooth
-gradient gamma * max(0, i), so each gamma point is a box-constrained problem
-that generalised Newton solves with the warm start of the previous point
-(Hintermüller, Ito & Kunisch 2003). Two methods:
+gradient gamma * max(0, i), so each gamma point is a box-constrained problem,
+solved from the warm start of the previous point by projected semismooth Newton
+(Hintermüller, Ito & Kunisch 2003; Bertsekas 1982). The bounds that bind
+(gradient pointing out of the box) take a gradient step; on the free variables
+the Newton system with the generalised Hessian is solved by unpreconditioned
+conjugate gradients, matrix-free through ``objective.hessian_operator``. CG
+stops at the forcing term min(ETA_MAX, sqrt|g_F|) |g_F| on the free gradient
+g_F, or once its residual alone would pass CG_MARGIN times the stopping test,
+so the last step of a solve does not oversolve (Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, 6.3). ETA_MAX is 0.03, not Kelley's
+0.1: at the first steps of a warm-started gamma point a direction cut off after
+one or two products costs whole Newton steps and backtracks. The exact tail
+mean keeps its scenario weights frozen within a step.
 
-- the default, "newton": projected semismooth Newton (Bertsekas 1982). The
-  bounds that bind (gradient pointing out of the box) take a gradient step;
-  on the free variables the Newton system with the generalised Hessian is
-  solved by unpreconditioned conjugate gradients, matrix-free through
-  ``objective.hessian_operator``. CG stops at the forcing term
-  min(ETA_MAX, sqrt|g_F|) |g_F| on the free gradient g_F, or once its residual
-  alone would pass CG_MARGIN times the stopping test, so the last step of a
-  solve does not oversolve (Kelley, Iterative Methods for Linear and Nonlinear
-  Equations, SIAM 1995, 6.3). ETA_MAX is 0.03, not Kelley's 0.1: the first
-  steps of a warm-started gamma point have sqrt|g_F| above 0.03, and a
-  direction cut off after one or two products there costs whole Newton steps
-  and backtracks. The exact tail mean keeps its scenario weights frozen
-  within a step.
-- the reference, "projected-gradient": plain, monotone projected gradient,
-  its first step from a power iteration on the curvature at the start, kept
-  to cross-check the default.
-
-Both backtrack (Armijo) along the projected path, and each trial point gets
-one full evaluation, whose bundle the next iteration takes if it is accepted:
-no point is evaluated twice. A solve returns the bundle of its last point.
+Each step backtracks (Armijo) along the projected path from the full step, and
+each trial point gets one full evaluation, whose bundle the next iteration
+takes if accepted: no point is evaluated twice. A solve returns the bundle of
+its last point.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ ROUNDOFF = 64.0 * np.finfo(float).eps  # |change of j_gamma| / |j_gamma| below r
 BINDING_EPS = 1e-3  # largest distance to a bound at which it can bind
 CG_MARGIN = 0.5  # CG stops once its residual alone would pass this share of the test
 ETA_MAX = 0.03  # cap of the CG forcing term min(ETA_MAX, sqrt|g_F|)
-METHODS = ("newton", "projected-gradient")
 
 
 class DivergedError(RuntimeError):
@@ -55,15 +48,12 @@ class DivergedError(RuntimeError):
 class SolveOptions:
     max_iters: int = 50000
     tol_stationarity: float = 1e-8
-    method: str = "newton"  # or "projected-gradient", the reference
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol_stationarity <= 0.0:
             raise ValueError("tol_stationarity must be positive")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be {' | '.join(METHODS)}")
 
 
 @dataclass
@@ -74,7 +64,6 @@ class SolveResult:
     iterations: int
     stationarity_norm: float
     converged: bool
-    mode: str
     hessian_products: int  # conjugate-gradient products over the solve
     backtracks: int  # trial points the line search rejected
 
@@ -90,24 +79,6 @@ def _normal_cone_element(data: ProblemData, x1: np.ndarray, g: np.ndarray, tol=1
 
 def _stationarity(data: ProblemData, x1: np.ndarray, g: np.ndarray) -> float:
     return norm_h(data.grid, x1 - data.clamp(x1 - g))
-
-
-def _estimate_curvature(data, gamma, x0, iters=5, rng_seed=0):
-    """Power iteration on the finite-difference Hessian of the objective at x0."""
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    v = rng.standard_normal(x0.size)
-    v /= np.linalg.norm(v)
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
-    lam = 0.0
-    for _ in range(iters):
-        gp = obj_mod.evaluate(data, gamma, x0 + eps * v).gradient
-        gm = obj_mod.evaluate(data, gamma, x0 - eps * v).gradient
-        hv = (gp - gm) / (2.0 * eps)
-        lam = float(np.linalg.norm(hv))
-        if lam <= 0.0:
-            break
-        v = hv / lam
-    return lam
 
 
 def minimize(
@@ -132,30 +103,16 @@ def minimize(
         raise DivergedError("non-finite objective or gradient at the start point")
     if np.all(data.lo == data.hi):  # x is the only point of the box
         return _finish(data, x, bundle, 0, opts, 0, 0)
-    if opts.method == "newton":
-
-        def propose(x, bundle, stat, s):  # (direction, first step, Hessian products)
-            direction, products = _newton_direction(data, bundle, x, stat, opts.tol_stationarity)
-            return direction, 1.0, products
-
-        s = 1.0
-    else:
-        curv = _estimate_curvature(data, gamma, x)
-        s = s0 = 1.0 / curv if curv > 0.0 else 1.0
-
-        def propose(x, bundle, stat, s):  # the step may grow back after backtracking
-            return -bundle.gradient, min(2.0 * s, 1e6 * s0), 0
-
-    products = backtracks = 0
+    s, products, backtracks = 1.0, 0, 0  # s: the last accepted step
     for it in range(opts.max_iters + 1):
         stat = _stationarity(data, x, bundle.gradient)
         if callback:
             callback(it, bundle.j_gamma, stat, s, products)
         if stat <= opts.tol_stationarity or it == opts.max_iters:
             break
-        direction, first, used = propose(x, bundle, stat, s)
+        direction, used = _newton_direction(data, bundle, x, stat, opts.tol_stationarity)
         products += used
-        accepted, rejected = _line_search(data, gamma, x, bundle, stat, direction, first)
+        accepted, rejected = _line_search(data, gamma, x, bundle, stat, direction)
         backtracks += rejected
         if accepted is None:
             break
@@ -173,14 +130,13 @@ def _finish(data, x, bundle, iters, opts, products, backtracks):
         iterations=iters,
         stationarity_norm=stat,
         converged=stat <= opts.tol_stationarity,
-        mode=opts.method,
         hessian_products=products,
         backtracks=backtracks,
     )
 
 
-def _line_search(data, gamma, x, bundle, stat, direction, s):
-    """Backtrack along clamp(x + s * direction) until j_gamma decreases enough.
+def _line_search(data, gamma, x, bundle, stat, direction):
+    """Backtrack from s = 1 along clamp(x + s * direction) until j_gamma decreases enough.
 
     Sufficient decrease is Armijo's along the projected path. A change of
     j_gamma within round-off of its size carries no information, so there a
@@ -189,6 +145,7 @@ def _line_search(data, gamma, x, bundle, stat, direction, s):
     trial points, or (None, rejected) when no trial step qualifies.
     """
     g, f = bundle.gradient, bundle.j_gamma
+    s = 1.0
     for rejected in range(BACKTRACKS):
         x_new = data.clamp(x + s * direction)
         if np.array_equal(x_new, x):

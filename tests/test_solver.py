@@ -10,6 +10,7 @@ from riskpath.solver import (
     minimize,
 )
 
+from reference import reference_minimize
 from test_objective import make_problem
 
 
@@ -37,19 +38,21 @@ def make_recovery_problem(n=15, mu_tik=1.0, seed=0):
     ), x_star
 
 
+def _newton_control(data, gamma):
+    res = minimize(data, gamma, SolveOptions(tol_stationarity=1e-9, max_iters=20000))
+    assert res.converged
+    return res.x1_opt
+
+
 @pytest.mark.parametrize(
-    "method,tol,err_tol",
-    [("newton", 1e-9, 1e-7), ("projected-gradient", 1e-7, 1e-5)],
-    ids=["newton", "pg"],
+    "solve,err_tol",
+    [(_newton_control, 1e-7), (lambda data, gamma: reference_minimize(data, gamma).x, 1e-5)],
+    ids=["newton", "reference"],
 )
-def test_recovers_manufactured_minimizer(method, tol, err_tol):
+def test_recovers_manufactured_minimizer(solve, err_tol):
     # j_gamma is ~1.1e5 here: near x_star its decrease is below round-off
     data, x_star = make_recovery_problem()
-    opts = SolveOptions(tol_stationarity=tol, method=method, max_iters=20000)
-    res = minimize(data, 1.0, opts)
-    assert res.converged
-    assert np.max(np.abs(res.x1_opt - x_star)) <= err_tol
-    assert res.stationarity_norm <= tol
+    assert np.max(np.abs(solve(data, 1.0) - x_star)) <= err_tol
 
 
 def test_singleton_box_returns_immediately():
@@ -72,27 +75,27 @@ def test_singleton_box_returns_immediately():
 
 
 def test_methods_agree_on_strongly_convex_instances():
-    # well conditioned instances: cross-method objective and control agreement
+    # well conditioned instances: Newton and the reference agree in objective and control
     for seed in (1, 2, 3):
         data = make_problem(n=11, seed=seed, bound=0.1, mu_tik=1.0)
-        opts_a = SolveOptions(tol_stationarity=1e-9, method="newton", max_iters=20000)
-        opts_b = SolveOptions(tol_stationarity=1e-9, method="projected-gradient", max_iters=20000)
-        ra = minimize(data, 100.0, opts_a)
-        rb = minimize(data, 100.0, opts_b)
-        assert ra.converged and rb.converged
-        assert abs(ra.bundle.j_gamma - rb.bundle.j_gamma) <= 1e-8 * max(1.0, abs(ra.bundle.j_gamma))
-        assert np.max(np.abs(ra.x1_opt - rb.x1_opt)) <= 1e-5
+        newton = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, max_iters=20000))
+        ref = reference_minimize(data, 100.0)
+        assert newton.converged
+        assert abs(newton.bundle.j_gamma - ref.fun) <= 1e-8 * max(1.0, abs(newton.bundle.j_gamma))
+        assert np.max(np.abs(newton.x1_opt - ref.x)) <= 1e-5
 
 
-def test_plain_projected_gradient_descends_monotonically():
-    data = make_problem(n=11, bound=0.05, mu_tik=0.5)
+def test_newton_descends_monotonically():
+    # a solve whose line search backtracks: no accepted step raises j_gamma
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind="gradient")
     values = []
-    minimize(
+    res = minimize(
         data,
-        50.0,
-        SolveOptions(max_iters=200, tol_stationarity=1e-12, method="projected-gradient"),
+        100.0,
+        SolveOptions(tol_stationarity=1e-12),
         callback=lambda it, f, stat, s, products: values.append(f),
     )
+    assert res.backtracks > 0
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -164,8 +167,7 @@ def test_unconverged_run_is_flagged_not_raised():
     assert res.iterations == 1
 
 
-@pytest.mark.parametrize("method", ["newton", "projected-gradient"])
-def test_solve_evaluates_each_point_once(monkeypatch, method):
+def test_solve_evaluates_each_point_once(monkeypatch):
     # each trial point of a line search gets one full evaluation, whose bundle
     # the next iteration takes, and the result carries the last one
     calls = []
@@ -180,8 +182,8 @@ def test_solve_evaluates_each_point_once(monkeypatch, method):
     monkeypatch.setattr(obj_mod, "evaluate", recording("evaluate", obj_mod.evaluate))
     monkeypatch.setattr(obj_mod, "objective_only", recording("objective_only", obj_mod.objective_only))
     data = make_problem(n=15, seed=1, bound=0.1, mu_tik=1.0)
-    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, method=method))
-    assert res.converged and res.mode == method and res.iterations > 1
+    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9))
+    assert res.converged and res.iterations > 1
     assert [name for name, _, _ in calls] == ["evaluate"] * len(calls)
     evaluated = [x.tobytes() for _, x, _ in calls]
     assert len(set(evaluated)) == len(evaluated), "evaluate called twice on one point"
@@ -194,15 +196,13 @@ def test_newton_counts_hessian_products():
     data = make_problem(n=15, bound=0.05)
     lines = []
     res = minimize(data, 100.0, SolveOptions(), callback=lambda *args: lines.append(args))
-    assert res.converged and res.mode == "newton"
+    assert res.converged
     assert [args[0] for args in lines] == list(range(res.iterations + 1))
     counts = [args[4] for args in lines]
     assert counts[0] == 0 and counts == sorted(counts)
     assert counts[-1] == res.hessian_products
     # at most one product per free variable and Newton step
     assert 0 < res.hessian_products <= res.iterations * 15
-    pg = minimize(data, 100.0, SolveOptions(method="projected-gradient"))
-    assert pg.hessian_products == 0
 
 
 def test_backtracks_count_rejected_trial_points(monkeypatch):
@@ -226,14 +226,13 @@ def test_backtracks_count_rejected_trial_points(monkeypatch):
 def test_newton_agrees_with_reference(kind, risk_kind):
     bound = 0.01 if kind == "volume" else 0.05
     data = make_problem(n=15, bound=bound, risk_kind=risk_kind, mu_tik=0.01, kind=kind)
-    opts = dict(tol_stationarity=1e-9, max_iters=20000)
-    newton = minimize(data, 100.0, SolveOptions(method="newton", **opts))
-    ref = minimize(data, 100.0, SolveOptions(method="projected-gradient", **opts))
-    assert newton.converged and ref.converged
+    newton = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9, max_iters=20000))
+    ref = reference_minimize(data, 100.0)
+    assert newton.converged
     assert np.any(newton.bundle.penalty_residuals > 0.0)  # the penalty is active
-    scale = max(1.0, abs(ref.bundle.j_gamma))
-    assert abs(newton.bundle.j_gamma - ref.bundle.j_gamma) <= 1e-8 * scale
-    assert newton.iterations < ref.iterations
+    scale = max(1.0, abs(ref.fun))
+    assert abs(newton.bundle.j_gamma - ref.fun) <= 1e-8 * scale
+    assert newton.iterations < ref.nit
 
 
 def test_invalid_options_rejected():
@@ -241,5 +240,3 @@ def test_invalid_options_rejected():
         SolveOptions(tol_stationarity=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
-    with pytest.raises(ValueError, match="method"):
-        SolveOptions(method="accelerated")
