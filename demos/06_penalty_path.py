@@ -13,7 +13,8 @@ from riskpath.solver import SolveOptions
 cfg = resolve({"problem": {"n_interior": 63}})
 data = build_problem(cfg)
 
-records = run_path(data, decade_schedule(0, 6), SolveOptions(tol_stationarity=1e-8))
+steps = run_path(data, decade_schedule(0, 6), SolveOptions(tol_stationarity=1e-8))
+records = [step.record for step in steps]
 
 print(f"{'gamma':>10} {'j_gamma':>12} {'max viol':>11} {'sq viol':>11} "
       f"{'mult L1':>10} {'iters':>6}")

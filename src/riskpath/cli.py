@@ -13,11 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from . import kkt as kkt_mod
 from . import objective as obj_mod
 from . import path as path_mod
 from . import risk as risk_mod
-from . import solver as solver_mod
 from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, penalty_multiplier, project
 from .config import ConfigError
 from .grid import inner_h, solve_state
@@ -36,20 +34,8 @@ def _tag(cfg):
     return f"{config_mod.config_hash(cfg)}_s{cfg['scenarios']['seed']}"
 
 
-def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _summary_base(cfg):
@@ -72,32 +58,31 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
                          f"step={float(step)!r} cg={products}")
 
     try:
-        result = solver_mod.minimize(data, gamma, opts, callback=log_cb)
-    except solver_mod.DivergedError as exc:
-        print(f"solve diverged at gamma={gamma}: {exc}", file=sys.stderr)
+        (point,) = path_mod.run_path(data, [gamma], opts, callback=log_cb)
+    except path_mod.PathAborted as exc:
+        print(f"{exc}: {exc.__cause__}", file=sys.stderr)
         return 1
-    report = kkt_mod.check_limit_system(data, result.bundle)
-    j, feasible, max_violation = obj_mod.unpenalized_objective(data, result.x1_opt)
+    record, result = point.record, point.result
     summary = _summary_base(cfg)
     summary.update(
         {
             "gamma": gamma,
-            "converged": result.converged,
-            "iterations": result.iterations,
+            "converged": record.converged,
+            "iterations": record.iterations,
             "hessian_products": result.hessian_products,
             "backtracks": result.backtracks,
-            "stationarity": result.stationarity_norm,
-            "j_gamma": result.bundle.j_gamma,
-            "j": j,
-            "feasible": feasible,
-            "max_violation": max_violation,
+            "stationarity": record.stationarity,
+            "j_gamma": record.j_gamma,
+            "j": record.j,
+            "feasible": float(np.max(result.bundle.constraint_values)) <= data.tol_feas,
+            "max_violation": record.max_violation,
             "control": [repr(float(v)) for v in result.x1_opt],
         }
     )
     _write_json(out / f"solve_{tag}.json", summary)
-    _write_json(out / f"kkt_{tag}.json", report.as_dict())
+    _write_json(out / f"kkt_{tag}.json", point.report.as_dict())
     (out / f"iterations_{tag}.log").write_text("\n".join(log_lines) + "\n")
-    return 0 if result.converged else 2
+    return 0 if record.converged else 2
 
 
 def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
@@ -106,17 +91,17 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     schedule = config_mod.build_schedule(cfg)
     tag = _tag(cfg)
     try:
-        records, details = path_mod.run_path(
-            data, schedule, opts, warm_start=not cold, return_details=True
-        )
+        steps = path_mod.run_path(data, schedule, opts, warm_start=not cold)
     except path_mod.PathAborted as exc:
-        (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(exc.records))
+        partial = [step.record for step in exc.steps]
+        (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(partial))
         print(f"path aborted: {exc}", file=sys.stderr)
         return 1
+    records = [step.record for step in steps]
 
     (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(records))
     _write_json(out / f"path_{tag}.json", [r.__dict__ for r in records])
-    _write_json(out / f"kkt_path_{tag}.json", [d.report.as_dict() for d in details])
+    _write_json(out / f"kkt_path_{tag}.json", [step.report.as_dict() for step in steps])
 
     assertions = {}
     jg = [r.j_gamma for r in records]
@@ -129,7 +114,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
         try:
-            ref = path_mod.shrink_to_feasible(data, details[-1].result.x1_opt)
+            ref = path_mod.shrink_to_feasible(data, steps[-1].result.x1_opt)
         except ValueError as exc:
             print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
             return 1

@@ -155,8 +155,8 @@ def _section(schema, raw, name: str) -> dict:
 
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad syntax, bytes, or nesting depth
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return resolve(raw)
 

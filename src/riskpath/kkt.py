@@ -20,6 +20,8 @@ from .grid import norm_h
 from .objective import EvalBundle, ProblemData
 from .scenario import empirical_expectation
 
+Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concentration_index
+
 
 @dataclass
 class KktReport:
@@ -103,11 +105,7 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
     return carried / total
 
 
-def check_limit_system(
-    data: ProblemData,
-    bundle: EvalBundle,
-    q_concentration: float = 0.125,
-) -> KktReport:
+def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     """Distance-to-limit diagnostics at finite penalty strength."""
     report = check_gamma_system(data, bundle)
     scenarios = data.scenarios
@@ -121,6 +119,6 @@ def check_limit_system(
         scenarios, data.grid.h * np.sum(np.abs(bundle.lambda_e), axis=-1)
     )
     report.concentration_index = concentration_index(
-        data.cone.norm(bundle.lambda_i), scenarios.weights, q_concentration
+        data.cone.norm(bundle.lambda_i), scenarios.weights, Q_CONCENTRATION
     )
     return report

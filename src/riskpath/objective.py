@@ -83,7 +83,6 @@ class EvalBundle:
     scenario_costs: np.ndarray  # J2, (K,)
     constraint_values: np.ndarray  # i, (K, m)
     penalty_residuals: np.ndarray  # max(0, i), (K, m)
-    penalty_values: np.ndarray  # beta^gamma, (K,)
     lambda_i: np.ndarray  # penalty multipliers, (K, m)
     lambda_e: np.ndarray  # adjoint states, (K, n)
     zeta2: np.ndarray  # state part of the scenario-cost subgradient, mass-weighted, (K, n)
@@ -142,7 +141,6 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
         scenario_costs=costs,
         constraint_values=i_vals,
         penalty_residuals=pv.residual,
-        penalty_values=pv.value,
         lambda_i=lam_i,
         lambda_e=lam_e,
         zeta2=zeta2,

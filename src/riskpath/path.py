@@ -18,6 +18,7 @@ from .scenario import empirical_expectation
 from .solver import SolveOptions, SolveResult
 
 CSV_SCHEMA_VERSION = "riskpath-path-v1"
+SHRINK_ITERS = 60  # bisection steps of shrink_to_feasible
 
 
 class InsufficientDataError(ValueError):
@@ -25,11 +26,11 @@ class InsufficientDataError(ValueError):
 
 
 class PathAborted(RuntimeError):
-    """A solve along the schedule diverged; partial records are attached."""
+    """A solve along the schedule diverged; the steps solved before it are attached."""
 
-    def __init__(self, message, records):
+    def __init__(self, message, steps):
         super().__init__(message)
-        self.records = records
+        self.steps = steps
 
 
 def decade_schedule(start_exp: int = 0, stop_exp: int = 6, per_decade: int = 1):
@@ -81,62 +82,56 @@ def run_path(
     schedule,
     opts: SolveOptions | None = None,
     warm_start: bool = True,
-    return_details: bool = False,
-):
+    callback=None,
+) -> list[PathStep]:
     """Solve the penalized problem along the schedule, warm-starting each point.
 
     The first point, and every point of a cold path, starts from the zero control.
-    A diverging solve raises PathAborted carrying the records gathered so far.
+    ``callback`` goes to every ``minimize`` call unchanged. A diverging solve
+    raises PathAborted carrying the steps solved so far.
     """
     schedule = validate_schedule(schedule)
     opts = opts or SolveOptions()
-    records: list[PathRecord] = []
-    details: list[PathStep] = []
+    steps: list[PathStep] = []
     x_prev = None
     for gamma in schedule:
         start = x_prev if warm_start else None
         try:
-            result = solver_mod.minimize(data, gamma, opts, warm_start=start)
+            result = solver_mod.minimize(data, gamma, opts, warm_start=start, callback=callback)
         except solver_mod.DivergedError as exc:
-            raise PathAborted(f"solve diverged at gamma={gamma}", records) from exc
+            raise PathAborted(f"solve diverged at gamma={gamma}", steps) from exc
         bundle = result.bundle
         report = kkt_mod.check_limit_system(data, bundle)
         j = bundle.j1 + bundle.risk_value  # the unpenalized objective
-        max_violation = max(0.0, np.max(bundle.constraint_values))
         sq_violation = empirical_expectation(
             data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
         )
         change = (
             norm_h(data.grid, result.x1_opt - x_prev) if x_prev is not None else np.nan
         )
-        # Python scalars only, so the CSV writes plain round-trip floats
-        records.append(
-            PathRecord(
-                gamma=float(gamma),
-                j=float(j),
-                j_gamma=float(bundle.j_gamma),
-                penalty_term=float(bundle.penalty_term),
-                max_violation=float(max_violation),
-                sq_violation=sq_violation,
-                complementarity=float(report.complementarity),
-                multiplier_l1=float(report.multiplier_l1),
-                adjoint_l1=float(report.adjoint_l1),
-                concentration_index=float(report.concentration_index),
-                control_change=float(change),
-                iterations=int(result.iterations),
-                converged=bool(result.converged),
-                stationarity=float(result.stationarity_norm),
-            )
+        # Python scalars only, so the CSV and the JSON reports write plain floats
+        record = PathRecord(
+            gamma=float(gamma),
+            j=float(j),
+            j_gamma=float(bundle.j_gamma),
+            penalty_term=float(bundle.penalty_term),
+            max_violation=float(report.primal_feasibility),
+            sq_violation=sq_violation,
+            complementarity=float(report.complementarity),
+            multiplier_l1=float(report.multiplier_l1),
+            adjoint_l1=float(report.adjoint_l1),
+            concentration_index=float(report.concentration_index),
+            control_change=float(change),
+            iterations=int(result.iterations),
+            converged=bool(result.converged),
+            stationarity=float(result.stationarity_norm),
         )
-        if return_details:
-            details.append(PathStep(record=records[-1], result=result, report=report))
+        steps.append(PathStep(record=record, result=result, report=report))
         x_prev = result.x1_opt
-    if return_details:
-        return records, details
-    return records
+    return steps
 
 
-def shrink_to_feasible(data: ProblemData, base_control: np.ndarray, iters: int = 60):
+def shrink_to_feasible(data: ProblemData, base_control: np.ndarray):
     """Scale a control toward zero until the unpenalized problem is feasible.
 
     Bisection on the scale, valid as the constraint is convex in it and strictly
@@ -166,7 +161,7 @@ def shrink_to_feasible(data: ProblemData, base_control: np.ndarray, iters: int =
     cmap = replace(cmap, bounds=cmap.bounds[rows])  # from here on, only these rows
     states = states[rows]
     passed, t_hi = [0.0], 1.0  # the feasible iterates, increasing
-    for _ in range(iters):
+    for _ in range(SHRINK_ITERS):
         t = 0.5 * (passed[-1] + t_hi)
         if t in (passed[-1], t_hi):  # the bracket is one ulp wide
             break

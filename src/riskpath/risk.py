@@ -16,6 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
+DENSITY_TOL = 1e-9  # feasibility tolerance of a dual density in duality_gap
+
 
 @dataclass(frozen=True)
 class RiskMeasure:
@@ -121,24 +123,17 @@ def subgradient(rm: RiskMeasure, xi, weights) -> RiskSubgradient:
     return RiskSubgradient(theta=theta, value=value)
 
 
-def dual_infeasibility_reason(rm: RiskMeasure, theta, weights, tol=1e-9) -> str | None:
-    theta = np.asarray(theta, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(theta < -tol):
-        return "theta has a negative component"
-    if abs(float(np.dot(weights, theta)) - 1.0) > tol:
-        return "E[theta] != 1"
-    if rm.kind == "avar" and np.any(theta > 1.0 / rm.alpha + tol):
-        return "theta exceeds 1/alpha"
-    return None
-
-
 def duality_gap(rm: RiskMeasure, xi, theta, weights) -> float:
     """R[xi] - E[xi theta]; nonnegative for feasible densities, 0 at maximizers.
 
-    Infeasible densities are reported as an infinite gap.
+    Infeasible densities (a component below 0, E[theta] != 1, or for the exact
+    AVaR a component above 1/alpha, each beyond DENSITY_TOL) are reported as
+    an infinite gap.
     """
     xi, weights = _check(xi, weights)
-    if dual_infeasibility_reason(rm, theta, weights) is not None:
+    theta = np.asarray(theta, dtype=float)
+    cap = 1.0 / rm.alpha if rm.kind == "avar" else math.inf
+    if (np.any(theta < -DENSITY_TOL) or np.any(theta > cap + DENSITY_TOL)
+            or abs(float(np.dot(weights, theta)) - 1.0) > DENSITY_TOL):
         return math.inf
-    return evaluate(rm, xi, weights) - float(np.dot(weights, np.asarray(theta) * xi))
+    return evaluate(rm, xi, weights) - float(np.dot(weights, theta * xi))

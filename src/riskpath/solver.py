@@ -60,21 +60,11 @@ class SolveOptions:
 class SolveResult:
     x1_opt: np.ndarray
     bundle: EvalBundle
-    xi: np.ndarray  # normal-cone element, -gradient on the active bound set
     iterations: int
     stationarity_norm: float
     converged: bool
     hessian_products: int  # conjugate-gradient products over the solve
     backtracks: int  # trial points the line search rejected
-
-
-def _normal_cone_element(data: ProblemData, x1: np.ndarray, g: np.ndarray, tol=1e-10):
-    xi = np.zeros_like(x1)
-    at_lo = x1 <= data.lo + tol
-    at_hi = x1 >= data.hi - tol
-    xi[at_lo] = -g[at_lo]
-    xi[at_hi] = -g[at_hi]
-    return xi
 
 
 def _stationarity(data: ProblemData, x1: np.ndarray, g: np.ndarray) -> float:
@@ -101,8 +91,6 @@ def minimize(
         bundle = obj_mod.evaluate(data, gamma, x)
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
-    if np.all(data.lo == data.hi):  # x is the only point of the box
-        return _finish(data, x, bundle, 0, opts, 0, 0)
     s, products, backtracks = 1.0, 0, 0  # s: the last accepted step
     for it in range(opts.max_iters + 1):
         stat = _stationarity(data, x, bundle.gradient)
@@ -117,17 +105,10 @@ def minimize(
         if accepted is None:
             break
         x, bundle, s = accepted
-    return _finish(data, x, bundle, it, opts, products, backtracks)
-
-
-def _finish(data, x, bundle, iters, opts, products, backtracks):
-    """SolveResult at x from its evaluation bundle."""
-    stat = _stationarity(data, x, bundle.gradient)
-    return SolveResult(
+    return SolveResult(  # the loop ends on the stopping test of x, so stat is x's
         x1_opt=x,
         bundle=bundle,
-        xi=_normal_cone_element(data, x, bundle.gradient),
-        iterations=iters,
+        iterations=it,
         stationarity_norm=stat,
         converged=stat <= opts.tol_stationarity,
         hessian_products=products,

@@ -39,13 +39,14 @@ def default_path():
     schedule = build_schedule(cfg)
     opts = SolveOptions(tol_stationarity=1e-8)
     t0 = time.monotonic()
-    records, details = run_path(data, schedule, opts, return_details=True)
+    steps = run_path(data, schedule, opts)
     elapsed = time.monotonic() - t0
-    return data, records, details, elapsed
+    records = [step.record for step in steps]
+    return data, records, steps, elapsed
 
 
 def test_criterion_01_feasibility_decay(default_path):
-    data, records, details, elapsed = default_path
+    data, records, steps, elapsed = default_path
     assert elapsed < 120.0, f"path run took {elapsed:.1f}s, budget is 2 minutes"
     assert all(r.converged for r in records)
     slope, r2 = fit_decay_slope(records, "sq_violation")
@@ -59,8 +60,8 @@ def test_criterion_01_feasibility_decay(default_path):
 
 
 def test_criterion_02_monotone_sandwich(default_path):
-    data, records, details, _ = default_path
-    ref = shrink_to_feasible(data, details[-1].result.x1_opt)
+    data, records, steps, _ = default_path
+    ref = shrink_to_feasible(data, steps[-1].result.x1_opt)
     j_ref, feasible, _ = unpenalized_objective(data, ref)
     assert feasible
     for r in records:
@@ -98,8 +99,8 @@ def test_criterion_03_gradient_correctness():
 
 
 def test_criterion_04_kkt_gamma_system_residuals(default_path):
-    data, records, details, _ = default_path
-    for step in details:
+    data, records, steps, _ = default_path
+    for step in steps:
         rep = check_gamma_system(data, step.result.bundle)
         assert rep.stationarity_x1 <= 1e-8
         assert rep.adjoint_residual <= 1e-10
@@ -110,9 +111,9 @@ def test_criterion_04_kkt_gamma_system_residuals(default_path):
 
 
 def test_criterion_05_complementarity_identity_and_trend(default_path):
-    data, records, details, _ = default_path
+    data, records, steps, _ = default_path
     comps = []
-    for r, step in zip(records, details):
+    for r, step in zip(records, steps):
         comp = complementarity_value(data, step.result.bundle)
         identity = r.gamma * r.sq_violation
         assert comp == pytest.approx(identity, rel=1e-12, abs=1e-12)
@@ -125,7 +126,7 @@ def test_criterion_05_complementarity_identity_and_trend(default_path):
 
 
 def test_criterion_06_multiplier_path_boundedness(default_path):
-    data, records, details, _ = default_path
+    data, records, steps, _ = default_path
     tail = [r for r in records if r.gamma >= 10.0]
     for field in ("multiplier_l1", "adjoint_l1"):
         vals = [getattr(r, field) for r in tail]

@@ -89,6 +89,29 @@ def test_solve_reports_hessian_products(tmp_path):
     assert summary["backtracks"] >= 0
 
 
+@pytest.mark.parametrize("overrides,gamma", [
+    (None, "100"),
+    (None, "1e6"),
+    (VOLUME, "100"),
+    ({"problem": dict(SMALL["problem"], tol_feas=1.0)}, "100"),
+    ({"problem": dict(SMALL["problem"], tol_feas=-1.0)}, "100"),
+    # slack by more than |tol_feas|: feasible although tol_feas < 0 = max_violation
+    ({"problem": dict(SMALL["problem"], tol_feas=-1.0),
+      "scenarios": dict(SMALL["scenarios"], bound_spec={"kind": "constant", "value": 10.0})}, "100"),
+])
+def test_solve_report_equals_unpenalized_objective(tmp_path, overrides, gamma):
+    # j, max_violation and feasible are those of the written control, bit for bit
+    cfg_path = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--gamma", gamma]) == 0
+    summary = json.loads((out / f"solve_{tag_of(cfg_path)}.json").read_text())
+    control = np.array([float(v) for v in summary["control"]])
+    j, feasible, max_violation = objective_mod.unpenalized_objective(
+        build_problem(load_config(cfg_path)), control
+    )
+    assert (summary["j"], summary["max_violation"], summary["feasible"]) == (j, max_violation, feasible)
+
+
 def test_path_with_infeasible_zero_control_exits_one(tmp_path, capsys):
     # a negative bound makes the zero control infeasible, so no scaled reference exists
     spec = {"kind": "constant", "value": -0.1}
@@ -347,11 +370,15 @@ def test_per_scenario_bound_file_loads(tmp_path):
 
 
 def test_invalid_json_exits_one(tmp_path, capsys):
+    # a syntax error, bytes that do not decode as UTF-8/16/32, and nesting too deep to parse
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["verify", "--config", str(bad), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    nested = b"[" * 100_000 + b"]" * 100_000
+    for content in (b"{not json", b"\xff\xfe\x00garbage", b'{"output_dir": "\xff"}', nested):
+        bad.write_bytes(content)
+        rc = main(["verify", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file is not valid JSON") and "Traceback" not in err
 
 
 def test_verify_gradient_constraint_flat_state(tmp_path):

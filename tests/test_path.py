@@ -4,6 +4,7 @@ import pytest
 from riskpath.path import (
     CSV_SCHEMA_VERSION,
     InsufficientDataError,
+    PathAborted,
     PathRecord,
     decade_schedule,
     fit_decay_slope,
@@ -12,7 +13,7 @@ from riskpath.path import (
     shrink_to_feasible,
     validate_schedule,
 )
-from riskpath import cone, objective
+from riskpath import cone, objective, solver
 from riskpath.config import build_problem, build_schedule, build_solve_options, resolve
 from riskpath.grid import solve_state
 from riskpath.objective import unpenalized_objective
@@ -26,7 +27,7 @@ OPTS = SolveOptions(tol_stationarity=1e-8)
 @pytest.fixture(scope="module")
 def active_path():
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
-    records = run_path(data, decade_schedule(0, 6), OPTS)
+    records = [step.record for step in run_path(data, decade_schedule(0, 6), OPTS)]
     return data, records
 
 
@@ -49,7 +50,7 @@ def test_decade_schedule_examples():
 def test_path_on_slack_problem_is_flat():
     # never-active constraint: every gamma point solves the same smooth problem
     data = make_problem(n=11, bound=10.0)
-    records = run_path(data, decade_schedule(0, 3), OPTS)
+    records = [step.record for step in run_path(data, decade_schedule(0, 3), OPTS)]
     assert len(records) == 4
     for r in records:
         assert r.converged
@@ -64,12 +65,38 @@ def test_path_on_slack_problem_is_flat():
 
 def test_single_point_schedule_equals_direct_solve():
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
-    records, details = run_path(data, [100.0], OPTS, return_details=True)
+    (step,) = run_path(data, [100.0], OPTS)
     direct = minimize(data, 100.0, OPTS)
-    assert len(records) == 1
-    assert records[0].j_gamma == pytest.approx(direct.bundle.j_gamma, abs=1e-14)
-    assert np.array_equal(details[0].result.x1_opt, direct.x1_opt)
-    assert np.isnan(records[0].control_change)
+    assert step.record.j_gamma == pytest.approx(direct.bundle.j_gamma, abs=1e-14)
+    assert np.array_equal(step.result.x1_opt, direct.x1_opt)
+    assert np.isnan(step.record.control_change)
+
+
+def test_callback_sees_every_iterate_of_every_point():
+    data = make_problem(n=11, bound=0.05, mu_tik=0.01)
+    seen = []
+    steps = run_path(data, decade_schedule(0, 3), OPTS, callback=lambda *args: seen.append(args))
+    # each point logs its iterates 0..iterations, in schedule order
+    expected = [it for step in steps for it in range(step.record.iterations + 1)]
+    assert [args[0] for args in seen] == expected
+
+
+def test_divergence_keeps_the_steps_solved_before(monkeypatch):
+    data = make_problem(n=11, bound=0.05, mu_tik=0.01)
+    solved = run_path(data, decade_schedule(0, 3), OPTS)
+    real = solver.minimize
+
+    def diverging_at_100(data, gamma, *args, **kwargs):
+        if gamma == 100.0:
+            raise solver.DivergedError("non-finite objective during line search")
+        return real(data, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", diverging_at_100)
+    with pytest.raises(PathAborted, match="solve diverged at gamma=100.0") as caught:
+        run_path(data, decade_schedule(0, 3), OPTS)
+    assert isinstance(caught.value.__cause__, solver.DivergedError)
+    partial = [step.record for step in caught.value.steps]
+    assert records_to_csv(partial) == records_to_csv([step.record for step in solved[:2]])
 
 
 def test_path_converges_everywhere(active_path):
@@ -83,9 +110,10 @@ def test_full_small_path_steps_and_products():
     # usable, so that point takes 4 steps (6 with the cap at 0.1) and the path
     # 89 products (105)
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
-    records, details = run_path(data, decade_schedule(0, 6), OPTS, return_details=True)
+    steps = run_path(data, decade_schedule(0, 6), OPTS)
+    records = [step.record for step in steps]
     assert [r.iterations for r in records] == [3, 4, 4, 4, 3, 3, 3]
-    assert sum(d.result.hessian_products for d in details) == 89
+    assert sum(step.result.hessian_products for step in steps) == 89
     assert all(r.converged and r.stationarity <= OPTS.tol_stationarity for r in records)
 
 
@@ -94,7 +122,8 @@ def test_default_path_does_not_creep_at_large_gamma():
     # gamma = 1e5 and 1e6 with the forcing term capped at 0.1
     cfg = resolve({"scenarios": {"n_scenarios": 64},
                    "gamma_schedule": {"start_exp": 0, "stop_exp": 8}})
-    records = run_path(build_problem(cfg), build_schedule(cfg), build_solve_options(cfg))
+    steps = run_path(build_problem(cfg), build_schedule(cfg), build_solve_options(cfg))
+    records = [step.record for step in steps]
     assert len(records) == 9
     assert all(r.converged for r in records)
     assert max(r.iterations for r in records) <= 8
@@ -127,10 +156,9 @@ def test_sandwich_against_feasible_reference(active_path):
     # j^gamma(x_gamma) <= j(x_feasible) for every gamma (penalty is exact from
     # below); the final control scaled into the feasible set gives the bound
     data, records = active_path
-    final = None
-    # rebuild the final control by re-running the last solve warm-started
-    recs, details = run_path(data, [records[-1].gamma], OPTS, return_details=True)
-    final = details[0].result.x1_opt
+    # rebuild the final control by re-running the last solve
+    (step,) = run_path(data, [records[-1].gamma], OPTS)
+    final = step.result.x1_opt
     ref = shrink_to_feasible(data, final)
     j_ref, feasible, _ = unpenalized_objective(data, ref)
     assert feasible
@@ -144,8 +172,8 @@ def test_control_settles_in_last_decade():
     # once the path has settled (movement is O(1/gamma) at large gamma)
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     opts = SolveOptions(tol_stationarity=1e-4)
-    records = run_path(data, decade_schedule(0, 6), opts)
-    assert records[-1].control_change <= 10.0 * opts.tol_stationarity
+    steps = run_path(data, decade_schedule(0, 6), opts)
+    assert steps[-1].record.control_change <= 10.0 * opts.tol_stationarity
 
 
 def test_shrink_to_feasible_basics():
@@ -250,8 +278,7 @@ def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
 def test_records_read_objective_and_violation_from_the_bundle(active_path):
     # j and max_violation equal unpenalized_objective at each point, bit for bit
     data, records = active_path
-    _, details = run_path(data, [r.gamma for r in records], OPTS, return_details=True)
-    for step in details:
+    for step in run_path(data, [r.gamma for r in records], OPTS):
         j, _, max_violation = unpenalized_objective(data, step.result.x1_opt)
         assert step.record.j == j and step.record.max_violation == max_violation
 

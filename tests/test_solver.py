@@ -67,11 +67,13 @@ def test_singleton_box_returns_immediately():
         lo=0.7,
         hi=0.7,
     )
-    res = minimize(fixed, 10.0, SolveOptions())
+    # the stopping test ends the loop: x - clamp(x - g) is exactly 0 on a one-point box
+    seen = []
+    res = minimize(fixed, 10.0, SolveOptions(), callback=lambda *args: seen.append(args))
     assert res.iterations == 0
-    assert res.converged
+    assert res.converged and res.stationarity_norm == 0.0
     assert np.allclose(res.x1_opt, 0.7)
-    assert np.array_equal(res.xi, -res.bundle.gradient)
+    assert [args[0] for args in seen] == [0]
 
 
 def test_methods_agree_on_strongly_convex_instances():
@@ -131,10 +133,12 @@ def test_active_bounds_produce_normal_cone_element():
     )
     res = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10))
     assert res.converged
-    active = (res.x1_opt <= tight.lo + 1e-9) | (res.x1_opt >= tight.hi - 1e-9)
-    assert np.any(active)
-    assert np.allclose(res.bundle.gradient[active] + res.xi[active], 0.0)
-    assert np.allclose(res.xi[~active], 0.0)
+    at_lo = res.x1_opt <= tight.lo + 1e-9
+    at_hi = res.x1_opt >= tight.hi - 1e-9
+    assert np.any(at_lo | at_hi)
+    # -gradient lies in the normal cone of the box: it points out of each active bound
+    g = res.bundle.gradient
+    assert np.all(g[at_lo] >= 0.0) and np.all(g[at_hi] <= 0.0)
 
 
 def test_warm_start_helps():
