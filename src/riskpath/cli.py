@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,16 +18,6 @@ from . import risk as risk_mod
 from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, penalty_multiplier, project
 from .config import ConfigError
 from .grid import inner_h, solve_state
-
-ENV_OUT_DIR = "RISKPATH_OUT"
-
-
-def _out_dir(cfg, cli_out):
-    out = os.environ.get(ENV_OUT_DIR) or cli_out or cfg["output_dir"]
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
 
 def _tag(cfg):
     return f"{config_mod.config_hash(cfg)}_s{cfg['scenarios']['seed']}"
@@ -296,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("solve", "path", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if name == "solve":
             p.add_argument("--gamma", type=float, required=True)
         if name == "path":
@@ -311,12 +300,12 @@ def main(argv=None) -> int:
         if args.command == "solve" and not (np.isfinite(args.gamma) and args.gamma > 0.0):
             raise ConfigError("--gamma must be a finite positive number")
         cfg = config_mod.load_config(args.config)
-        out = _out_dir(cfg, args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return cmd_solve(cfg, args.gamma, out)
+            return cmd_solve(cfg, args.gamma, args.out)
         if args.command == "path":
-            return cmd_path(cfg, out, cold=args.cold)
-        return cmd_verify(cfg, out)
+            return cmd_path(cfg, args.out, cold=args.cold)
+        return cmd_verify(cfg, args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

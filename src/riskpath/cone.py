@@ -101,6 +101,15 @@ class ConstraintMap:
         return np.diff(x2, prepend=0.0, append=0.0, axis=-1) / self.grid.h
 
 
+def bound_points(kind: str, grid: Grid) -> np.ndarray:
+    """Where a constraint of ``kind`` takes its bound: the columns of ConstraintMap.bounds."""
+    if kind == "mixed":
+        return grid.nodes
+    if kind == "gradient":
+        return grid.cell_midpoints
+    return np.array([0.0])  # volume: one scalar bound
+
+
 def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
     """Constraint values (K, m) for the states x2 (K, n) under the control x1."""
     if cmap.kind == "mixed":

@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import path as path_mod
-from .cone import ConstraintMap
+from .cone import ConstraintMap, bound_points
 from .grid import EllipticityError, Grid
 from .objective import ProblemData
 from .risk import RiskMeasure
@@ -111,7 +112,6 @@ SCHEMA = {
     }),
     "feasible_reference": Variant({"mode": "scaled-initial"}, "mode", "none",
                                   {"scaled-initial": {}, "none": {}}),
-    "output_dir": ("out", STR),
 }
 
 
@@ -210,15 +210,30 @@ def _target_field(spec, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
+def _bound_table(spec, points: np.ndarray, n_scenarios: int) -> np.ndarray:
+    """Constraint bounds (K, m) at the m ``points``, one row per scenario."""
+    kind = spec["kind"]
+    if kind == "constant":
+        return np.full((n_scenarios, points.size), float(spec["value"]))
+    if kind == "affine-in-s":
+        return np.tile(float(spec["c0"]) + float(spec["c1"]) * points, (n_scenarios, 1))
+    try:
+        with warnings.catch_warnings():  # an empty file fails the shape test below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(spec["path"], ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"scenarios: {exc}") from exc
+    if table.shape[0] != n_scenarios or table.shape[1] not in (1, points.size):
+        raise ConfigError(f"scenarios: per-scenario bound file must be {n_scenarios} rows "
+                          f"(scenarios) by 1 or {points.size} columns (bound points)")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("scenarios: per-scenario bound file holds a non-finite entry")
+    return table
+
+
 def build_problem(cfg: dict) -> ProblemData:
     grid = Grid(n_interior=int(cfg["problem"]["n_interior"]))
     ckind = cfg["problem"]["constraint"]["kind"]
-    if ckind == "mixed":
-        bound_points = grid.nodes
-    elif ckind == "gradient":
-        bound_points = grid.cell_midpoints
-    else:
-        bound_points = np.array([0.0])
     try:
         scen_cfg = ScenarioConfig(
             n_scenarios=int(cfg["scenarios"]["n_scenarios"]),
@@ -226,16 +241,15 @@ def build_problem(cfg: dict) -> ProblemData:
             a0=float(cfg["scenarios"]["a0"]),
             sigma=tuple(cfg["scenarios"]["sigma"]),
             a_min=float(cfg["scenarios"]["a_min"]),
-            # (kind, then the keys of its form in SCHEMA order), e.g. ("constant", value)
-            bound_spec=tuple(cfg["scenarios"]["bound_spec"].values()),
         )
-        scenarios = sample(scen_cfg, grid.n_cells, bound_points)
+        scenarios = sample(scen_cfg, grid.n_cells)
     except ValueError as exc:
         raise ConfigError(f"scenarios: {exc}") from exc
     constraint = ConstraintMap(
         kind=ckind,
         grid=grid,
-        bounds=scenarios.bounds,
+        bounds=_bound_table(cfg["scenarios"]["bound_spec"], bound_points(ckind, grid),
+                            scenarios.count),
         epsilon=float(cfg["problem"]["constraint"]["epsilon"]),
         delta=float(cfg["problem"]["constraint"]["delta"]),
     )

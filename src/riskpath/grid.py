@@ -66,8 +66,6 @@ class EllipticOperator:
     for every scenario is one forward and one backward sweep.
     """
 
-    grid: Grid
-    conductivity: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     _ldl: tuple = field(repr=False, compare=False, default=None)
@@ -117,7 +115,7 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     d_ldl, e_ldl, info = dpttrf(diag.reshape(-1), e if e.size else np.zeros(1))
     if info != 0:  # pragma: no cover - SPD by construction
         raise NumericalDegeneracyError(f"dpttrf failed with info={info}")
-    return EllipticOperator(grid=grid, conductivity=a, diag=diag, off=off, _ldl=(d_ldl, e_ldl))
+    return EllipticOperator(diag=diag, off=off, _ldl=(d_ldl, e_ldl))
 
 
 def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

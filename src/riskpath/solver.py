@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import objective as obj_mod
-from .grid import norm_h
+from .grid import NumericalDegeneracyError, norm_h
 from .objective import EvalBundle, ProblemData
 
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -41,7 +41,8 @@ ETA_MAX = 0.03  # cap of the CG forcing term min(ETA_MAX, sqrt|g_F|)
 
 
 class DivergedError(RuntimeError):
-    """Objective or gradient non-finite at the start point, or objective along a line search."""
+    """Objective or gradient non-finite at the start point, objective along a line
+    search, or a state, adjoint or Hessian solve non-finite anywhere in the solve."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,15 @@ def minimize(
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
     x = data.clamp(np.asarray(start, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
-        bundle = obj_mod.evaluate(data, gamma, x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
+            return _newton(data, gamma, opts, x, callback)
+    except NumericalDegeneracyError as exc:  # a state, adjoint or Hessian solve overflowed
+        raise DivergedError(str(exc)) from exc
+
+
+def _newton(data, gamma, opts, x, callback) -> SolveResult:
+    bundle = obj_mod.evaluate(data, gamma, x)
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
     s, products, backtracks = 1.0, 0, 0  # s: the last accepted step
@@ -131,8 +139,7 @@ def _line_search(data, gamma, x, bundle, stat, direction):
         x_new = data.clamp(x + s * direction)
         if np.array_equal(x_new, x):
             return None, rejected
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
-            new = obj_mod.evaluate(data, gamma, x_new)
+        new = obj_mod.evaluate(data, gamma, x_new)
         if not np.isfinite(new.j_gamma):
             raise DivergedError("non-finite objective during line search")
         slope = float(np.dot(g, x_new - x))

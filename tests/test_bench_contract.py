@@ -1,8 +1,9 @@
 """What the benchmark harness under perfbench/ needs from the package.
 
-The harness traces module attributes by name, reads gamma as the second
-argument of ``solver.minimize`` and ``iterations`` from its result, and takes
-its result from the files of one ``cli.main(["path", ...])`` call. A rename or
+The harness traces module attributes by name, times the config set-up calls,
+reads gamma as the second argument of ``solver.minimize`` and ``iterations``
+from its result, and takes its result from the files of one
+``cli.main(["path", ...])`` call. A rename or
 a changed return there leaves the benchmark with a null metric or without a
 result line, so these checks fail first.
 """
@@ -14,7 +15,7 @@ import inspect
 import json
 from pathlib import Path
 
-from riskpath import solver
+from riskpath import config, objective, solver
 from riskpath.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,13 +34,31 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
+def test_setup_calls_go_through_traced_module_attributes(monkeypatch):
+    # the harness times load_config + build_problem + build_schedule as set-up, and
+    # traces sampling and assembly where build_problem reaches them
+    assert all(callable(getattr(config, name, None))
+               for name in ("resolve", "load_config", "build_schedule"))
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((config, "sample"), (objective, "assemble")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    config.build_problem(config.resolve({"problem": {"n_interior": 7}}))
+    assert sorted(calls) == ["assemble", "sample"]
+
+
 def test_minimize_takes_gamma_second_and_reports_iterations():
     assert list(inspect.signature(solver.minimize).parameters)[1] == "gamma"
     assert "iterations" in {f.name for f in dataclasses.fields(solver.SolveResult)}
 
 
-def test_path_command_on_small_workload_writes_one_result(tmp_path, monkeypatch):
-    monkeypatch.delenv("RISKPATH_OUT", raising=False)
+def test_path_command_on_small_workload_writes_one_result(tmp_path):
     workload = json.loads((PERFBENCH / "workloads" / "path-small.json").read_text())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(workload["config"]))  # 15 nodes, 4 scenarios

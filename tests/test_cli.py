@@ -158,6 +158,20 @@ def test_non_finite_start_is_divergence(tmp_path, capsys, amplitude, code):
         assert "path aborted: solve diverged at gamma=1.0" in err
 
 
+def test_overflow_at_huge_gamma_is_divergence(tmp_path, capsys):
+    # at gamma = 1e164 a Hessian product overflows the tridiagonal solve
+    cfg_path = write_config(tmp_path, {
+        "problem": {"n_interior": 3}, "scenarios": {"n_scenarios": 2},
+        "solver": {"max_iters": 20}, "gamma_schedule": {"start_exp": 0, "stop_exp": 170}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "path aborted: solve diverged at gamma=1e+164\n"
+    rows = (out / f"path_{tag_of(cfg_path)}.csv").read_text().splitlines()[2:]
+    assert len(rows) == 164  # gamma = 1 .. 1e163
+
+
 def test_path_writes_csv_and_assertions(tmp_path):
     for overrides in (None, VOLUME):
         cfg_path = write_config(tmp_path, overrides)
@@ -202,17 +216,6 @@ def test_cold_path_reaches_same_endpoint(tmp_path):
     cold = json.loads((out_c / f"path_{tag}.json").read_text())
     assert warm[-1]["j_gamma"] == pytest.approx(cold[-1]["j_gamma"], rel=1e-8)
     assert sum(r["iterations"] for r in warm) <= sum(r["iterations"] for r in cold)
-
-
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path)
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("RISKPATH_OUT", str(env_out))
-    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "ignored"), "--gamma", "10"])
-    assert rc == 0
-    tag = tag_of(cfg_path)
-    assert (env_out / f"solve_{tag}.json").exists()
-    assert not (tmp_path / "ignored").exists()
 
 
 def test_verify_passes_on_healthy_build(tmp_path):
@@ -297,7 +300,7 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ({"feasible_reference": {"mdoe": "none"}}, "feasible_reference.mdoe"),
         ({"feasible_reference": {"mode": "scaled"}}, "feasible_reference.mode"),
         ({"problem": {"tol_feas": "1e-9"}}, "problem.tol_feas"),
-        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": "out"}, "unknown config key output_dir"),
         # json reads NaN and Infinity; every number must be finite
         ({"risk": {"kind": "avar-smooth", "tau": nan}}, "risk.tau"),
         ({"problem": {"tol_feas": nan}}, "problem.tol_feas"),
@@ -317,14 +320,20 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ({"scenarios": {"a0": 1e308, "sigma": [1e300]}}, "scenarios: stencil is not finite"),
         ({"risk": 5}, "error: risk must be an object"),
     ]
-    table = tmp_path / "bounds_nan.txt"
-    table.write_text(("0.1 " * 14 + "nan\n") * 4)
-    spec = {"kind": "per-scenario-file", "path": str(table)}
-    cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
-                  "scenarios: per-scenario bound file holds a non-finite entry"))
+    for name, text, field in (
+        ("bounds_nan.txt", ("0.1 " * 14 + "nan\n") * 4, "holds a non-finite entry"),
+        ("bounds_empty.txt", "", "must be 4 rows"),  # numpy warns of no data; not passed on
+    ):
+        table = tmp_path / name
+        table.write_text(text)
+        spec = {"kind": "per-scenario-file", "path": str(table)}
+        cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
+                      f"scenarios: per-scenario bound file {field}"))
     for overrides, field in cases:
         cfg_path = write_config(tmp_path, overrides)
-        rc = main(["path", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["path", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
@@ -343,7 +352,7 @@ def test_resolved_config_is_complete():
     assert constraint == {"kind": "volume", "epsilon": 0.0, "delta": 1e-8}
     assert resolve({"feasible_reference": {}})["feasible_reference"] == {"mode": "none"}
     assert type(resolve({"problem": {"mu_tik": 1}})["problem"]["mu_tik"]) is int  # no coercion
-    assert config_hash(resolve({})) == "60706193cc8a"
+    assert config_hash(resolve({})) == "340bb0cc82f1"
 
 
 def test_readme_config_example_builds():
@@ -365,8 +374,22 @@ def test_per_scenario_bound_file_loads(tmp_path):
         raw = json.loads(json.dumps(SMALL))
         raw["scenarios"]["bound_spec"] = spec
         data = build_problem(resolve(raw))
-        np.testing.assert_array_equal(data.scenarios.bounds, table)
+        np.testing.assert_array_equal(data.constraint.bounds, table)
         assert np.all(np.isfinite(objective_mod.evaluate(data, 10.0, np.zeros(15)).gradient))
+
+
+def test_constraint_bounds_for_each_kind():
+    # the bound c0 + c1 s at the points of each kind: nodes, cell midpoints, one point
+    h = 1.0 / 16
+    points = {"mixed": np.arange(1, 16) * h, "gradient": (np.arange(16) + 0.5) * h,
+              "volume": np.zeros(1)}
+    for kind, at in points.items():
+        raw = json.loads(json.dumps(SMALL))
+        raw["problem"]["constraint"] = {"kind": kind}
+        raw["scenarios"]["bound_spec"] = {"kind": "affine-in-s", "c0": 0.5, "c1": 1.0}
+        bounds = build_problem(resolve(raw)).constraint.bounds
+        assert bounds.shape == (4, at.size)
+        np.testing.assert_allclose(bounds, np.tile(0.5 + at, (4, 1)), rtol=1e-15)
 
 
 def test_invalid_json_exits_one(tmp_path, capsys):

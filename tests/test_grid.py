@@ -224,9 +224,10 @@ def test_self_adjointness_property():
 def test_uniform_state_bound_across_scenarios():
     # one stability constant works for every scenario of a sampled set
     g = Grid(31)
-    scen = sample(ScenarioConfig(n_scenarios=12, seed=4), g.n_cells)
+    cfg = ScenarioConfig(n_scenarios=12, seed=4)
+    scen = sample(cfg, g.n_cells)
     rng = np.random.Generator(np.random.Philox(29))
-    c = 1.0 / (np.pi**2 * scen.a_min)  # Poincare-type bound for a >= a_min
+    c = 1.0 / (np.pi**2 * cfg.a_min)  # Poincare-type bound for a >= a_min
     for a in scen.conductivities:
         op = assemble(g, a)
         for _ in range(3):

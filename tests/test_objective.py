@@ -3,7 +3,7 @@ import pytest
 
 import riskpath.objective as objective_mod
 from riskpath import cone, risk
-from riskpath.cone import ConstraintMap
+from riskpath.cone import ConstraintMap, bound_points
 from riskpath.grid import Grid, inner_h, solve_state
 from riskpath.objective import (
     ProblemData,
@@ -28,18 +28,9 @@ def make_problem(
     kind="mixed",
 ):
     grid = Grid(n)
-    if kind == "gradient":
-        pts = grid.cell_midpoints
-    elif kind == "volume":
-        pts = np.array([0.0])
-    else:
-        pts = grid.nodes
-    scen = sample(
-        ScenarioConfig(n_scenarios=n_scen, seed=seed, bound_spec=("constant", bound)),
-        grid.n_cells,
-        bound_points=pts,
-    )
-    constraint = ConstraintMap(kind=kind, grid=grid, bounds=scen.bounds, epsilon=0.05, delta=1e-6)
+    scen = sample(ScenarioConfig(n_scenarios=n_scen, seed=seed), grid.n_cells)
+    bounds = np.full((n_scen, bound_points(kind, grid).size), float(bound))
+    constraint = ConstraintMap(kind=kind, grid=grid, bounds=bounds, epsilon=0.05, delta=1e-6)
     y_d = 2.0 * grid.nodes * (1.0 - grid.nodes)
     return ProblemData.build(
         grid=grid,

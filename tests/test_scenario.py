@@ -5,8 +5,6 @@ from riskpath.scenario import (
     ScenarioConfig,
     ScenarioSet,
     empirical_expectation,
-    export_table,
-    import_table,
     sample,
 )
 
@@ -76,14 +74,8 @@ def test_empirical_expectation_uniform():
 
 def test_empirical_expectation_degenerate_weights():
     scen = sample(ScenarioConfig(n_scenarios=3, seed=3), 8)
-    weighted = ScenarioSet(
-        count=3,
-        weights=np.array([1.0, 0.0, 0.0]),
-        seed=3,
-        conductivities=scen.conductivities,
-        bounds=scen.bounds,
-        a_min=scen.a_min,
-    )
+    weighted = ScenarioSet(count=3, weights=np.array([1.0, 0.0, 0.0]),
+                           conductivities=scen.conductivities)
     v = np.array([7.25, -1.0, 99.0])
     assert empirical_expectation(weighted, v) == 7.25
 
@@ -94,11 +86,7 @@ def test_empirical_expectation_matches_compensated_sum():
     w = rng.uniform(0.0, 1.0, n)
     w /= w.sum()
     scen = sample(ScenarioConfig(n_scenarios=n, seed=5), 8)
-    weighted = ScenarioSet(
-        count=n, weights=w, seed=5,
-        conductivities=scen.conductivities, bounds=scen.bounds,
-        a_min=scen.a_min,
-    )
+    weighted = ScenarioSet(count=n, weights=w, conductivities=scen.conductivities)
     v = rng.standard_normal(n) * 1e3
     oracle = float(np.sum(np.sort(w * v)))  # compensated by magnitude ordering
     got = empirical_expectation(weighted, v)
@@ -114,30 +102,6 @@ def test_empirical_expectation_length_mismatch():
 def test_weight_invariants_enforced():
     scen = sample(ScenarioConfig(n_scenarios=3, seed=0), 8)
     with pytest.raises(ValueError):
-        ScenarioSet(
-            count=3,
-            weights=np.array([0.5, 0.5, 0.5]),
-            seed=0,
-            conductivities=scen.conductivities,
-            bounds=scen.bounds,
-            a_min=scen.a_min,
-        )
+        ScenarioSet(count=3, weights=np.array([0.5, 0.5, 0.5]),
+                    conductivities=scen.conductivities)
 
-
-def test_export_import_roundtrip():
-    scen = sample(ScenarioConfig(n_scenarios=4, seed=21), n_cells=8)
-    text = export_table(scen)
-    back = import_table(text, n_cells=8, seed=21, a_min=scen.a_min)
-    assert back.count == scen.count
-    assert np.array_equal(back.weights, scen.weights)
-    for a, b in zip(back.conductivities, scen.conductivities):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.bounds, scen.bounds):
-        assert np.array_equal(np.atleast_1d(a), np.atleast_1d(b))
-
-
-def test_affine_bound_spec():
-    cfg = ScenarioConfig(n_scenarios=2, seed=0, bound_spec=("affine-in-s", 0.5, 1.0))
-    pts = np.array([0.25, 0.5, 0.75])
-    scen = sample(cfg, 4, bound_points=pts)
-    assert np.allclose(scen.bounds[0], 0.5 + pts)
