@@ -4,7 +4,9 @@ Shipped measures: expectation, average value-at-risk (exact, by sorting), and
 a softplus-smoothed average value-at-risk used when a differentiable surrogate
 is needed. The smoothed variant keeps convexity, monotonicity, and translation
 equivariance but gives up positive homogeneity (the temperature is a fixed
-length scale), so the homogeneity axiom check is skipped for it.
+length scale), so the homogeneity axiom check is skipped for it. Its threshold
+solves a monotone 1-D equation by safeguarded Newton–bisection (Newton from
+the alpha-quantile, bisection when a step leaves the bracket or stalls).
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 DENSITY_TOL = 1e-9  # feasibility tolerance of a dual density in duality_gap
+THRESHOLD_RTOL = 1e-15  # a threshold step below THRESHOLD_RTOL * (1 + |t|) ends the solve
+# A cap, so that every sample ends: bisection alone takes any finite bracket
+# (narrower than 2**1025) below the tolerance (at least 2**-50) in fewer halvings.
+THRESHOLD_STEPS = 1100
 
 
 @dataclass(frozen=True)
@@ -68,17 +72,55 @@ def _quantile_threshold(xi, weights, alpha):
     return float(xi[order[idx]])
 
 
-def _smooth_threshold(xi, weights, alpha, tau):
-    """Root of 1 - (1/alpha) E[sigmoid((xi - t)/tau)] = 0 (strictly increasing in t)."""
+def _sigmoid(z):
+    """1 / (1 + exp(-z)); below z = -709 exp overflows to inf and gives the right 0,
+    so callers ignore overflow."""
+    return 1.0 / (1.0 + np.exp(-z))
 
-    def phi_prime(t):
-        return 1.0 - np.dot(weights, expit((xi - t) / tau)) / alpha
 
+def _smooth_root(xi, weights, alpha, tau):
+    """The root t of phi'(t) = 1 - E[sigmoid((xi - t)/tau)]/alpha, and the sigmoids at t.
+
+    phi' is strictly increasing with slope E[sigmoid (1 - sigmoid)]/(alpha tau).
+    Safeguarded Newton from the alpha-quantile: a Newton step that leaves the
+    bracket, or is not below half the step before the last, becomes a
+    bisection. The solve ends when a step falls below THRESHOLD_RTOL (1 + |t|),
+    tested before the bisection fallback so that the last Newton step ends it.
+    """
     lo = float(xi.min()) - 60.0 * tau - 1.0
     hi = float(xi.max()) + 60.0 * tau + 1.0
-    if phi_prime(lo) >= 0.0:
-        return lo
-    return float(brentq(phi_prime, lo, hi, xtol=1e-15 * (1.0 + abs(hi)), rtol=1e-15))
+    with np.errstate(over="ignore"):
+        sigma = _sigmoid((xi - lo) / tau)
+        if 1.0 - float(np.dot(weights, sigma)) / alpha >= 0.0:
+            return lo, sigma
+        t = _quantile_threshold(xi, weights, alpha)
+        step = last = hi - lo
+        for _ in range(THRESHOLD_STEPS):
+            sigma = _sigmoid((xi - t) / tau)
+            f = 1.0 - float(np.dot(weights, sigma)) / alpha
+            if f < 0.0:
+                lo = t
+            elif f > 0.0:
+                hi = t
+            else:  # phi' is 0, or NaN from a non-finite sample
+                break
+            slope = float(np.dot(weights, sigma * (1.0 - sigma))) / (alpha * tau)
+            newton = -f / slope if slope > 0.0 else math.inf
+            if abs(newton) <= THRESHOLD_RTOL * (1.0 + abs(t)):
+                break
+            if lo < t + newton < hi and abs(newton) < 0.5 * abs(last):
+                step, last = newton, step
+            else:
+                step, last = 0.5 * lo + 0.5 * hi - t, step
+                if abs(step) <= THRESHOLD_RTOL * (1.0 + abs(t)):
+                    break
+            t += step
+    return t, sigma
+
+
+def _smooth_threshold(xi, weights, alpha, tau):
+    """The root t of _smooth_root alone."""
+    return _smooth_root(xi, weights, alpha, tau)[0]
 
 
 def evaluate(rm: RiskMeasure, xi, weights) -> float:
@@ -101,11 +143,11 @@ def subgradient(rm: RiskMeasure, xi, weights) -> RiskSubgradient:
     if rm.kind == "expectation":
         return RiskSubgradient(theta=np.ones_like(xi), value=float(np.dot(weights, xi)))
     if rm.kind == "avar-smooth":
-        t = _smooth_threshold(xi, weights, rm.alpha, rm.tau)
+        t, sigma = _smooth_root(xi, weights, rm.alpha, rm.tau)
         z = (xi - t) / rm.tau
         softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
         value = t + rm.tau * float(np.dot(weights, softplus)) / rm.alpha
-        return RiskSubgradient(theta=expit(z) / rm.alpha, value=value)
+        return RiskSubgradient(theta=sigma / rm.alpha, value=value)
     t = _quantile_threshold(xi, weights, rm.alpha)
     value = t + float(np.dot(weights, np.maximum(0.0, xi - t))) / rm.alpha
     if np.ptp(xi) == 0.0:

@@ -140,11 +140,19 @@ def test_solve_rejects_bad_gamma(tmp_path, capsys, gamma):
     assert capsys.readouterr().err == "error: --gamma must be a finite positive number\n"
 
 
-@pytest.mark.parametrize("amplitude,code", [(1e308, 1), (1e150, 0)])
-def test_non_finite_start_is_divergence(tmp_path, capsys, amplitude, code):
+EXPECTATION = {"kind": "expectation"}
+AVAR = {"kind": "avar", "alpha": 0.25}
+AVAR_SMOOTH = {"kind": "avar-smooth", "alpha": 0.25, "tau": 1e-3}
+
+
+@pytest.mark.parametrize("risk,amplitude,code", [
+    (EXPECTATION, 1e308, 1), (EXPECTATION, 1e150, 0), (AVAR, 1e308, 1), (AVAR_SMOOTH, 1e308, 1),
+    (AVAR_SMOOTH, 1e150, 2),  # costs near 1e300 leave tau = 1e-3 below their round-off
+], ids=["1e+308-1", "1e+150-0", "avar-1e+308-1", "avar-smooth-1e+308-1", "avar-smooth-1e+150-2"])
+def test_non_finite_start_is_divergence(tmp_path, capsys, risk, amplitude, code):
     # a target of 1e308 makes the scenario costs overflow at the start point
     problem = dict(SMALL["problem"], y_d={"kind": "parabola", "amplitude": amplitude})
-    cfg_path = write_config(tmp_path, {"problem": problem})
+    cfg_path = write_config(tmp_path, {"problem": problem, "risk": risk})
     out = str(tmp_path / "out")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -153,7 +161,7 @@ def test_non_finite_start_is_divergence(tmp_path, capsys, amplitude, code):
     assert [str(w.message) for w in caught] == []  # the overflow is reported, not warned
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
-    if code:
+    if code == 1:
         assert "solve diverged at gamma=10.0" in err
         assert "path aborted: solve diverged at gamma=1.0" in err
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import riskpath.risk as risk_mod
 from riskpath.risk import (
     RiskMeasure,
     _quantile_threshold,
@@ -225,3 +228,114 @@ def test_subgradient_value_equals_evaluate(rm):
         value = subgradient(rm, xi, w).value
         assert isinstance(value, float)
         assert value == evaluate(rm, xi, w) == _previous_value(rm, xi, w)
+
+
+def _brentq_threshold(xi, w, alpha, tau):
+    """The threshold as SciPy's brentq solved it before the Newton kernel, and its xtol."""
+    from scipy.optimize import brentq
+    from scipy.special import expit
+
+    def phi_prime(t):
+        return 1.0 - np.dot(w, expit((xi - t) / tau)) / alpha
+
+    lo = float(xi.min()) - 60.0 * tau - 1.0
+    hi = float(xi.max()) + 60.0 * tau + 1.0
+    xtol = 1e-15 * (1.0 + abs(hi))
+    if phi_prime(lo) >= 0.0:
+        return lo, xtol
+    return float(brentq(phi_prime, lo, hi, xtol=xtol, rtol=1e-15)), xtol
+
+
+def _threshold_samples():
+    """The samples of the smoothed-AVaR tests above, plus K = 1."""
+    rng = np.random.Generator(np.random.Philox(21))
+    samples = [(rng.standard_normal(7), rng.dirichlet(np.ones(7))) for _ in range(20)]
+    rng = np.random.Generator(np.random.Philox(3))
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        w = rng.uniform(0.05, 1.0, n)
+        samples.append((rng.standard_normal(n), w / w.sum()))
+    samples += [
+        (np.array([1.0, 2.0, 2.0, 2.0, 3.0]), np.full(5, 0.2)),  # ties at the quantile
+        (np.array([2.0, 1.0, 2.0, 0.5]), UNIFORM4),  # ties in the tail
+        (np.full(5, 4.2), np.full(5, 0.2)),  # constant sample
+        (np.array([0.7]), np.ones(1)),  # K = 1
+    ]
+    return samples
+
+
+@pytest.fixture
+def sigmoid_calls(monkeypatch):
+    """Counts the phi' evaluations of the threshold solves (one sigmoid each)."""
+    calls = [0]
+    sigmoid = risk_mod._sigmoid
+
+    def counted(z):
+        calls[0] += 1
+        return sigmoid(z)
+
+    monkeypatch.setattr(risk_mod, "_sigmoid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3, 1e-2, 1e-1, 1e2])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_smooth_threshold_matches_brentq(sigmoid_calls, tau, offset):
+    evaluations = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi, w in _threshold_samples():
+            for alpha in (0.3, 0.4, 0.7):
+                sigmoid_calls[0] = 0
+                t = _smooth_threshold(xi + offset, w, alpha, tau)
+                evaluations.append(sigmoid_calls[0])
+                ref, xtol = _brentq_threshold(xi + offset, w, alpha, tau)
+                # brentq stops within its xtol, wider than this bound for tau = 1e2
+                assert abs(t - ref) <= max(1e-14 * (1.0 + abs(ref)), xtol), (xi, w, alpha)
+    assert max(evaluations) <= 64
+
+
+def test_smooth_threshold_alpha_one_is_the_bracket_end(sigmoid_calls):
+    # E[sigmoid] = 1 at the lower bracket end, so phi'(lo) >= 0 ends the solve there
+    for xi, w in [(np.array([1.0, 2, 3, 4]), UNIFORM4), (np.full(5, 4.2), np.full(5, 0.2)),
+                  (np.array([0.7]), np.ones(1))]:
+        sigmoid_calls[0] = 0
+        lo = float(xi.min()) - 60.0 * 1e-3 - 1.0
+        assert _smooth_threshold(xi, w, 1.0, 1e-3) == _brentq_threshold(xi, w, 1.0, 1e-3)[0] == lo
+        assert sigmoid_calls[0] == 1
+
+
+def test_smooth_threshold_flat_root_keeps_value_and_density(sigmoid_calls):
+    # K alpha = 2 tail atoms: where the gap below them spans many tau, phi' is 0 to
+    # round-off across it and any t there is a root; the value does not depend on
+    # which, and theta only through sigmoid tails near round-off
+    from scipy.special import expit
+
+    rm = RiskMeasure("avar-smooth", alpha=0.25, tau=1e-3)
+    w = np.full(8, 1.0 / 8)
+    rng = np.random.Generator(np.random.Philox(12345))
+    evaluations = []
+    for _ in range(200):
+        xi = rng.standard_normal(8)
+        sigmoid_calls[0] = 0
+        sg = subgradient(rm, xi, w)
+        evaluations.append(sigmoid_calls[0])
+        t = _brentq_threshold(xi, w, rm.alpha, rm.tau)[0]
+        z = (xi - t) / rm.tau
+        softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
+        assert sg.value == pytest.approx(t + rm.tau * float(np.dot(w, softplus)) / rm.alpha,
+                                         rel=1e-14)
+        # elsewhere theta moves with t at a rate up to 1/(4 alpha tau) = 1e3
+        assert np.allclose(sg.theta, expit(z) / rm.alpha, rtol=0.0, atol=1e-10)
+    assert max(evaluations) <= 64
+
+
+def test_smooth_threshold_ends_on_non_finite_samples(sigmoid_calls):
+    # overflowed costs reach the risk layer inside minimize, which reports the
+    # non-finite value as a divergence; the threshold solve itself must end
+    rm = RiskMeasure("avar-smooth", alpha=0.25, tau=1e-3)
+    with np.errstate(invalid="ignore"):
+        for xi in ([1.0, np.inf], [np.inf, np.inf], [np.nan, 1.0]):
+            sigmoid_calls[0] = 0
+            assert not np.isfinite(evaluate(rm, np.array(xi), np.full(2, 0.5)))
+            assert sigmoid_calls[0] <= 64
