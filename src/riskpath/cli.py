@@ -17,20 +17,17 @@ from . import path as path_mod
 from . import risk as risk_mod
 from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, penalty_multiplier, project
 from .config import ConfigError
-from .grid import inner_h, solve_state
-
-def _tag(cfg):
-    return f"{config_mod.config_hash(cfg)}_s{cfg['scenarios']['seed']}"
-
+from .grid import NumericalDegeneracyError, inner_h, solve_state
 
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _summary_base(cfg):
-    return {
+def _header(cfg):  # the tag of the output files, and the start of each summary
+    digest = config_mod.config_hash(cfg)
+    return f"{digest}_s{cfg['scenarios']['seed']}", {
         "config": cfg,
-        "config_hash": config_mod.config_hash(cfg),
+        "config_hash": digest,
         "generator": cfg["generator"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -39,7 +36,7 @@ def _summary_base(cfg):
 def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
     data = config_mod.build_problem(cfg)
     opts = config_mod.build_solve_options(cfg)
-    tag = _tag(cfg)
+    tag, summary = _header(cfg)
     log_lines = []
 
     def log_cb(it, f, stat, step, products):
@@ -52,7 +49,6 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
         print(f"{exc}: {exc.__cause__}", file=sys.stderr)
         return 1
     record, result = point.record, point.result
-    summary = _summary_base(cfg)
     summary.update(
         {
             "gamma": gamma,
@@ -78,7 +74,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     data = config_mod.build_problem(cfg)
     opts = config_mod.build_solve_options(cfg)
     schedule = config_mod.build_schedule(cfg)
-    tag = _tag(cfg)
+    tag, slopes = _header(cfg)
     try:
         steps = path_mod.run_path(data, schedule, opts, warm_start=not cold)
     except path_mod.PathAborted as exc:
@@ -112,7 +108,6 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
             r.j <= r.j_gamma + 1e-10 and r.j_gamma <= j_ref + 1e-10 for r in records
         )
         assertions["j_reference"] = j_ref
-    slopes = dict(_summary_base(cfg))
     try:
         slope, r2 = path_mod.fit_decay_slope(records, "sq_violation")
         slopes["sq_violation_slope"] = slope
@@ -124,6 +119,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     return 0 if all(r.converged for r in records) else 2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the check as NaN
 def reduced_gradient_fd_error(data, rng) -> float:
     """Worst relative error of the reduced gradient against central differences.
 
@@ -247,7 +243,10 @@ def _verify_checks(cfg: dict):
     if data.risk.kind == "avar":
         yield "reduced_gradient_fd", True, "skipped: exact tail risk is nonsmooth"
     else:
-        worst = reduced_gradient_fd_error(data, rng)
+        try:
+            worst = reduced_gradient_fd_error(data, rng)
+        except NumericalDegeneracyError:  # a state or adjoint solve overflowed
+            worst = np.nan
         yield "reduced_gradient_fd", bool(worst <= tol), f"max rel err = {worst:.3e}"
 
     # solve self-adjointness, every scenario's operator at once
@@ -264,9 +263,9 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     checks = []
     for name, passed, detail in _verify_checks(cfg):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
-    payload = _summary_base(cfg)
+    tag, payload = _header(cfg)
     payload["checks"] = checks
-    _write_json(out / f"checks_{_tag(cfg)}.json", payload)
+    _write_json(out / f"checks_{tag}.json", payload)
     failed = [c["name"] for c in checks if not c["passed"]]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)

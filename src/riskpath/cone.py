@@ -121,6 +121,20 @@ def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
     return smooth - cmap.delta - cmap.bounds
 
 
+def ray_bounds(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, tol: float):
+    """(L, b) such that, for t >= 0, constraint_eval(cmap, t x1, t x2) <= tol where t L <= b.
+
+    Needs psi + tol >= 0 for the bounds psi. Gradient kind: the smoothed norm
+    sqrt(s^2 + delta^2) - delta <= psi + tol where s <= sqrt((psi + tol)(psi + tol + 2 delta)).
+    """
+    slack = cmap.bounds + tol
+    if cmap.kind == "mixed":
+        return x2 - cmap.epsilon * x1, slack
+    if cmap.kind == "volume":
+        return cmap.grid.h * np.sum(x2, axis=-1, keepdims=True), slack
+    return np.abs(cmap._grad_cells(x2)), np.sqrt(slack * (slack + 2.0 * cmap.delta))
+
+
 def _slope(cmap: ConstraintMap, x2: np.ndarray) -> np.ndarray:
     """Derivative of the smoothed norm at the cell gradients of x2 (gradient kind)."""
     du = cmap._grad_cells(x2)

@@ -123,12 +123,13 @@ def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = 
 
     ``rhs`` has the shape of ``op.diag`` or broadcasts to it (one (n,)
     right-hand side for every scenario). It is copied into ``out`` (a new array
-    when None; else a C-contiguous float array of that shape, which may be
-    ``rhs`` itself), and dpttrs overwrites ``out`` with the solution.
+    when None; else a C-contiguous float array of that shape, or ``rhs`` itself
+    to solve in place), and dpttrs overwrites ``out`` with the solution.
     """
     if out is None:
         out = np.empty(op.diag.shape)
-    out[...] = rhs
+    if out is not rhs:
+        out[...] = rhs
     u, info = dpttrs(*op._ldl, out.reshape(-1), overwrite_b=1)
     if info != 0 or not np.isfinite(u).all():
         raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")

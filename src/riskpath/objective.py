@@ -122,7 +122,7 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
 
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
     pv = cone_mod.penalty(data.cone, gamma, i_vals)
-    lam_i = cone_mod.penalty_multiplier(data.cone, gamma, i_vals)
+    lam_i = gamma * pv.residual  # the penalty multiplier gamma * max(0, i)
     adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, lam_i)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
     lam_e = np.multiply(theta[:, None], zeta2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .scenario import empirical_expectation
 from .solver import SolveOptions, SolveResult
 
 CSV_SCHEMA_VERSION = "riskpath-path-v1"
-SHRINK_ITERS = 60  # bisection steps of shrink_to_feasible
 
 
 class InsufficientDataError(ValueError):
@@ -134,44 +133,27 @@ def run_path(
 def shrink_to_feasible(data: ProblemData, base_control: np.ndarray):
     """Scale a control toward zero until the unpenalized problem is feasible.
 
-    Bisection on the scale, valid as the constraint is convex in it and strictly
-    feasible at zero for positive bounds. Convexity also makes a scenario that is
-    feasible at the full scale feasible at every smaller one, so the bisection
-    looks only at the scenarios infeasible at full scale. One solve of the clamped
-    base gives the (linear) states of all scales; fresh solves differ by
-    round-off, so the result is the largest iterate that unpenalized_objective
-    also passes. Fixture for the reference-control comparisons, not part of the
-    optimization method.
+    One solve of the clamped base gives the states of every scale t, so the
+    largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
+    Fresh solves differ by round-off: unpenalized_objective certifies t* base,
+    each rejection backs t off by a relative 2**-44, 2**-40, ..., and the zero
+    control is the last resort. Fixture for the reference-control comparisons.
     """
     base = data.clamp(np.asarray(base_control, dtype=float))
     states = obj_mod.solve_state(data.operator, base)
-    cmap = data.constraint
-
-    def constraint(t):
-        return cone_mod.constraint_eval(cmap, t * base, t * states)
-
-    def feasible(t):
-        return np.max(constraint(t)) <= data.tol_feas
-
-    rows = np.max(constraint(1.0), axis=-1) > data.tol_feas  # the infeasible scenarios
-    if not rows.any():
+    cmap, tol = data.constraint, data.tol_feas
+    if np.max(cone_mod.constraint_eval(cmap, base, states)) <= tol:
         return base
-    if not feasible(0.0):
+    if np.max(cone_mod.constraint_eval(cmap, 0.0 * base, 0.0 * states)) > tol:
         raise ValueError("zero control is infeasible; no scaled reference exists")
-    cmap = replace(cmap, bounds=cmap.bounds[rows])  # from here on, only these rows
-    states = states[rows]
-    passed, t_hi = [0.0], 1.0  # the feasible iterates, increasing
-    for _ in range(SHRINK_ITERS):
-        t = 0.5 * (passed[-1] + t_hi)
-        if t in (passed[-1], t_hi):  # the bracket is one ulp wide
-            break
-        if feasible(t):
-            passed.append(t)
-        else:
-            t_hi = t
-    # zero passes: its states are exactly zero either way
-    return next(t * base for t in reversed(passed)
-                if obj_mod.unpenalized_objective(data, t * base)[1])
+    slope, bound = cone_mod.ray_bounds(cmap, base, states, tol)
+    over = slope > bound  # the entries infeasible at full scale; b >= 0 here
+    t = float(np.min(bound[over] / slope[over], initial=1.0))
+    for k in range(5):  # certifying solves before the zero control
+        if obj_mod.unpenalized_objective(data, t * base)[1]:
+            return t * base
+        t *= 1.0 - 2.0 ** (4 * k - 44)
+    return 0.0 * base  # its states are exactly zero: feasible, as tested above
 
 
 def fit_decay_slope(records, field_name: str):
@@ -191,12 +173,13 @@ def fit_decay_slope(records, field_name: str):
         )
     x = np.log(np.asarray(gammas))
     y = np.log(np.asarray(values))
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    x -= x.mean()  # centered: the slope is <x, y> / <x, x>, the intercept drops out
+    y -= y.mean()
+    slope = float(np.dot(x, y) / np.dot(x, x))
+    ss_res = float(np.sum((y - slope * x) ** 2))
+    ss_tot = float(np.dot(y, y))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(r2)
+    return slope, r2
 
 
 def records_to_csv(records) -> str:

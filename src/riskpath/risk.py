@@ -82,7 +82,8 @@ def _smooth_root(xi, weights, alpha, tau):
     """The root t of phi'(t) = 1 - E[sigmoid((xi - t)/tau)]/alpha, and the sigmoids at t.
 
     phi' is strictly increasing with slope E[sigmoid (1 - sigmoid)]/(alpha tau).
-    Safeguarded Newton from the alpha-quantile: a Newton step that leaves the
+    Safeguarded Newton from the alpha-quantile (from the middle of the gap above
+    it if the tail mass there is alpha): a Newton step that leaves the
     bracket, or is not below half the step before the last, becomes a
     bisection. The solve ends when a step falls below THRESHOLD_RTOL (1 + |t|),
     tested before the bisection fallback so that the last Newton step ends it.
@@ -94,6 +95,10 @@ def _smooth_root(xi, weights, alpha, tau):
         if 1.0 - float(np.dot(weights, sigma)) / alpha >= 0.0:
             return lo, sigma
         t = _quantile_threshold(xi, weights, alpha)
+        above = xi > t
+        if above.any() and abs(float(np.dot(weights, above)) - alpha) <= 1e-15:
+            # phi' is flat to round-off across the gap, where Newton crawls by ~tau
+            t = 0.5 * t + 0.5 * float(xi[above].min())
         step = last = hi - lo
         for _ in range(THRESHOLD_STEPS):
             sigma = _sigmoid((xi - t) / tau)
@@ -116,11 +121,6 @@ def _smooth_root(xi, weights, alpha, tau):
                     break
             t += step
     return t, sigma
-
-
-def _smooth_threshold(xi, weights, alpha, tau):
-    """The root t of _smooth_root alone."""
-    return _smooth_root(xi, weights, alpha, tau)[0]
 
 
 def evaluate(rm: RiskMeasure, xi, weights) -> float:

@@ -23,6 +23,7 @@ its last point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,7 @@ def _conjugate_gradients(product, b, tol, max_products):
     p = r.copy()
     rr = float(np.dot(r, r))
     products = 0
-    while np.sqrt(rr) > tol and products < max_products:
+    while math.sqrt(rr) > tol and products < max_products:
         hp = product(p)
         products += 1
         php = float(np.dot(p, hp))
@@ -192,9 +193,11 @@ def _newton_direction(data, bundle, x, stat, tol_stationarity):
         v[free] = p
         return hessian(v)[free]
 
+    if not binding.any():  # every variable is free: the same products, no scatter or gather
+        free, product = slice(None), hessian
     direction = -g
     norm = float(np.linalg.norm(g[free]))
-    floor = CG_MARGIN * tol_stationarity / np.sqrt(data.grid.h)
-    tol = max(min(ETA_MAX, np.sqrt(norm)) * norm, floor)
+    floor = CG_MARGIN * tol_stationarity / math.sqrt(data.grid.h)
+    tol = max(min(ETA_MAX, math.sqrt(norm)) * norm, floor)
     direction[free], products = _conjugate_gradients(product, -g[free], tol, x.size)
     return direction, products

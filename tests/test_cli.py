@@ -254,6 +254,21 @@ def test_verify_catches_adjoint_sign_mutation(tmp_path, monkeypatch, capsys):
     assert "reduced_gradient_fd" in err
 
 
+@pytest.mark.parametrize("risk", [EXPECTATION, AVAR_SMOOTH], ids=["expectation", "avar-smooth"])
+def test_verify_on_overflowing_costs_fails_the_gradient_check(tmp_path, capsys, risk):
+    # a target of 1e308 overflows the costs: a failed check, not a traceback or warning
+    problem = dict(SMALL["problem"], y_d={"kind": "parabola", "amplitude": 1e308})
+    cfg_path = write_config(tmp_path, {"problem": problem, "risk": risk})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "verification failed: reduced_gradient_fd\n"
+    checks = json.loads((out / f"checks_{tag_of(cfg_path)}.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["reduced_gradient_fd"]
+
+
 def test_reduced_gradient_check_passes_for_every_draw():
     # directions nearly orthogonal to the gradient are redrawn, so the check on
     # the default config no longer passes or fails with the random draw

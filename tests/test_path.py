@@ -222,7 +222,7 @@ def test_shrink_to_feasible_solves_once_and_certifies(kind, monkeypatch):
         monkeypatch.setattr(objective, "solve_state", counted)
         ref = shrink_to_feasible(data, base)
         monkeypatch.undo()
-        assert len(solves) <= 5
+        assert len(solves) <= 3
         j, feasible, _ = unpenalized_objective(data, ref)
         assert feasible
         j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))
@@ -256,23 +256,49 @@ def test_shrink_to_feasible_with_some_scenarios_feasible(kind):
 
 
 def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
-    # when the real test rejects the last scaled-feasible iterates, the result
-    # is the next smaller bisection iterate that it accepts
+    # each scale the real test rejects is followed by a strictly smaller one, a
+    # round-off-sized step below; the result is the last scale checked, and the
+    # zero control once every certifying solve is rejected
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
     base = 5.0 * np.ones(11)
-    checked = []
+    for rejections, checks in ((3, 4), (100, 5)):
+        checked = []
 
-    def rejecting_three(d, x1):
-        checked.append(x1)
-        j, feasible, viol = unpenalized_objective(d, x1)
-        return j, feasible and len(checked) > 3, viol
+        def rejecting(d, x1):
+            checked.append(x1)
+            j, feasible, viol = unpenalized_objective(d, x1)
+            return j, feasible and len(checked) > rejections, viol
 
-    monkeypatch.setattr(objective, "unpenalized_objective", rejecting_three)
-    ref = shrink_to_feasible(data, base)
-    scales = [x[0] / base[0] for x in checked]
-    assert len(checked) >= 4 and np.all(np.diff(scales) < 0.0)
-    assert np.array_equal(ref, checked[-1])
-    assert unpenalized_objective(data, ref)[1]
+        monkeypatch.setattr(objective, "unpenalized_objective", rejecting)
+        ref = shrink_to_feasible(data, base)
+        monkeypatch.undo()
+        scales = np.array([x[0] / base[0] for x in checked])
+        assert len(checked) == checks and np.all(np.diff(scales) < 0.0)
+        assert 0.0 < 1.0 - scales[1] / scales[0] <= 2.0**-43
+        assert np.array_equal(ref, checked[-1] if checks == 4 else np.zeros(11))
+        assert unpenalized_objective(data, ref)[1]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_ray_bounds_give_the_largest_feasible_scale(kind):
+    # on the states of one solve scaled by t, t* = min b / L over the entries
+    # infeasible at full scale is the largest feasible scale; at t* itself the
+    # test sits within round-off of tol_feas, so it is bracketed from both sides
+    data = make_problem(n=15, n_scen=8, bound=0.05, mu_tik=0.01, kind=kind)
+    rng = np.random.Generator(np.random.Philox(5))
+    for _ in range(8):
+        base = 20.0 * np.abs(rng.standard_normal(15))
+        states = solve_state(data.operator, base)
+        slope, bound = cone.ray_bounds(data.constraint, base, states, data.tol_feas)
+        over = slope > bound
+        assert over.any() and np.all(bound >= 0.0)
+        t = float(np.min(bound[over] / slope[over]))
+
+        def worst(s):
+            return np.max(cone.constraint_eval(data.constraint, s * base, s * states))
+
+        assert worst(t * (1.0 - 2.0**-40)) <= data.tol_feas < worst(t * (1.0 + 2.0**-40))
+        assert abs(worst(t) - data.tol_feas) <= 1e-15
 
 
 def test_records_read_objective_and_violation_from_the_bundle(active_path):

@@ -7,7 +7,7 @@ import riskpath.risk as risk_mod
 from riskpath.risk import (
     RiskMeasure,
     _quantile_threshold,
-    _smooth_threshold,
+    _smooth_root,
     duality_gap,
     evaluate,
     subgradient,
@@ -204,7 +204,7 @@ def _previous_value(rm, xi, w):
     if rm.kind == "avar":
         t = _quantile_threshold(xi, w, rm.alpha)
         return t + float(np.dot(w, np.maximum(0.0, xi - t))) / rm.alpha
-    t = _smooth_threshold(xi, w, rm.alpha, rm.tau)
+    t = _smooth_root(xi, w, rm.alpha, rm.tau)[0]
     z = (xi - t) / rm.tau
     softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
     return t + rm.tau * float(np.dot(w, softplus)) / rm.alpha
@@ -287,7 +287,7 @@ def test_smooth_threshold_matches_brentq(sigmoid_calls, tau, offset):
         for xi, w in _threshold_samples():
             for alpha in (0.3, 0.4, 0.7):
                 sigmoid_calls[0] = 0
-                t = _smooth_threshold(xi + offset, w, alpha, tau)
+                t = _smooth_root(xi + offset, w, alpha, tau)[0]
                 evaluations.append(sigmoid_calls[0])
                 ref, xtol = _brentq_threshold(xi + offset, w, alpha, tau)
                 # brentq stops within its xtol, wider than this bound for tau = 1e2
@@ -301,7 +301,7 @@ def test_smooth_threshold_alpha_one_is_the_bracket_end(sigmoid_calls):
                   (np.array([0.7]), np.ones(1))]:
         sigmoid_calls[0] = 0
         lo = float(xi.min()) - 60.0 * 1e-3 - 1.0
-        assert _smooth_threshold(xi, w, 1.0, 1e-3) == _brentq_threshold(xi, w, 1.0, 1e-3)[0] == lo
+        assert _smooth_root(xi, w, 1.0, 1e-3)[0] == _brentq_threshold(xi, w, 1.0, 1e-3)[0] == lo
         assert sigmoid_calls[0] == 1
 
 
@@ -327,7 +327,9 @@ def test_smooth_threshold_flat_root_keeps_value_and_density(sigmoid_calls):
                                          rel=1e-14)
         # elsewhere theta moves with t at a rate up to 1/(4 alpha tau) = 1e3
         assert np.allclose(sg.theta, expit(z) / rm.alpha, rtol=0.0, atol=1e-10)
-    assert max(evaluations) <= 64
+    # Newton starts mid-gap, where phi' is flat: at most 5 evaluations here, and
+    # at most 10 over 2,000 such samples
+    assert max(evaluations) <= 10 and np.mean(evaluations) <= 2.5
 
 
 def test_smooth_threshold_ends_on_non_finite_samples(sigmoid_calls):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riskpath.objective as obj_mod
+import riskpath.solver as solver_mod
 from riskpath.grid import Grid, assemble, inner_h, norm_h, solve_state
 from riskpath.objective import ProblemData, evaluate, objective_only
 from riskpath.solver import (
@@ -207,6 +208,40 @@ def test_newton_counts_hessian_products():
     assert counts[-1] == res.hessian_products
     # at most one product per free variable and Newton step
     assert 0 < res.hessian_products <= res.iterations * 15
+
+
+def _masked_direction(data, bundle, x, stat, tol_stationarity):
+    # the free-set path of _newton_direction, taken even when nothing binds
+    g = bundle.gradient
+    eps = min(solver_mod.BINDING_EPS, stat)
+    free = ~(((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0)))
+    hessian = obj_mod.hessian_operator(data, bundle)
+    v = np.zeros_like(x)
+
+    def product(p):
+        v[free] = p
+        return hessian(v)[free]
+
+    direction = -g
+    norm = float(np.linalg.norm(g[free]))
+    floor = solver_mod.CG_MARGIN * tol_stationarity / np.sqrt(data.grid.h)
+    tol = max(min(solver_mod.ETA_MAX, np.sqrt(norm)) * norm, floor)
+    direction[free], products = solver_mod._conjugate_gradients(product, -g[free], tol, x.size)
+    return direction, products
+
+
+@pytest.mark.parametrize("kind,risk_kind", [("mixed", "expectation"), ("gradient", "avar-smooth")])
+def test_unmasked_newton_direction_is_bit_identical(kind, risk_kind):
+    # with no bound binding, CG takes the Hessian product without the mask
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind=kind, risk_kind=risk_kind, alpha=0.25)
+    rng = np.random.Generator(np.random.Philox(9))
+    for gamma in (1.0, 1e3, 1e6):
+        x = rng.standard_normal(15)  # far inside the box [-50, 50]: no bound binds
+        bundle = evaluate(data, gamma, x)
+        stat = solver_mod._stationarity(data, x, bundle.gradient)
+        direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
+        expected, expected_products = _masked_direction(data, bundle, x, stat, 1e-8)
+        assert np.array_equal(direction, expected) and products == expected_products > 0
 
 
 def test_backtracks_count_rejected_trial_points(monkeypatch):
