@@ -234,6 +234,10 @@ def _bound_table(spec, points: np.ndarray, n_scenarios: int) -> np.ndarray:
 def build_problem(cfg: dict) -> ProblemData:
     grid = Grid(n_interior=int(cfg["problem"]["n_interior"]))
     ckind = cfg["problem"]["constraint"]["kind"]
+    try:  # numpy: MemoryError for a size it cannot allocate, ValueError past its index range
+        nodes = grid.nodes  # the first array of n_interior entries
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"problem.n_interior: {exc}") from exc
     try:
         scen_cfg = ScenarioConfig(
             n_scenarios=int(cfg["scenarios"]["n_scenarios"]),
@@ -242,9 +246,12 @@ def build_problem(cfg: dict) -> ProblemData:
             sigma=tuple(cfg["scenarios"]["sigma"]),
             a_min=float(cfg["scenarios"]["a_min"]),
         )
-        scenarios = sample(scen_cfg, grid.n_cells)
     except ValueError as exc:
         raise ConfigError(f"scenarios: {exc}") from exc
+    try:
+        scenarios = sample(scen_cfg, grid.n_cells)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"scenarios.n_scenarios: {exc}") from exc
     constraint = ConstraintMap(
         kind=ckind,
         grid=grid,
@@ -261,7 +268,7 @@ def build_problem(cfg: dict) -> ProblemData:
         )
     except ValueError as exc:
         raise ConfigError(f"risk: {exc}") from exc
-    y_d = _target_field(cfg["problem"]["y_d"], grid.nodes)
+    y_d = _target_field(cfg["problem"]["y_d"], nodes)
     try:
         return ProblemData.build(
             grid=grid,
@@ -282,7 +289,10 @@ def build_schedule(cfg: dict) -> np.ndarray:
     sched = cfg["gamma_schedule"]
     if "values" in sched:
         return path_mod.validate_schedule(sched["values"])
-    return path_mod.decade_schedule(sched["start_exp"], sched["stop_exp"], sched["per_decade"])
+    try:  # too many points to allocate, or to tell apart
+        return path_mod.decade_schedule(sched["start_exp"], sched["stop_exp"], sched["per_decade"])
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"gamma_schedule.per_decade: {exc}") from exc
 
 
 def build_solve_options(cfg: dict) -> SolveOptions:

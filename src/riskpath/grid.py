@@ -15,6 +15,7 @@ matrix is factored once as L D L^T by LAPACK's dpttrf and solved by dpttrs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -38,7 +39,7 @@ class Grid:
         if self.n_interior < 1:
             raise ValueError("n_interior must be a positive integer")
 
-    @property
+    @cached_property  # read on every kernel call; a frozen instance computes it once
     def h(self) -> float:
         return 1.0 / (self.n_interior + 1)
 
@@ -118,20 +119,23 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     return EllipticOperator(diag=diag, off=off, _ldl=(d_ldl, e_ldl))
 
 
-def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = None,
+                check: bool = True) -> np.ndarray:
     """Solve op . u = rhs for every stencil by the cached direct factorization.
 
     ``rhs`` has the shape of ``op.diag`` or broadcasts to it (one (n,)
     right-hand side for every scenario). It is copied into ``out`` (a new array
     when None; else a C-contiguous float array of that shape, or ``rhs`` itself
-    to solve in place), and dpttrs overwrites ``out`` with the solution.
+    to solve in place), and dpttrs overwrites ``out`` with the solution. A
+    non-finite solution raises, unless ``check`` is False: for a caller whose
+    next checked solve carries every non-finite entry of this one.
     """
     if out is None:
         out = np.empty(op.diag.shape)
     if out is not rhs:
         out[...] = rhs
-    u, info = dpttrs(*op._ldl, out.reshape(-1), overwrite_b=1)
-    if info != 0 or not np.isfinite(u).all():
+    u, info = dpttrs(*op._ldl, out.ravel(), overwrite_b=1)  # a view: out is C-contiguous
+    if info != 0 or check and not np.isfinite(u).all():
         raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")
     return out
 

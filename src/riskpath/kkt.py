@@ -11,12 +11,13 @@ on vanishingly small probability sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone as cone_mod
-from .grid import norm_h
+from .grid import dot_last
 from .objective import EvalBundle, ProblemData
 from .scenario import empirical_expectation
 
@@ -46,31 +47,34 @@ class KktReport:
         return {k: float(v) for k, v in self.__dict__.items()}
 
 
+def _max_norm(weight: float, u: np.ndarray) -> float:
+    """Largest row norm sqrt(weight sum_j u_j^2), as max(norm_h) or max(cone.norm): the
+    square root and the positive factor commute with the max, both rounding monotonically."""
+    return math.sqrt(weight * float(dot_last(u, u).max()))
+
+
 def check_gamma_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     """Evaluate the five penalized optimality equations as residual norms."""
-    g = data.grid
-    h = g.h
+    h = data.grid.h
     op = data.operator
     report = KktReport()
-    report.stationarity_x1 = norm_h(
-        g, bundle.x1 - data.clamp(bundle.x1 - bundle.gradient)
-    )
+    report.stationarity_x1 = _max_norm(h, bundle.x1 - data.clamp(bundle.x1 - bundle.gradient))
     adj_u, adj_y = cone_mod.constraint_adjoints(
         data.constraint, bundle.x1, bundle.states, bundle.lambda_i
     )
     # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
     adjoint = bundle.theta[:, None] * bundle.zeta2 + h * op.matvec(bundle.lambda_e) + adj_y
-    report.adjoint_residual = np.max(norm_h(g, adjoint))
+    report.adjoint_residual = _max_norm(h, adjoint)
     # e_x1^* lambda_e + i_x1^* lambda_i - rho = 0 (the control part of zeta is 0)
-    report.rho_consistency = np.max(norm_h(g, -h * bundle.lambda_e + adj_u - bundle.rho))
+    report.rho_consistency = _max_norm(h, -h * bundle.lambda_e + adj_u - bundle.rho)
     # h A x2 = h x1 (state equation in mass-weighted form)
-    report.state_residual = np.max(norm_h(g, h * op.matvec(bundle.states) - h * bundle.x1))
+    report.state_residual = _max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1)
     # lambda_i = gamma (i + proj(-i))
     i_vals = bundle.constraint_values
     formula = bundle.gamma * (i_vals + cone_mod.project(data.cone, -i_vals))
-    report.multiplier_formula_residual = np.max(data.cone.norm(bundle.lambda_i - formula))
-    report.rho_mean_norm = norm_h(g, bundle.rho_mean)
-    report.rho_per_scenario_max = np.max(norm_h(g, bundle.rho))
+    report.multiplier_formula_residual = _max_norm(data.cone.weight, bundle.lambda_i - formula)
+    report.rho_mean_norm = _max_norm(h, bundle.rho_mean)
+    report.rho_per_scenario_max = _max_norm(h, bundle.rho)
     return report
 
 
@@ -86,39 +90,31 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
 
     Scenarios are taken in decreasing order of mass p_k ||lambda_k|| while
     their cumulative probability stays <= q. Values near 1 for small q signal
-    multiplier mass concentrating on low-probability sets.
+    multiplier mass concentrating on low-probability sets. The cumulative
+    sums run in that order, one term after the other.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    masses = np.asarray(lambda_masses, dtype=float) * np.asarray(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    masses = np.asarray(lambda_masses, dtype=float) * weights
     total = float(masses.sum())
     if total <= 0.0:
         return 0.0
     order = np.argsort(-masses, kind="stable")
-    cum_w = 0.0
-    carried = 0.0
-    for k in order:
-        if cum_w + weights[k] > q + 1e-15:
-            break
-        cum_w += weights[k]
-        carried += masses[k]
-    return carried / total
+    taken = int(np.searchsorted(np.cumsum(weights[order]), q + 1e-15, side="right"))
+    return float(np.cumsum(masses[order])[taken - 1]) / total if taken else 0.0
 
 
 def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     """Distance-to-limit diagnostics at finite penalty strength."""
     report = check_gamma_system(data, bundle)
-    scenarios = data.scenarios
-    report.primal_feasibility = max(0.0, float(np.max(bundle.constraint_values)))
-    report.dual_cone_violation = max(0.0, -float(np.min(bundle.lambda_i)))
+    w, cone = data.scenarios.weights, data.cone
+    lam_i = bundle.lambda_i
+    report.primal_feasibility = max(0.0, float(bundle.constraint_values.max()))
+    report.dual_cone_violation = max(0.0, -float(lam_i.min()))
     report.complementarity = abs(complementarity_value(data, bundle))
-    report.multiplier_l1 = empirical_expectation(
-        scenarios, data.cone.weight * np.sum(np.abs(bundle.lambda_i), axis=-1)
-    )
-    report.adjoint_l1 = empirical_expectation(
-        scenarios, data.grid.h * np.sum(np.abs(bundle.lambda_e), axis=-1)
-    )
-    report.concentration_index = concentration_index(
-        data.cone.norm(bundle.lambda_i), scenarios.weights, Q_CONCENTRATION
-    )
+    # the expectations below are empirical_expectation's np.dot
+    report.multiplier_l1 = float(np.dot(w, cone.weight * np.abs(lam_i).sum(axis=-1)))
+    report.adjoint_l1 = float(np.dot(w, data.grid.h * np.abs(bundle.lambda_e).sum(axis=-1)))
+    report.concentration_index = concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION)
     return report

@@ -15,6 +15,7 @@ stack at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import cone as cone_mod
 from . import risk as risk_mod
 from .cone import ConeSpec, ConstraintMap
-from .grid import EllipticOperator, Grid, assemble, inner_h, solve_state
+from .grid import EllipticOperator, Grid, assemble, dot_last, inner_h, solve_state
 from .risk import RiskMeasure
 from .scenario import ScenarioSet, empirical_expectation
 
@@ -70,28 +71,34 @@ class ProblemData:
         )
 
     def clamp(self, x1: np.ndarray) -> np.ndarray:
-        return np.clip(x1, self.lo, self.hi)
+        return np.minimum(np.maximum(x1, self.lo), self.hi)  # np.clip's bits, in less time
 
 
 @dataclass
-class EvalBundle:
-    """One full evaluation; per-scenario quantities are stacked along axis 0."""
+class ControlEval:
+    """The half of an evaluation that depends on the control alone, not on gamma."""
 
-    gamma: float
     x1: np.ndarray
     states: np.ndarray  # x2, (K, n)
     scenario_costs: np.ndarray  # J2, (K,)
     constraint_values: np.ndarray  # i, (K, m)
-    penalty_residuals: np.ndarray  # max(0, i), (K, m)
-    lambda_i: np.ndarray  # penalty multipliers, (K, m)
-    lambda_e: np.ndarray  # adjoint states, (K, n)
     zeta2: np.ndarray  # state part of the scenario-cost subgradient, mass-weighted, (K, n)
-    rho: np.ndarray  # per-scenario stationarity contribution, (K, n)
-    rho_mean: np.ndarray  # E[rho], (n,)
     theta: np.ndarray  # risk subgradient density, (K,)
     eta: np.ndarray  # Tikhonov gradient, mass-weighted
     j1: float
     risk_value: float
+
+
+@dataclass
+class EvalBundle(ControlEval):
+    """One full evaluation; per-scenario quantities are stacked along axis 0."""
+
+    gamma: float
+    penalty_residuals: np.ndarray  # max(0, i), (K, m)
+    lambda_i: np.ndarray  # penalty multipliers, (K, m)
+    lambda_e: np.ndarray  # adjoint states, (K, n)
+    rho: np.ndarray  # per-scenario stationarity contribution, (K, n)
+    rho_mean: np.ndarray  # E[rho], (n,)
     penalty_term: float
     j_gamma: float
     gradient: np.ndarray  # reduced gradient, dual of the control
@@ -101,31 +108,36 @@ def _states_and_costs(data: ProblemData, x1: np.ndarray):
     """States, their tracking residuals x2 - y_d and the scenario costs J2."""
     states = solve_state(data.operator, x1)
     diff = states - data.y_d
-    return states, diff, 0.5 * inner_h(data.grid, diff, diff)
+    return states, diff, 0.5 * (data.grid.h * dot_last(diff, diff))  # 0.5 inner_h(diff, diff)
 
 
-def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
-    """Full evaluation: states, penalty, multipliers, adjoints, reduced gradient."""
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError("gamma must be a finite positive real")
-    x1 = np.asarray(x1, dtype=float)
-    g = data.grid
-    h = g.h
-    weights = data.scenarios.weights
+def _control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
+    h = data.grid.h
     states, zeta2, costs = _states_and_costs(data, x1)
     zeta2 *= h  # the residual, mass-weighted
-
-    risk = risk_mod.subgradient(data.risk, costs, weights)
-    theta = risk.theta
-    j1 = 0.5 * data.mu_tik * inner_h(g, x1, x1)
-    eta = data.mu_tik * h * x1
-
+    risk = risk_mod.subgradient(data.risk, costs, data.scenarios.weights)
+    j1 = 0.5 * data.mu_tik * (h * np.dot(x1, x1))  # 0.5 mu inner_h(x1, x1)
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
-    pv = cone_mod.penalty(data.cone, gamma, i_vals)
+    return ControlEval(x1, states, costs, i_vals, zeta2, risk.theta, data.mu_tik * h * x1, j1,
+                       risk.value)
+
+
+def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
+    """Full evaluation: states, penalty, multipliers, adjoints, reduced gradient.
+
+    ``x1`` is a control, or a ControlEval of one (the EvalBundle of the same
+    control at another gamma, say), whose control half is taken as it is: only
+    the penalty, multipliers, adjoint solve and gradient depend on gamma.
+    """
+    if not math.isfinite(gamma) or gamma <= 0.0:
+        raise ValueError("gamma must be a finite positive real")
+    c = x1 if isinstance(x1, ControlEval) else _control_half(data, np.asarray(x1, dtype=float))
+    h, weights = data.grid.h, data.scenarios.weights
+    pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
     lam_i = gamma * pv.residual  # the penalty multiplier gamma * max(0, i)
-    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, lam_i)
+    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, c.x1, c.states, lam_i)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
-    lam_e = np.multiply(theta[:, None], zeta2)
+    lam_e = np.multiply(c.theta[:, None], c.zeta2)
     lam_e += adj_y
     lam_e /= -_ADJOINT_SIGN * h  # exact, as the sign is +-1
     lam_e = solve_state(data.operator, lam_e, out=lam_e)
@@ -133,26 +145,12 @@ def evaluate(data: ProblemData, gamma: float, x1: np.ndarray) -> EvalBundle:
     rho += adj_u
     # the axis-0 sum adds the scenarios in index order
     rho_mean = (weights[:, None] * rho).sum(axis=0)
-    penalty_term = empirical_expectation(data.scenarios, pv.value)
-    return EvalBundle(
-        gamma=gamma,
-        x1=x1,
-        states=states,
-        scenario_costs=costs,
-        constraint_values=i_vals,
-        penalty_residuals=pv.residual,
-        lambda_i=lam_i,
-        lambda_e=lam_e,
-        zeta2=zeta2,
-        rho=rho,
-        rho_mean=rho_mean,
-        theta=theta,
-        eta=eta,
-        j1=j1,
-        risk_value=risk.value,
-        penalty_term=penalty_term,
-        j_gamma=j1 + risk.value + penalty_term,
-        gradient=eta + rho_mean,
+    penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
+    return EvalBundle(  # the control half, in field order, then the gamma half
+        c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
+        c.risk_value, gamma=gamma, penalty_residuals=pv.residual, lambda_i=lam_i,
+        lambda_e=lam_e, rho=rho, rho_mean=rho_mean, penalty_term=penalty_term,
+        j_gamma=c.j1 + c.risk_value + penalty_term, gradient=c.eta + rho_mean,
     )
 
 
@@ -167,8 +165,14 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
     smoothed tail mean adds the derivative of theta: the sigmoid slope
     sigma'/(alpha tau) on grad J_k minus the rank-one threshold correction;
     the grad J_k of all scenarios take one more stacked solve, made here.
+
+    Only the adjoint solve of a product checks for a non-finite solution: its
+    right-hand side is the state solution times theta h (finite, >= 0) plus a
+    constraint adjoint, so each non-finite entry of the state solution stays
+    non-finite there (inf * 0 and inf - inf are NaN).
     """
     h, w = data.grid.h, data.scenarios.weights
+    mu_h = data.mu_tik * h
     x1, states, theta = bundle.x1, bundle.states, bundle.theta
     curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
     if data.risk.kind == "avar-smooth":
@@ -181,15 +185,17 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
     work = np.empty(data.operator.diag.shape)  # the states, then the adjoints, of a direction
 
     def product(v: np.ndarray) -> np.ndarray:
-        d_states = solve_state(data.operator, v, out=work)
-        d_lam = curvature * cone_mod.constraint_jvp(data.constraint, x1, states, v, d_states)
+        d_states = solve_state(data.operator, v, out=work, check=False)
+        d_lam = cone_mod.constraint_jvp(data.constraint, x1, states, v, d_states)
+        d_lam *= curvature
         adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, d_lam)
         d_states *= risk_weight
         d_states += adj_y
         rho = solve_state(data.operator, d_states, out=work)
         rho += adj_u
         rho *= scenario_weight
-        hv = data.mu_tik * h * v + rho.sum(axis=0)
+        hv = rho.sum(axis=0)
+        hv += mu_h * v
         if data.risk.kind == "avar-smooth" and total > 0.0:
             dj = grad_j @ v
             hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j

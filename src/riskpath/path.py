@@ -85,16 +85,16 @@ def run_path(
 ) -> list[PathStep]:
     """Solve the penalized problem along the schedule, warm-starting each point.
 
-    The first point, and every point of a cold path, starts from the zero control.
+    The first point, and every point of a cold path, starts from the zero control;
+    a warm start is the previous point's bundle, whose control half is reused.
     ``callback`` goes to every ``minimize`` call unchanged. A diverging solve
     raises PathAborted carrying the steps solved so far.
     """
     schedule = validate_schedule(schedule)
     opts = opts or SolveOptions()
     steps: list[PathStep] = []
-    x_prev = None
     for gamma in schedule:
-        start = x_prev if warm_start else None
+        start = steps[-1].result.bundle if warm_start and steps else None
         try:
             result = solver_mod.minimize(data, gamma, opts, warm_start=start, callback=callback)
         except solver_mod.DivergedError as exc:
@@ -105,9 +105,7 @@ def run_path(
         sq_violation = empirical_expectation(
             data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
         )
-        change = (
-            norm_h(data.grid, result.x1_opt - x_prev) if x_prev is not None else np.nan
-        )
+        change = norm_h(data.grid, result.x1_opt - steps[-1].result.x1_opt) if steps else np.nan
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(
             gamma=float(gamma),
@@ -126,7 +124,6 @@ def run_path(
             stationarity=float(result.stationarity_norm),
         )
         steps.append(PathStep(record=record, result=result, report=report))
-        x_prev = result.x1_opt
     return steps
 
 
@@ -186,17 +183,9 @@ def records_to_csv(records) -> str:
     """Fixed-order CSV with a schema-version tag; floats in round-trip precision."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    header = PathRecord.csv_header()
     writer.writerow([f"# schema={CSV_SCHEMA_VERSION}"])
-    writer.writerow(PathRecord.csv_header())
-    for r in records:
-        row = []
-        for name in PathRecord.csv_header():
-            v = getattr(r, name)
-            if isinstance(v, bool):
-                row.append(str(v).lower())
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(str(v))
-        writer.writerow(row)
+    writer.writerow(header)
+    for r in records:  # a record holds Python scalars; str of a float is its repr
+        writer.writerow([str(getattr(r, name)).lower() for name in header])  # true, false
     return buf.getvalue()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import objective as obj_mod
-from .grid import NumericalDegeneracyError, norm_h
+from .grid import NumericalDegeneracyError
 from .objective import EvalBundle, ProblemData
 
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -70,34 +70,39 @@ class SolveResult:
 
 
 def _stationarity(data: ProblemData, x1: np.ndarray, g: np.ndarray) -> float:
-    return norm_h(data.grid, x1 - data.clamp(x1 - g))
+    r = x1 - data.clamp(x1 - g)
+    return math.sqrt(data.grid.h * np.dot(r, r))  # norm_h(r): np.dot sums as dot_last does
 
 
 def minimize(
     data: ProblemData,
     gamma: float,
     opts: SolveOptions | None = None,
-    warm_start: np.ndarray | None = None,
+    warm_start: np.ndarray | EvalBundle | None = None,
     callback=None,
 ) -> SolveResult:
     """Minimize j^gamma over the box; deterministic given inputs.
 
+    ``warm_start`` is a control, clamped to the box, or the bundle of a solve of
+    ``data`` at another gamma, whose control half the start evaluation reuses.
     ``callback(it, j_gamma, stationarity, step, hessian_products)`` sees every
     iterate, with the products counted so far. Returns converged=False (not an
     error) when the iteration budget runs out or no step decreases j_gamma.
     """
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
-    x = data.clamp(np.asarray(start, dtype=float))
+    if not isinstance(start, EvalBundle):
+        start = data.clamp(np.asarray(start, dtype=float))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
-            return _newton(data, gamma, opts, x, callback)
+            return _newton(data, gamma, opts, start, callback)
     except NumericalDegeneracyError as exc:  # a state, adjoint or Hessian solve overflowed
         raise DivergedError(str(exc)) from exc
 
 
-def _newton(data, gamma, opts, x, callback) -> SolveResult:
-    bundle = obj_mod.evaluate(data, gamma, x)
+def _newton(data, gamma, opts, start, callback) -> SolveResult:
+    bundle = obj_mod.evaluate(data, gamma, start)
+    x = bundle.x1
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
     s, products, backtracks = 1.0, 0, 0  # s: the last accepted step
@@ -156,7 +161,7 @@ def _line_search(data, gamma, x, bundle, stat, direction):
 
 def _conjugate_gradients(product, b, tol, max_products):
     """Approximate solution of H d = b for symmetric positive definite H; (d, products)."""
-    d = np.zeros_like(b)
+    d = np.zeros(b.shape)
     r = b.copy()
     p = r.copy()
     rr = float(np.dot(r, r))
@@ -185,19 +190,19 @@ def _newton_direction(data, bundle, x, stat, tol_stationarity):
     g = bundle.gradient
     eps = min(BINDING_EPS, stat)
     binding = ((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0))
-    free = ~binding
     hessian = obj_mod.hessian_operator(data, bundle)
-    v = np.zeros_like(x)
+    if binding.any():
+        free, v = ~binding, np.zeros(x.shape)
 
-    def product(p):
-        v[free] = p
-        return hessian(v)[free]
-
-    if not binding.any():  # every variable is free: the same products, no scatter or gather
+        def product(p):
+            v[free] = p
+            return hessian(v)[free]
+    else:  # every variable is free: the same products, no scatter or gather
         free, product = slice(None), hessian
     direction = -g
-    norm = float(np.linalg.norm(g[free]))
+    g_free = g[free]
+    norm = math.sqrt(np.dot(g_free, g_free))  # np.linalg.norm's sum
     floor = CG_MARGIN * tol_stationarity / math.sqrt(data.grid.h)
     tol = max(min(ETA_MAX, math.sqrt(norm)) * norm, floor)
-    direction[free], products = _conjugate_gradients(product, -g[free], tol, x.size)
+    direction[free], products = _conjugate_gradients(product, -g_free, tol, x.size)
     return direction, products

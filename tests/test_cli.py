@@ -342,6 +342,10 @@ def test_malformed_config_names_field(tmp_path, capsys):
         # finite conductivities whose stencil overflows
         ({"scenarios": {"a0": 1e308, "sigma": [1e300]}}, "scenarios: stencil is not finite"),
         ({"risk": 5}, "error: risk must be an object"),
+        # sizes whose first array cannot be allocated (7.1 PiB, 14.2 PiB, 14.2 PiB)
+        ({"problem": {"n_interior": 10**15}}, "problem.n_interior"),
+        ({"scenarios": {"n_scenarios": 10**15}}, "scenarios.n_scenarios"),
+        ({"gamma_schedule": {"stop_exp": 2, "per_decade": 10**15}}, "gamma_schedule.per_decade"),
     ]
     for name, text, field in (
         ("bounds_nan.txt", ("0.1 " * 14 + "nan\n") * 4, "holds a non-finite entry"),

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import riskpath.objective as objective_mod
 from riskpath import cone, risk
 from riskpath.cone import ConstraintMap, bound_points
-from riskpath.grid import Grid, inner_h, solve_state
+from riskpath.grid import Grid, NumericalDegeneracyError, inner_h, solve_state
 from riskpath.objective import (
+    EvalBundle,
     ProblemData,
     evaluate,
     hessian_operator,
@@ -329,3 +332,93 @@ def test_adjoint_sign_hook_breaks_gradient():
     finally:
         objective_mod._ADJOINT_SIGN = 1.0
     assert abs(fd - bad) > 1e-3
+
+
+def test_clamp_is_np_clip_bit_for_bit():
+    # nodewise bounds with signed zeros, subnormals and infinities; NaN stays NaN
+    data = make_problem()
+    values = np.array([-np.inf, -50.0, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 50.0, np.inf])
+    points = np.append(values, np.nan)
+    rng = np.random.Generator(np.random.Philox(21))
+    for _ in range(300):
+        a, b = rng.choice(values, 15), rng.choice(values, 15)
+        d = dataclasses.replace(data, lo=np.minimum(a, b), hi=np.maximum(a, b))
+        x = rng.choice(points, 15)
+        assert d.clamp(x).tobytes() == np.clip(x, d.lo, d.hi).tobytes()
+
+
+def _product_with_two_checks(data, bundle):
+    # the Hessian product as written before its state solve went unchecked:
+    # both solves checked, the curvature and mu h v applied out of place
+    h, w = data.grid.h, data.scenarios.weights
+    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
+    if data.risk.kind == "avar-smooth":
+        grad_j = solve_state(data.operator, bundle.zeta2)
+        slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
+        total = float(slope.sum())
+
+    def product(v):
+        d_states = solve_state(data.operator, v)
+        d_lam = curvature * cone.constraint_jvp(data.constraint, x1, states, v, d_states)
+        adj_u, adj_y = cone.constraint_adjoints(data.constraint, x1, states, d_lam)
+        d_states *= theta[:, None] * h
+        d_states += adj_y
+        rho = solve_state(data.operator, d_states)
+        rho += adj_u
+        rho *= w[:, None]
+        hv = data.mu_tik * h * v + rho.sum(axis=0)
+        if data.risk.kind == "avar-smooth" and total > 0.0:
+            dj = grad_j @ v
+            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
+        return hv
+
+    return product
+
+
+PRODUCT_CASES = [("mixed", "expectation", 0.05), ("gradient", "avar-smooth", 0.05),
+                 ("volume", "avar", 0.01)]
+
+
+@pytest.mark.parametrize("kind,risk_kind,bound", PRODUCT_CASES)
+def test_hessian_product_is_bit_identical_to_two_checked_solves(kind, risk_kind, bound):
+    data = make_problem(bound=bound, kind=kind, risk_kind=risk_kind, alpha=0.25, mu_tik=0.01)
+    rng = np.random.Generator(np.random.Philox(5))
+    active = 0
+    for gamma in (1.0, 1e3, 1e6):
+        bundle = evaluate(data, gamma, rng.standard_normal(15))
+        active += np.count_nonzero(bundle.penalty_residuals)
+        product, expected = hessian_operator(data, bundle), _product_with_two_checks(data, bundle)
+        for _ in range(3):
+            v = rng.standard_normal(15)
+            assert product(v).tobytes() == expected(v).tobytes()
+    assert active > 0  # the penalty curvature took part
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatch):
+    # the state solve of a product is not checked; its inf reaches the adjoint solve
+    data = make_problem(bound=0.05, kind=kind, mu_tik=0.01)
+    product = hessian_operator(data, evaluate(data, 1e3, np.ones(15)))
+    checks = []
+    real_solve = objective_mod.solve_state
+    monkeypatch.setattr(objective_mod, "solve_state", lambda *a, check=True, **kw: (
+        checks.append(check) or real_solve(*a, check=check, **kw)))
+    v = np.zeros(15)
+    v[7] = np.inf
+    with pytest.raises(NumericalDegeneracyError):
+        product(v)
+    assert checks == [False, True]
+
+
+@pytest.mark.parametrize("kind,risk_kind,bound", PRODUCT_CASES)
+def test_evaluate_reusing_a_bundle_is_bit_identical(kind, risk_kind, bound):
+    # the control half of a bundle at one gamma serves the same control at another
+    data = make_problem(bound=bound, kind=kind, risk_kind=risk_kind, alpha=0.25, mu_tik=0.01)
+    x = 2.0 + np.random.Generator(np.random.Philox(8)).standard_normal(15)
+    before = evaluate(data, 10.0, x)
+    reused, fresh = evaluate(data, 1e3, before), evaluate(data, 1e3, x)
+    assert np.any(fresh.penalty_residuals > 0.0)
+    for f in dataclasses.fields(EvalBundle):
+        got, want = getattr(reused, f.name), getattr(fresh, f.name)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()

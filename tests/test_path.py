@@ -105,15 +105,22 @@ def test_path_converges_everywhere(active_path):
     assert all(r.stationarity <= OPTS.tol_stationarity for r in records)
 
 
-def test_full_small_path_steps_and_products():
+def test_full_small_path_steps_and_products(monkeypatch):
     # the forcing term capped at ETA_MAX: the first direction at gamma = 1e3 is
     # usable, so that point takes 4 steps (6 with the cap at 0.1) and the path
     # 89 products (105)
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    solves = []
+    real_solve = objective.solve_state
+    monkeypatch.setattr(objective, "solve_state",
+                        lambda *a, **kw: solves.append(1) or real_solve(*a, **kw))
     steps = run_path(data, decade_schedule(0, 6), OPTS)
     records = [step.record for step in steps]
     assert [r.iterations for r in records] == [3, 4, 4, 4, 3, 3, 3]
     assert sum(step.result.hessian_products for step in steps) == 89
+    # 240 stacked solves, less the state solve of each of the 6 warm starts,
+    # whose start evaluation reuses the previous point's states
+    assert len(solves) == 234
     assert all(r.converged and r.stationarity <= OPTS.tol_stationarity for r in records)
 
 

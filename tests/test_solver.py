@@ -279,3 +279,32 @@ def test_invalid_options_rejected():
         SolveOptions(tol_stationarity=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_non_finite_state_direction_in_a_product_is_divergence(kind, monkeypatch):
+    # a direction with an inf entry: only the product's adjoint solve checks, and
+    # minimize reports what it raises as a divergence
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind=kind)
+    real = obj_mod.hessian_operator
+
+    def poisoned(data, bundle):
+        product = real(data, bundle)
+        return lambda v: product(np.where(np.arange(v.size) == 7, np.inf, v))
+
+    monkeypatch.setattr(obj_mod, "hessian_operator", poisoned)
+    with pytest.raises(solver_mod.DivergedError):
+        minimize(data, 1e3, SolveOptions())
+
+
+def test_warm_start_from_a_bundle_equals_warm_start_from_its_control():
+    # the start evaluation reuses the bundle's control half: the same solve, bit for bit
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind="gradient", risk_kind="avar-smooth",
+                        alpha=0.25)
+    first = minimize(data, 10.0, SolveOptions())
+    from_bundle = minimize(data, 1e3, SolveOptions(), warm_start=first.bundle)
+    from_control = minimize(data, 1e3, SolveOptions(), warm_start=first.x1_opt)
+    assert from_bundle.iterations == from_control.iterations > 0
+    assert from_bundle.hessian_products == from_control.hessian_products
+    assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
+    assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
