@@ -85,7 +85,6 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     records = [step.record for step in steps]
 
     (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(records))
-    _write_json(out / f"path_{tag}.json", [r.__dict__ for r in records])
     _write_json(out / f"kkt_path_{tag}.json", [step.report.as_dict() for step in steps])
 
     assertions = {}
@@ -99,11 +98,10 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
         try:
-            ref = path_mod.shrink_to_feasible(data, steps[-1].result.x1_opt)
+            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.x1_opt)
         except ValueError as exc:
             print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
             return 1
-        j_ref, _, _ = obj_mod.unpenalized_objective(data, ref)
         assertions["sandwich_j_le_jgamma_le_jref"] = all(
             r.j <= r.j_gamma + 1e-10 and r.j_gamma <= j_ref + 1e-10 for r in records
         )

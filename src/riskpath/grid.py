@@ -126,15 +126,20 @@ def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = 
     ``rhs`` has the shape of ``op.diag`` or broadcasts to it (one (n,)
     right-hand side for every scenario). It is copied into ``out`` (a new array
     when None; else a C-contiguous float array of that shape, or ``rhs`` itself
-    to solve in place), and dpttrs overwrites ``out`` with the solution. A
-    non-finite solution raises, unless ``check`` is False: for a caller whose
-    next checked solve carries every non-finite entry of this one.
+    to solve in place), and dpttrs overwrites ``out`` with the solution. An
+    ``out`` with leading axes before the shape of ``op.diag`` holds a stack of
+    such systems, which dpttrs solves as that many right-hand sides, each one
+    bit for bit as alone. A non-finite solution raises, unless ``check`` is
+    False: for a caller whose next checked solve carries every non-finite entry
+    of this one.
     """
     if out is None:
         out = np.empty(op.diag.shape)
     if out is not rhs:
         out[...] = rhs
-    u, info = dpttrs(*op._ldl, out.ravel(), overwrite_b=1)  # a view: out is C-contiguous
+    # views, as out is C-contiguous: one column, or an F-contiguous (N, stack) array
+    b = out.ravel() if out.ndim == op.diag.ndim else out.reshape(-1, op.diag.size).T
+    u, info = dpttrs(*op._ldl, b, overwrite_b=1)
     if info != 0 or check and not np.isfinite(u).all():
         raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")
     return out

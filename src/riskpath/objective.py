@@ -158,9 +158,12 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
     """Generalised Hessian of j^gamma at the bundle's point, as a product v -> H v.
 
     Each product is one stacked state solve (the state directions) and one
-    stacked adjoint solve. The penalty contributes gamma times the active
-    indicator of max(0, i) on the constraint linearisation (Gauss-Newton for
-    the gradient constraint). The risk weights each scenario by its density
+    stacked adjoint solve. A stack of directions (m, n) gives the stack of
+    their products from one state and one adjoint solve of m K right-hand
+    sides, each row bit for bit its own product but for the smoothed tail
+    mean's rank-one term, whose matrix products round differently for a stack.
+    The penalty contributes gamma times the active indicator of max(0, i) on
+    the constraint linearisation (Gauss-Newton for the gradient constraint). The risk weights each scenario by its density
     theta, frozen for the exact tail mean, which is piecewise linear. The
     smoothed tail mean adds the derivative of theta: the sigmoid slope
     sigma'/(alpha tau) on grad J_k minus the rank-one threshold correction;
@@ -182,23 +185,26 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
         total = float(slope.sum())
 
     risk_weight, scenario_weight = theta[:, None] * h, w[:, None]
-    work = np.empty(data.operator.diag.shape)  # the states, then the adjoints, of a direction
+    shape = data.operator.diag.shape
+    work = np.empty(shape)  # the states, then the adjoints, of one direction
 
     def product(v: np.ndarray) -> np.ndarray:
-        d_states = solve_state(data.operator, v, out=work, check=False)
-        d_lam = cone_mod.constraint_jvp(data.constraint, x1, states, v, d_states)
+        dv = v[..., None, :]  # a stack (m, n) meets the scenarios as (m, 1, n)
+        out = work if v.ndim == 1 else np.empty(v.shape[:-1] + shape)
+        d_states = solve_state(data.operator, dv, out=out, check=False)
+        d_lam = cone_mod.constraint_jvp(data.constraint, x1, states, dv, d_states)
         d_lam *= curvature
         adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, d_lam)
         d_states *= risk_weight
         d_states += adj_y
-        rho = solve_state(data.operator, d_states, out=work)
+        rho = solve_state(data.operator, d_states, out=out)
         rho += adj_u
         rho *= scenario_weight
-        hv = rho.sum(axis=0)
+        hv = rho.sum(axis=-2)
         hv += mu_h * v
         if data.risk.kind == "avar-smooth" and total > 0.0:
-            dj = grad_j @ v
-            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
+            dj = grad_j @ v.T  # (K,), or (K, m) for a stack
+            hv += ((dj - np.dot(slope, dj) / total).T * slope) @ grad_j
         return hv
 
     return product

@@ -134,23 +134,27 @@ def shrink_to_feasible(data: ProblemData, base_control: np.ndarray):
     largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
     Fresh solves differ by round-off: unpenalized_objective certifies t* base,
     each rejection backs t off by a relative 2**-44, 2**-40, ..., and the zero
-    control is the last resort. Fixture for the reference-control comparisons.
+    control is the last resort. Returns (control, j) with j its unpenalized
+    objective, from the certifying call where there is one. Fixture for the
+    reference-control comparisons.
     """
     base = data.clamp(np.asarray(base_control, dtype=float))
     states = obj_mod.solve_state(data.operator, base)
     cmap, tol = data.constraint, data.tol_feas
     if np.max(cone_mod.constraint_eval(cmap, base, states)) <= tol:
-        return base
+        return base, obj_mod.unpenalized_objective(data, base)[0]
     if np.max(cone_mod.constraint_eval(cmap, 0.0 * base, 0.0 * states)) > tol:
         raise ValueError("zero control is infeasible; no scaled reference exists")
     slope, bound = cone_mod.ray_bounds(cmap, base, states, tol)
     over = slope > bound  # the entries infeasible at full scale; b >= 0 here
     t = float(np.min(bound[over] / slope[over], initial=1.0))
     for k in range(5):  # certifying solves before the zero control
-        if obj_mod.unpenalized_objective(data, t * base)[1]:
-            return t * base
+        j, feasible, _ = obj_mod.unpenalized_objective(data, t * base)
+        if feasible:
+            return t * base, j
         t *= 1.0 - 2.0 ** (4 * k - 44)
-    return 0.0 * base  # its states are exactly zero: feasible, as tested above
+    zero = 0.0 * base  # its states are exactly zero: feasible, as tested above
+    return zero, obj_mod.unpenalized_objective(data, zero)[0]
 
 
 def fit_decay_slope(records, field_name: str):

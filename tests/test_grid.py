@@ -278,3 +278,19 @@ def test_convergence_order_h2():
         hs.append(g.h)
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     assert abs(slope - 2.0) <= 0.1
+
+
+def test_stacked_right_hand_sides_solve_as_one_each():
+    # leading axes before the operator's shape are dpttrs right-hand sides,
+    # solved in place, each bit for bit as a solve of its own
+    grid = Grid(15)
+    op = assemble(grid, sample(ScenarioConfig(n_scenarios=4, seed=3), grid.n_cells).conductivities)
+    rng = np.random.Generator(np.random.Philox(4))
+    rhs = rng.standard_normal((6, 4, 15))
+    out = np.empty(rhs.shape)
+    assert solve_state(op, rhs, out=out) is out
+    assert out.tobytes() == np.array([solve_state(op, r) for r in rhs]).tobytes()
+    one = rng.standard_normal(15)  # one direction for every scenario, stacked as (m, 1, n)
+    out = np.empty((3, 4, 15))
+    solve_state(op, np.stack([one, 2.0 * one, -one])[:, None, :], out=out)
+    assert out[0].tobytes() == solve_state(op, one).tobytes()

@@ -408,7 +408,11 @@ def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatc
     v[7] = np.inf
     with pytest.raises(NumericalDegeneracyError):
         product(v)
-    assert checks == [False, True]
+    stack = np.eye(15)  # and in one column of a stack of directions
+    stack[4, 7] = np.inf
+    with pytest.raises(NumericalDegeneracyError):
+        product(stack)
+    assert checks == [False, True] * 2
 
 
 @pytest.mark.parametrize("kind,risk_kind,bound", PRODUCT_CASES)
@@ -422,3 +426,29 @@ def test_evaluate_reusing_a_bundle_is_bit_identical(kind, risk_kind, bound):
     for f in dataclasses.fields(EvalBundle):
         got, want = getattr(reused, f.name), getattr(fresh, f.name)
         assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+@pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
+def test_batched_product_equals_single_products(kind, risk_kind):
+    # a stack of directions (m, n) gives each row's product: bit for bit where
+    # the risk weights are frozen, to round-off through the smoothed tail
+    # mean's rank-one term, whose stacked matrix products round differently
+    bound = 0.01 if kind == "volume" else 0.05
+    data = make_problem(bound=bound, kind=kind, risk_kind=risk_kind, alpha=0.25, mu_tik=0.01)
+    rng = np.random.Generator(np.random.Philox(17))
+    active = 0
+    for gamma in (1.0, 1e3, 1e6):
+        bundle = evaluate(data, gamma, rng.standard_normal(15))
+        active += np.count_nonzero(bundle.penalty_residuals)
+        product = hessian_operator(data, bundle)
+        for stack in (rng.standard_normal((7, 15)), np.eye(15)):
+            batched = product(stack)
+            single = np.array([product(v) for v in stack])
+            assert batched.shape == stack.shape
+            if risk_kind == "avar-smooth":
+                assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
+            else:
+                assert batched.tobytes() == single.tobytes()
+    assert active > 0
+

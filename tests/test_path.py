@@ -106,9 +106,9 @@ def test_path_converges_everywhere(active_path):
 
 
 def test_full_small_path_steps_and_products(monkeypatch):
-    # the forcing term capped at ETA_MAX: the first direction at gamma = 1e3 is
-    # usable, so that point takes 4 steps (6 with the cap at 0.1) and the path
-    # 89 products (105)
+    # 4 n n = 900 is at most DENSE_WORK and no bound binds: every step is an
+    # exact Newton step of 15 products, one stacked product of the identity.
+    # CG took [3, 4, 4, 4, 3, 3, 3] steps and 89 products.
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     solves = []
     real_solve = objective.solve_state
@@ -116,11 +116,12 @@ def test_full_small_path_steps_and_products(monkeypatch):
                         lambda *a, **kw: solves.append(1) or real_solve(*a, **kw))
     steps = run_path(data, decade_schedule(0, 6), OPTS)
     records = [step.record for step in steps]
-    assert [r.iterations for r in records] == [3, 4, 4, 4, 3, 3, 3]
-    assert sum(step.result.hessian_products for step in steps) == 89
-    # 240 stacked solves, less the state solve of each of the 6 warm starts,
-    # whose start evaluation reuses the previous point's states
-    assert len(solves) == 234
+    assert [r.iterations for r in records] == [2, 1, 2, 2, 1, 1, 1]
+    assert sum(step.result.hessian_products for step in steps) == 150
+    # 2 per evaluation and 2 per step (17 evaluations, 10 steps), less the
+    # state solve of each of the 6 warm starts, whose start evaluation reuses
+    # the previous point's states (234 with CG)
+    assert len(solves) == 48
     assert all(r.converged and r.stationarity <= OPTS.tol_stationarity for r in records)
 
 
@@ -166,9 +167,8 @@ def test_sandwich_against_feasible_reference(active_path):
     # rebuild the final control by re-running the last solve
     (step,) = run_path(data, [records[-1].gamma], OPTS)
     final = step.result.x1_opt
-    ref = shrink_to_feasible(data, final)
-    j_ref, feasible, _ = unpenalized_objective(data, ref)
-    assert feasible
+    ref, j_ref = shrink_to_feasible(data, final)
+    assert unpenalized_objective(data, ref)[:2] == (j_ref, True)
     for r in records:
         assert r.j_gamma <= j_ref + 1e-10 * max(1.0, abs(j_ref))
         assert r.j <= r.j_gamma + 1e-12
@@ -187,12 +187,13 @@ def test_shrink_to_feasible_basics():
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
     rng = np.random.Generator(np.random.Philox(2))
     base = 5.0 * rng.standard_normal(11)
-    ref = shrink_to_feasible(data, base)
-    _, feasible, viol = unpenalized_objective(data, ref)
-    assert feasible and viol <= data.tol_feas
-    # already-feasible controls come back unchanged
+    ref, j_ref = shrink_to_feasible(data, base)
+    j, feasible, viol = unpenalized_objective(data, ref)
+    assert feasible and viol <= data.tol_feas and j == j_ref
+    # already-feasible controls come back unchanged, with their j
     z = np.zeros(11)
-    assert np.array_equal(shrink_to_feasible(data, z), z)
+    ref, j_ref = shrink_to_feasible(data, z)
+    assert np.array_equal(ref, z) and j_ref == unpenalized_objective(data, z)[0]
 
 
 def _resolving_bisection(data, base_control, iters=60):
@@ -227,11 +228,11 @@ def test_shrink_to_feasible_solves_once_and_certifies(kind, monkeypatch):
         assert not unpenalized_objective(data, base)[1]
         solves.clear()
         monkeypatch.setattr(objective, "solve_state", counted)
-        ref = shrink_to_feasible(data, base)
+        ref, j_ref = shrink_to_feasible(data, base)
         monkeypatch.undo()
         assert len(solves) <= 3
         j, feasible, _ = unpenalized_objective(data, ref)
-        assert feasible
+        assert feasible and j == j_ref
         j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))
         assert feasible_oracle
         assert abs(j - j_oracle) <= 1e-12 * abs(j_oracle)
@@ -254,9 +255,9 @@ def test_shrink_to_feasible_with_some_scenarios_feasible(kind):
     assert len(scales) >= 3
     for c in (scales[0], scales[len(scales) // 2], scales[-1]):
         base = c * direction
-        ref = shrink_to_feasible(data, base)
+        ref, j_ref = shrink_to_feasible(data, base)
         j, feasible, _ = unpenalized_objective(data, ref)
-        assert feasible
+        assert feasible and j == j_ref
         j_oracle, feasible_oracle, _ = unpenalized_objective(data, _resolving_bisection(data, base))
         assert feasible_oracle
         assert abs(j - j_oracle) <= 1e-12 * abs(j_oracle)
@@ -265,10 +266,10 @@ def test_shrink_to_feasible_with_some_scenarios_feasible(kind):
 def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
     # each scale the real test rejects is followed by a strictly smaller one, a
     # round-off-sized step below; the result is the last scale checked, and the
-    # zero control once every certifying solve is rejected
+    # zero control once every certifying solve is rejected, priced by one more call
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
     base = 5.0 * np.ones(11)
-    for rejections, checks in ((3, 4), (100, 5)):
+    for rejections, checks in ((3, 4), (100, 6)):
         checked = []
 
         def rejecting(d, x1):
@@ -277,13 +278,13 @@ def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
             return j, feasible and len(checked) > rejections, viol
 
         monkeypatch.setattr(objective, "unpenalized_objective", rejecting)
-        ref = shrink_to_feasible(data, base)
+        ref, j_ref = shrink_to_feasible(data, base)
         monkeypatch.undo()
         scales = np.array([x[0] / base[0] for x in checked])
         assert len(checked) == checks and np.all(np.diff(scales) < 0.0)
         assert 0.0 < 1.0 - scales[1] / scales[0] <= 2.0**-43
         assert np.array_equal(ref, checked[-1] if checks == 4 else np.zeros(11))
-        assert unpenalized_objective(data, ref)[1]
+        assert unpenalized_objective(data, ref)[:2] == (j_ref, True)
 
 
 @pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])

@@ -164,9 +164,10 @@ def test_stationarity_residual_examples():
 
 
 def test_unconverged_run_is_flagged_not_raised():
-    # Newton needs three steps here, so a budget of one runs out
-    data = make_problem(n=15, bound=0.05)
-    res = minimize(data, 1e6, SolveOptions(max_iters=1, tol_stationarity=1e-14))
+    # Newton needs several steps here (the gradient bound is nonlinear), so a
+    # budget of one runs out
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind="gradient")
+    res = minimize(data, 1.0, SolveOptions(max_iters=1, tol_stationarity=1e-14))
     assert isinstance(res, SolveResult)
     assert not res.converged
     assert res.iterations == 1
@@ -186,9 +187,10 @@ def test_solve_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(obj_mod, "evaluate", recording("evaluate", obj_mod.evaluate))
     monkeypatch.setattr(obj_mod, "objective_only", recording("objective_only", obj_mod.objective_only))
-    data = make_problem(n=15, seed=1, bound=0.1, mu_tik=1.0)
-    res = minimize(data, 100.0, SolveOptions(tol_stationarity=1e-9))
-    assert res.converged and res.iterations > 1
+    # three steps and two rejected trial points (see the backtracks test)
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind="gradient")
+    res = minimize(data, 1.0, SolveOptions(tol_stationarity=1e-9))
+    assert res.converged and res.iterations > 1 and res.backtracks > 0
     assert [name for name, _, _ in calls] == ["evaluate"] * len(calls)
     evaluated = [x.tobytes() for _, x, _ in calls]
     assert len(set(evaluated)) == len(evaluated), "evaluate called twice on one point"
@@ -230,13 +232,20 @@ def _masked_direction(data, bundle, x, stat, tol_stationarity):
     return direction, products
 
 
+def make_cg_problem(**kwargs):
+    # 16 K n n above DENSE_WORK: every step takes CG
+    data = make_problem(n=31, n_scen=16, **kwargs)
+    assert data.operator.diag.size * 31 > solver_mod.DENSE_WORK
+    return data
+
+
 @pytest.mark.parametrize("kind,risk_kind", [("mixed", "expectation"), ("gradient", "avar-smooth")])
 def test_unmasked_newton_direction_is_bit_identical(kind, risk_kind):
     # with no bound binding, CG takes the Hessian product without the mask
-    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind=kind, risk_kind=risk_kind, alpha=0.25)
+    data = make_cg_problem(bound=0.05, mu_tik=0.01, kind=kind, risk_kind=risk_kind, alpha=0.25)
     rng = np.random.Generator(np.random.Philox(9))
     for gamma in (1.0, 1e3, 1e6):
-        x = rng.standard_normal(15)  # far inside the box [-50, 50]: no bound binds
+        x = rng.standard_normal(31)  # far inside the box [-50, 50]: no bound binds
         bundle = evaluate(data, gamma, x)
         stat = solver_mod._stationarity(data, x, bundle.gradient)
         direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
@@ -285,7 +294,7 @@ def test_invalid_options_rejected():
 def test_non_finite_state_direction_in_a_product_is_divergence(kind, monkeypatch):
     # a direction with an inf entry: only the product's adjoint solve checks, and
     # minimize reports what it raises as a divergence
-    data = make_problem(n=15, bound=0.05, mu_tik=0.01, kind=kind)
+    data = make_cg_problem(bound=0.05, mu_tik=0.01, kind=kind)
     real = obj_mod.hessian_operator
 
     def poisoned(data, bundle):
@@ -308,3 +317,68 @@ def test_warm_start_from_a_bundle_equals_warm_start_from_its_control():
     assert from_bundle.hessian_products == from_control.hessian_products
     assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
     assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
+
+
+@pytest.mark.parametrize("kind,risk_kind", [("mixed", "expectation"), ("gradient", "avar-smooth"),
+                                            ("volume", "avar")])
+def test_dense_direction_solves_the_newton_system(kind, risk_kind):
+    # 4 n n = 900 <= DENSE_WORK and no bound binds: the exact Newton direction,
+    # counted as its n products, which CG run to its round-off floor approaches
+    bound = 0.01 if kind == "volume" else 0.05
+    data = make_problem(n=15, bound=bound, mu_tik=0.01, kind=kind, risk_kind=risk_kind, alpha=0.25)
+    rng = np.random.Generator(np.random.Philox(19))
+    for gamma in (1.0, 1e3, 1e6):
+        x = rng.standard_normal(15)
+        bundle = evaluate(data, gamma, x)
+        stat = solver_mod._stationarity(data, x, bundle.gradient)
+        direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
+        assert products == 15
+        product, g = obj_mod.hessian_operator(data, bundle), bundle.gradient
+        hessian = np.array([product(e) for e in np.eye(15)])
+        assert np.linalg.norm(hessian @ direction + g) <= 1e-12 * np.linalg.norm(hessian) * (
+            np.linalg.norm(direction))
+        cg, _ = solver_mod._conjugate_gradients(product, -g, 1e-14 * np.linalg.norm(g), 1000)
+        assert np.linalg.norm(cg - direction) <= 1e-8 * np.linalg.norm(direction)
+
+
+def test_non_finite_batched_column_is_divergence(monkeypatch):
+    # an inf in a column of the stacked product reaches its checked adjoint solve
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    real = obj_mod.hessian_operator
+
+    def poisoned(data, bundle):
+        product = real(data, bundle)
+        return lambda v: product(np.where(np.arange(v.shape[-1]) == 7, np.inf, v))
+
+    monkeypatch.setattr(obj_mod, "hessian_operator", poisoned)
+    with pytest.raises(solver_mod.DivergedError):
+        minimize(data, 1e3, SolveOptions())
+
+
+def test_step_with_a_binding_bound_takes_cg(monkeypatch):
+    # exact directions on binding steps were measured to cost more steps: at
+    # the solution on a tight box, where bounds bind, the masked CG direction
+    data = make_problem(n=15, bound=10.0, mu_tik=1e-4)
+    tight = ProblemData.build(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
+                              risk=data.risk, y_d=5.0 * data.y_d, mu_tik=1e-4, lo=-0.5, hi=0.5)
+    x = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10)).x1_opt
+    bundle = evaluate(tight, 1.0, x)
+    g = bundle.gradient
+    assert np.any((x <= tight.lo) & (g > 0.0)) or np.any((x >= tight.hi) & (g < 0.0))
+    monkeypatch.setattr(solver_mod, "dposv", None)  # a call would raise
+    stat = solver_mod._stationarity(tight, x, g)
+    direction, products = solver_mod._newton_direction(tight, bundle, x, stat, 1e-8)
+    expected, expected_products = _masked_direction(tight, bundle, x, stat, 1e-8)
+    assert np.array_equal(direction, expected) and products == expected_products
+
+
+def test_hessian_not_positive_definite_falls_back_to_cg(monkeypatch):
+    # dposv's info > 0: CG takes the step, and the n formed columns still count
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    x = np.random.Generator(np.random.Philox(23)).standard_normal(15)
+    bundle = evaluate(data, 1e3, x)
+    stat = solver_mod._stationarity(data, x, bundle.gradient)
+    monkeypatch.setattr(solver_mod, "dposv", lambda a, b: (a, b, 3))
+    direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
+    expected, expected_products = _masked_direction(data, bundle, x, stat, 1e-8)
+    assert np.array_equal(direction, expected) and products == 15 + expected_products
