@@ -93,6 +93,8 @@ class ConstraintMap:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.epsilon < 0.0 or self.delta < 0.0:
             raise ValueError("epsilon and delta must be nonnegative")
+        if self.kind == "gradient" and np.any(self.bounds < 0.0):  # i >= -psi: none feasible
+            raise ValueError("a gradient bound must be >= 0: no smoothed gradient norm is below 0")
 
     def cone_spec(self) -> ConeSpec:
         return ConeSpec(weight=1.0 if self.kind == "volume" else self.grid.h)

@@ -252,14 +252,18 @@ def build_problem(cfg: dict) -> ProblemData:
         scenarios = sample(scen_cfg, grid.n_cells)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"scenarios.n_scenarios: {exc}") from exc
-    constraint = ConstraintMap(
-        kind=ckind,
-        grid=grid,
-        bounds=_bound_table(cfg["scenarios"]["bound_spec"], bound_points(ckind, grid),
-                            scenarios.count),
-        epsilon=float(cfg["problem"]["constraint"]["epsilon"]),
-        delta=float(cfg["problem"]["constraint"]["delta"]),
-    )
+    bounds = _bound_table(cfg["scenarios"]["bound_spec"], bound_points(ckind, grid),
+                          scenarios.count)
+    try:
+        constraint = ConstraintMap(
+            kind=ckind,
+            grid=grid,
+            bounds=bounds,
+            epsilon=float(cfg["problem"]["constraint"]["epsilon"]),
+            delta=float(cfg["problem"]["constraint"]["delta"]),
+        )
+    except ValueError as exc:  # the schema checked the rest: a gradient bound below 0
+        raise ConfigError(f"scenarios.bound_spec: {exc}") from exc
     try:
         risk = RiskMeasure(
             kind=cfg["risk"]["kind"],

@@ -23,9 +23,9 @@ import numpy as np
 from . import cone as cone_mod
 from . import risk as risk_mod
 from .cone import ConeSpec, ConstraintMap
-from .grid import EllipticOperator, Grid, assemble, dot_last, inner_h, solve_state
+from .grid import EllipticOperator, Grid, assemble, dot_last, solve_state
 from .risk import RiskMeasure
-from .scenario import ScenarioSet, empirical_expectation
+from .scenario import ScenarioSet
 
 # test hook: flipped by the mutation harness to validate that the verification
 # battery catches a wrong adjoint sign; always 1.0 in production
@@ -104,16 +104,12 @@ class EvalBundle(ControlEval):
     gradient: np.ndarray  # reduced gradient, dual of the control
 
 
-def _states_and_costs(data: ProblemData, x1: np.ndarray):
-    """States, their tracking residuals x2 - y_d and the scenario costs J2."""
-    states = solve_state(data.operator, x1)
-    diff = states - data.y_d
-    return states, diff, 0.5 * (data.grid.h * dot_last(diff, diff))  # 0.5 inner_h(diff, diff)
-
-
 def _control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
+    """The one forward map of a control: states, scenario costs, risk, constraint values."""
     h = data.grid.h
-    states, zeta2, costs = _states_and_costs(data, x1)
+    states = solve_state(data.operator, x1)
+    zeta2 = states - data.y_d  # the tracking residual
+    costs = 0.5 * (h * dot_last(zeta2, zeta2))  # J2 = 0.5 inner_h(zeta2, zeta2)
     zeta2 *= h  # the residual, mass-weighted
     risk = risk_mod.subgradient(data.risk, costs, data.scenarios.weights)
     j1 = 0.5 * data.mu_tik * (h * np.dot(x1, x1))  # 0.5 mu inner_h(x1, x1)
@@ -211,22 +207,12 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
 
 
 def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
-    """j^gamma without adjoints (for difference quotients)."""
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError("gamma must be a finite positive real")
-    x1 = np.asarray(x1, dtype=float)
-    states, _, costs = _states_and_costs(data, x1)
-    i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
-    pen = empirical_expectation(data.scenarios, cone_mod.penalty(data.cone, gamma, i_vals).value)
-    j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
-    return j1 + risk_mod.evaluate(data.risk, costs, data.scenarios.weights) + pen
+    """j^gamma, summed before the adjoint solve (for difference quotients)."""
+    return evaluate(data, gamma, x1).j_gamma
 
 
 def unpenalized_objective(data: ProblemData, x1: np.ndarray):
     """(j, feasible, max_violation) without the penalty term."""
-    x1 = np.asarray(x1, dtype=float)
-    states, _, costs = _states_and_costs(data, x1)
-    max_i = float(np.max(cone_mod.constraint_eval(data.constraint, x1, states)))
-    j1 = 0.5 * data.mu_tik * inner_h(data.grid, x1, x1)
-    j = j1 + risk_mod.evaluate(data.risk, costs, data.scenarios.weights)
-    return j, max_i <= data.tol_feas, max(0.0, max_i)
+    c = _control_half(data, np.asarray(x1, dtype=float))
+    max_i = float(np.max(c.constraint_values))
+    return c.j1 + c.risk_value, max_i <= data.tol_feas, max(0.0, max_i)

@@ -49,8 +49,10 @@ def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
     """Draw a scenario set: truncated sine expansions for the conductivity.
 
     a_k(s) = a0 + sum_m xi_{k,m} sigma_m sin(m pi s) with xi uniform on [-1,1],
-    clipped from below at a_min (never active for valid configs). The xi are
-    drawn scenario by scenario, mode by mode. Weights are uniform.
+    clipped from below at a_min. The clip is inactive while a_min <= a0 - sum
+    |sigma_m| (0.55 > 0.3 on the defaults); a larger a_min floors the field
+    wherever it dips below. The xi are drawn scenario by scenario, mode by
+    mode. Weights are uniform.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_scenarios

@@ -389,6 +389,14 @@ def test_malformed_config_names_field(tmp_path, capsys):
         spec = {"kind": "per-scenario-file", "path": str(table)}
         cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
                       f"scenarios: per-scenario bound file {field}"))
+    # a gradient bound below 0 leaves no feasible state: rejected before any solve
+    negative = tmp_path / "bounds_negative.txt"
+    negative.write_text(("0.1 " * 16 + "\n") * 3 + "0.1 " * 15 + "-0.01\n")  # 4 x 16 cells
+    gradient = dict(SMALL["problem"], constraint={"kind": "gradient"})
+    for spec in ({"kind": "constant", "value": -0.01}, {"kind": "affine-in-s", "c0": 0.5, "c1": -1},
+                 {"kind": "per-scenario-file", "path": str(negative)}):
+        cases.append(({"problem": gradient, "scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
+                      "error: scenarios.bound_spec: a gradient bound must be >= 0"))
     for overrides, field in cases:
         cfg_path = write_config(tmp_path, overrides)
         with warnings.catch_warnings():

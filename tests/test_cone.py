@@ -248,6 +248,21 @@ def test_gradient_flat_state_tie_break():
     assert np.allclose(adj_y, 0.0)
 
 
+def test_negative_gradient_bound_rejected():
+    # sqrt(du^2 + delta^2) - delta >= 0, so a bound psi < 0 anywhere leaves no feasible state
+    g = Grid(3)
+    bounds = np.full((2, g.n_cells), 0.1)
+    bounds[1, 2] = -1e-3
+    with pytest.raises(ValueError, match="gradient bound must be >= 0"):
+        ConstraintMap(kind="gradient", grid=g, bounds=bounds)
+    ConstraintMap(kind="gradient", grid=g, bounds=np.zeros((1, g.n_cells)))  # psi = 0 builds
+    # negative mixed and volume bounds still leave states below them: the sets are not empty
+    cmap = ConstraintMap(kind="mixed", grid=g, bounds=np.full((1, 3), -0.5), epsilon=0.05)
+    assert np.all(constraint_eval(cmap, np.zeros(3), np.full((1, 3), -1.0)) < 0.0)
+    cmap = ConstraintMap(kind="volume", grid=g, bounds=np.array([[-0.5]]))
+    assert np.all(constraint_eval(cmap, np.zeros(3), np.full((1, 3), -1.0)) < 0.0)
+
+
 def test_unknown_kind_rejected():
     g = Grid(3)
     with pytest.raises(ValueError):

@@ -176,6 +176,11 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     assert np.array_equal(b.rho, rho)
     assert np.array_equal(b.gradient, b.eta + (w[:, None] * rho).sum(axis=0))
     assert b.risk_value == risk.evaluate(data.risk, costs, w)
+    # objective_only and unpenalized_objective read this one evaluation
+    assert objective_only(data, 100.0, x) == b.j_gamma
+    max_i = float(np.max(i_vals))
+    assert unpenalized_objective(data, x) == (b.j1 + b.risk_value, max_i <= data.tol_feas,
+                                             max(0.0, max_i))
 
 
 def _previous_product(data, bundle, v):
@@ -223,7 +228,7 @@ def test_objective_only_consistent_with_full_evaluation():
     for gamma in (1.0, 1e3):
         x = rng.standard_normal(15)
         b = evaluate(data, gamma, x)
-        assert abs(objective_only(data, gamma, x) - b.j_gamma) <= 1e-14 * max(1.0, abs(b.j_gamma))
+        assert objective_only(data, gamma, x) == b.j_gamma
 
 
 def test_penalized_objective_monotone_in_gamma():

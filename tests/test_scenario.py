@@ -33,17 +33,20 @@ def test_sampling_is_bitwise_deterministic():
 def test_sampling_matches_scalar_draw_loop():
     # the stacked draw consumes the generator scenario by scenario, mode by
     # mode, exactly as one scalar draw per coefficient does
-    cfg = ScenarioConfig(n_scenarios=6, seed=7, sigma=(0.3, 0.15, 0.05))
     n_cells = 16
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     s = (np.arange(n_cells) + 0.5) / n_cells
-    expected = []
-    for _ in range(cfg.n_scenarios):
-        a = np.full(n_cells, cfg.a0)
-        for m, sig in enumerate(cfg.sigma, start=1):
-            a = a + rng.uniform(-1.0, 1.0) * sig * np.sin(m * np.pi * s)
-        expected.append(np.maximum(a, cfg.a_min))
-    assert np.array_equal(sample(cfg, n_cells).conductivities, expected)
+    for cfg, clips in ((ScenarioConfig(n_scenarios=6, seed=7, sigma=(0.3, 0.15, 0.05)), False),
+                       (ScenarioConfig(n_scenarios=16, seed=7, a_min=0.9), True)):  # 0.9 > 0.55
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        expected = []
+        for _ in range(cfg.n_scenarios):
+            a = np.full(n_cells, cfg.a0)
+            for m, sig in enumerate(cfg.sigma, start=1):
+                a = a + rng.uniform(-1.0, 1.0) * sig * np.sin(m * np.pi * s)
+            expected.append(np.maximum(a, cfg.a_min))
+        conductivities = sample(cfg, n_cells).conductivities
+        assert np.array_equal(conductivities, expected)
+        assert np.any(conductivities == cfg.a_min) == clips  # the clip acts only above a0 - sum sigma
 
 
 def test_different_seed_differs():
