@@ -15,7 +15,7 @@ from . import config as config_mod
 from . import objective as obj_mod
 from . import path as path_mod
 from . import risk as risk_mod
-from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, penalty_multiplier, project
+from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, project
 from .config import ConfigError
 from .grid import NumericalDegeneracyError, inner_h, solve_state
 
@@ -171,7 +171,7 @@ def _verify_checks(cfg: dict):
     gamma = 37.0
     for _ in range(50):
         i_val = rng.standard_normal(g.n_interior)
-        lam = penalty_multiplier(cone, gamma, i_val)
+        lam = gamma * penalty(cone, gamma, i_val).residual  # the solver's multiplier
         eps = 1e-6
         for _ in range(3):
             d = rng.standard_normal(g.n_interior)

@@ -211,7 +211,10 @@ def _target_field(spec, nodes: np.ndarray) -> np.ndarray:
 
 
 def _bound_table(spec, points: np.ndarray, n_scenarios: int) -> np.ndarray:
-    """Constraint bounds (K, m) at the m ``points``, one row per scenario."""
+    """Constraint bounds (K, m) at the m ``points``, one row per scenario.
+
+    A one-column file gives each scenario one bound, broadcast over the points.
+    """
     kind = spec["kind"]
     if kind == "constant":
         return np.full((n_scenarios, points.size), float(spec["value"]))
@@ -228,7 +231,7 @@ def _bound_table(spec, points: np.ndarray, n_scenarios: int) -> np.ndarray:
                           f"(scenarios) by 1 or {points.size} columns (bound points)")
     if not np.all(np.isfinite(table)):
         raise ConfigError("scenarios: per-scenario bound file holds a non-finite entry")
-    return table
+    return np.broadcast_to(table, (n_scenarios, points.size)).copy()
 
 
 def build_problem(cfg: dict) -> ProblemData:

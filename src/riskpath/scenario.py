@@ -35,7 +35,6 @@ class ScenarioConfig:
 class ScenarioSet:
     """K scenarios stacked along the first axis of every per-scenario array."""
 
-    count: int
     weights: np.ndarray  # (K,)
     conductivities: np.ndarray  # (K, n_cells)
 
@@ -43,6 +42,12 @@ class ScenarioSet:
         w = self.weights
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
+        if self.conductivities.shape[0] != w.size:
+            raise ValueError("conductivities need one row per weight")
+
+    @property
+    def count(self) -> int:
+        return self.weights.size
 
 
 def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
@@ -61,8 +66,7 @@ def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
     a = np.full((n, n_cells), config.a0)
     for m, sig in enumerate(config.sigma, start=1):
         a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
-    return ScenarioSet(count=n, weights=np.full(n, 1.0 / n),
-                       conductivities=np.maximum(a, config.a_min))
+    return ScenarioSet(weights=np.full(n, 1.0 / n), conductivities=np.maximum(a, config.a_min))
 
 
 def empirical_expectation(scenarios: ScenarioSet, values: np.ndarray) -> float:

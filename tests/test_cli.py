@@ -442,8 +442,21 @@ def test_per_scenario_bound_file_loads(tmp_path):
         raw = json.loads(json.dumps(SMALL))
         raw["scenarios"]["bound_spec"] = spec
         data = build_problem(resolve(raw))
-        np.testing.assert_array_equal(data.constraint.bounds, table)
+        np.testing.assert_array_equal(data.constraint.bounds, np.broadcast_to(table, (4, 15)))
         assert np.all(np.isfinite(objective_mod.evaluate(data, 10.0, np.zeros(15)).gradient))
+
+
+def test_path_with_one_column_bound_file(tmp_path):
+    # one bound per scenario, broadcast over the bound points of each kind: the
+    # scaled feasible reference indexes the bounds by constraint entry
+    path = tmp_path / "bounds.txt"
+    np.savetxt(path, np.arange(1, 5)[:, None] * 0.05)
+    for kind in ("mixed", "gradient"):
+        cfg_path = write_config(tmp_path, {
+            "problem": dict(SMALL["problem"], constraint={"kind": kind}),
+            "scenarios": dict(SMALL["scenarios"],
+                              bound_spec={"kind": "per-scenario-file", "path": str(path)})})
+        assert main(["path", "--config", str(cfg_path), "--out", str(tmp_path / kind)]) == 0
 
 
 def test_constraint_bounds_for_each_kind():

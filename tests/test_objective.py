@@ -174,6 +174,8 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     assert np.array_equal(b.zeta2, zeta2)
     assert np.array_equal(b.lambda_e, lam_e)
     assert np.array_equal(b.rho, rho)
+    assert np.array_equal(b.lambda_i, lam_i)
+    assert np.array_equal(b.penalty_residuals, np.maximum(0.0, i_vals))
     assert np.array_equal(b.gradient, b.eta + (w[:, None] * rho).sum(axis=0))
     assert b.risk_value == risk.evaluate(data.risk, costs, w)
     # objective_only and unpenalized_objective read this one evaluation

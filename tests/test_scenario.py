@@ -77,7 +77,7 @@ def test_empirical_expectation_uniform():
 
 def test_empirical_expectation_degenerate_weights():
     scen = sample(ScenarioConfig(n_scenarios=3, seed=3), 8)
-    weighted = ScenarioSet(count=3, weights=np.array([1.0, 0.0, 0.0]),
+    weighted = ScenarioSet(weights=np.array([1.0, 0.0, 0.0]),
                            conductivities=scen.conductivities)
     v = np.array([7.25, -1.0, 99.0])
     assert empirical_expectation(weighted, v) == 7.25
@@ -89,7 +89,7 @@ def test_empirical_expectation_matches_compensated_sum():
     w = rng.uniform(0.0, 1.0, n)
     w /= w.sum()
     scen = sample(ScenarioConfig(n_scenarios=n, seed=5), 8)
-    weighted = ScenarioSet(count=n, weights=w, conductivities=scen.conductivities)
+    weighted = ScenarioSet(weights=w, conductivities=scen.conductivities)
     v = rng.standard_normal(n) * 1e3
     oracle = float(np.sum(np.sort(w * v)))  # compensated by magnitude ordering
     got = empirical_expectation(weighted, v)
@@ -105,6 +105,18 @@ def test_empirical_expectation_length_mismatch():
 def test_weight_invariants_enforced():
     scen = sample(ScenarioConfig(n_scenarios=3, seed=0), 8)
     with pytest.raises(ValueError):
-        ScenarioSet(count=3, weights=np.array([0.5, 0.5, 0.5]),
-                    conductivities=scen.conductivities)
+        ScenarioSet(weights=np.array([0.5, 0.5, 0.5]), conductivities=scen.conductivities)
+
+
+def test_count_is_the_number_of_weights():
+    scen = sample(ScenarioConfig(n_scenarios=3, seed=0), 8)
+    assert scen.count == scen.weights.size == 3
+    with pytest.raises(TypeError):  # count is no longer stored beside the weights
+        ScenarioSet(count=3, weights=np.array([0.5, 0.5]), conductivities=scen.conductivities)
+
+
+def test_conductivity_rows_must_match_weights():
+    scen = sample(ScenarioConfig(n_scenarios=3, seed=0), 8)
+    with pytest.raises(ValueError, match="one row per weight"):
+        ScenarioSet(weights=np.array([0.5, 0.5]), conductivities=scen.conductivities)
 
