@@ -15,7 +15,7 @@ from . import config as config_mod
 from . import objective as obj_mod
 from . import path as path_mod
 from . import risk as risk_mod
-from .cone import ConeSpec, constraint_adjoints, constraint_eval, penalty, project
+from .cone import constraint_adjoints, constraint_eval, penalty, project
 from .config import ConfigError
 from .grid import NumericalDegeneracyError, inner_h, solve_state
 
@@ -150,10 +150,9 @@ def _verify_checks(cfg: dict):
     """The headless verification battery; yields (name, passed, detail)."""
     rng = np.random.Generator(np.random.Philox(12345))
     data = config_mod.build_problem(cfg)
-    g = data.grid
+    g, cone = data.grid, data.cone  # the cone the penalty uses
 
     # projection characterization, idempotence, nonexpansiveness
-    cone = ConeSpec(weight=g.h)
     ok, worst = True, 0.0
     for _ in range(200):
         k = rng.standard_normal(g.n_interior)
@@ -218,7 +217,6 @@ def _verify_checks(cfg: dict):
     # constraint adjoint identity on the configured problem, first scenario
     x1 = rng.standard_normal(g.n_interior)
     x2 = rng.standard_normal(g.n_interior)
-    cone_c = data.cone
     ok, worst = True, 0.0
     for _ in range(10):
         i0 = constraint_eval(data.constraint, x1, x2)[0]
@@ -228,7 +226,7 @@ def _verify_checks(cfg: dict):
         eps = 1e-7
         ip = constraint_eval(data.constraint, x1 + eps * du, x2 + eps * dy)[0]
         im = constraint_eval(data.constraint, x1 - eps * du, x2 - eps * dy)[0]
-        fd = cone_c.inner(lam, (ip - im) / (2 * eps))
+        fd = cone.inner(lam, (ip - im) / (2 * eps))
         adj_u, adj_y = constraint_adjoints(data.constraint, x1, x2, lam)
         an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
         err = abs(fd - an) / max(1.0, abs(an))

@@ -277,7 +277,7 @@ def build_problem(cfg: dict) -> ProblemData:
         raise ConfigError(f"risk: {exc}") from exc
     y_d = _target_field(cfg["problem"]["y_d"], nodes)
     try:
-        return ProblemData.build(
+        return ProblemData(
             grid=grid,
             scenarios=scenarios,
             constraint=constraint,

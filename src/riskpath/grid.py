@@ -1,8 +1,10 @@
 """Uniform 1-D grid and the elliptic operator -(a u')' with Dirichlet boundaries.
 
-All spatial inner products used elsewhere in the package are owned by this
-module: the discrete L2 product is the lumped (h-weighted) dot product, so
-pointwise operations (clipping, projections) are exactly orthogonal in it.
+The discrete L2 product is the lumped (h-weighted) dot product, so pointwise
+operations (clipping, projections) are exactly orthogonal in it. This module
+gives it as inner_h and norm_h, and its unweighted row sum as dot_last. The
+cone, the objective, the solver and the KKT report form their own h-weighted
+sums (dot_last, np.dot or a plain sum, times h or the cone's weight).
 
 Scenario data is stacked: K conductivity fields form one (K, n_cells) array,
 their stencils one block-diagonal operator, and K grid functions one (K, n)

@@ -1,13 +1,14 @@
 """Residuals of the penalized first-order system and its limit analogue.
 
-Three penalized equations can fail and are recomputed: control stationarity
-against the box, and the adjoint and state equations through the stencil's
-matvec, not the factor that solved them. The other three hold by
-construction, as evaluate builds rho and the multiplier gamma max(0, i) >= 0
-from the very expressions a check would repeat; tests pin those formulas bit
-for bit. The limit-system quantities (feasibility, complementarity,
-multiplier mass) measure the distance to the constrained optimality system at
-finite penalty strength. Mass escaping to few scenarios is summarized by a
+Two penalized equations are recomputed: the adjoint and state equations,
+through the stencil's matvec, not the factor that solved them. The third that
+can fail, control stationarity against the box, is the solver's stopping
+measure and is reported once, as the path's stationarity. The other three
+hold by construction, as evaluate builds rho and the multiplier
+gamma max(0, i) >= 0 from the very expressions a check would repeat; tests pin
+those formulas bit for bit. The limit-system quantities (feasibility,
+complementarity, multiplier mass) measure the distance to the constrained
+optimality system at finite penalty strength. Mass escaping to few scenarios is summarized by a
 concentration index, the finite-sample stand-in for multiplier parts that
 live on vanishingly small probability sets.
 """
@@ -30,7 +31,6 @@ Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concen
 @dataclass
 class KktReport:
     # penalized-system residuals (max over scenarios where applicable)
-    stationarity_x1: float
     adjoint_residual: float
     state_residual: float
     # limit-system quantities
@@ -87,7 +87,6 @@ def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     lam_i = bundle.lambda_i
     _, adj_y = cone_mod.constraint_adjoints(data.constraint, bundle.x1, bundle.states, lam_i)
     return KktReport(
-        stationarity_x1=_max_norm(h, bundle.x1 - data.clamp(bundle.x1 - bundle.gradient)),
         # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
         adjoint_residual=_max_norm(
             h, bundle.theta[:, None] * bundle.zeta2 + h * op.matvec(bundle.lambda_e) + adj_y),

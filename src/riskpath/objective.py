@@ -16,7 +16,7 @@ stack at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,41 +34,35 @@ _ADJOINT_SIGN = 1.0
 
 @dataclass(frozen=True)
 class ProblemData:
+    """The inputs of one problem, and the two values derived from them when it is made.
+
+    The factored operator and the cone are not inputs: dataclasses.replace of
+    an input derives them afresh, and refuses them as arguments.
+    """
+
     grid: Grid
     scenarios: ScenarioSet
-    operator: EllipticOperator  # all K stencils, one block-diagonal factor
     constraint: ConstraintMap
-    cone: ConeSpec
     risk: RiskMeasure
     y_d: np.ndarray
     mu_tik: float
     lo: np.ndarray
     hi: np.ndarray
     tol_feas: float = 1e-9
+    operator: EllipticOperator = field(init=False)  # all K stencils, one block-diagonal factor
+    cone: ConeSpec = field(init=False)
 
     def __post_init__(self):
-        if self.mu_tik <= 0.0:
+        if not self.mu_tik > 0.0:  # NaN fails too
             raise ValueError("mu_tik must be positive (strong convexity)")
-        if np.any(self.lo > self.hi):
-            raise ValueError("control bounds must satisfy lo <= hi nodewise")
-
-    @classmethod
-    def build(cls, grid, scenarios, constraint, risk, y_d, mu_tik, lo, hi, tol_feas=1e-9):
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (grid.n_interior,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (grid.n_interior,)).copy()
-        return cls(
-            grid=grid,
-            scenarios=scenarios,
-            operator=assemble(grid, scenarios.conductivities),
-            constraint=constraint,
-            cone=constraint.cone_spec(),
-            risk=risk,
-            y_d=np.asarray(y_d, dtype=float),
-            mu_tik=mu_tik,
-            lo=lo,
-            hi=hi,
-            tol_feas=tol_feas,
-        )
+        n, lo, hi = self.grid.n_interior, self.lo, self.hi
+        object.__setattr__(self, "lo", np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy())
+        object.__setattr__(self, "hi", np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy())
+        if not np.all(self.lo <= self.hi):  # NaN fails too
+            raise ValueError("control bounds lo and hi must be numbers with lo <= hi nodewise")
+        object.__setattr__(self, "y_d", np.asarray(self.y_d, dtype=float))
+        object.__setattr__(self, "operator", assemble(self.grid, self.scenarios.conductivities))
+        object.__setattr__(self, "cone", self.constraint.cone_spec())
 
     def clamp(self, x1: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(x1, self.lo), self.hi)  # np.clip's bits, in less time

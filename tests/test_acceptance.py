@@ -15,7 +15,7 @@ import pytest
 from riskpath.cli import main
 from riskpath.cone import ConeSpec, penalty, penalty_multiplier, project
 from riskpath.config import build_problem, build_schedule, resolve
-from riskpath.grid import Grid, assemble, inner_h, solve_state
+from riskpath.grid import Grid, assemble, inner_h, norm_h, solve_state
 from riskpath.kkt import check_limit_system, complementarity_value
 from riskpath.objective import evaluate, objective_only, unpenalized_objective
 from riskpath.path import fit_decay_slope, run_path, shrink_to_feasible
@@ -100,8 +100,11 @@ def test_criterion_03_gradient_correctness():
 def test_criterion_04_kkt_gamma_system_residuals(default_path):
     data, records, steps, _ = default_path
     for step in steps:
-        rep = check_limit_system(data, step.result.bundle)
-        assert rep.stationarity_x1 <= 1e-8
+        b = step.result.bundle
+        rep = check_limit_system(data, b)
+        stationarity = norm_h(data.grid, b.x1 - data.clamp(b.x1 - b.gradient))
+        assert stationarity <= 1e-8
+        assert stationarity == step.result.stationarity_norm
         assert rep.adjoint_residual <= 1e-10
         assert rep.state_residual <= 1e-10
     _report(4, "penalized KKT system residuals at every converged solve")

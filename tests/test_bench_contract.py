@@ -15,6 +15,8 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 from riskpath import config, objective, solver
 from riskpath.cli import main
 
@@ -56,6 +58,16 @@ def test_setup_calls_go_through_traced_module_attributes(monkeypatch):
 def test_minimize_takes_gamma_second_and_reports_iterations():
     assert list(inspect.signature(solver.minimize).parameters)[1] == "gamma"
     assert "iterations" in {f.name for f in dataclasses.fields(solver.SolveResult)}
+
+
+@pytest.mark.parametrize("workload", ["path-small", "path-tail", "path-wide"])
+def test_workload_config_builds(workload):
+    # the harness resolves and builds each workload's config as its set-up; a key
+    # the schema or a constructor rejects fails the benchmark with exit 1
+    spec = json.loads((PERFBENCH / "workloads" / f"{workload}.json").read_text())
+    cfg = config.resolve(spec["config"])
+    config.build_problem(cfg)
+    assert config.build_schedule(cfg).size > 0
 
 
 def test_path_command_on_small_workload_writes_one_result(tmp_path):

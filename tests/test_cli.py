@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import warnings
 from math import inf, nan
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskpath.cli as cli_mod
 import riskpath.objective as objective_mod
 from riskpath.cli import main, reduced_gradient_fd_error
 from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
@@ -75,8 +77,9 @@ def test_solve_writes_artifacts_and_exits_zero(tmp_path):
     assert summary["gamma"] == 100.0
     assert summary["config_hash"] in tag
     assert len(summary["control"]) == 15
+    assert summary["stationarity"] <= 1e-8
     kkt = json.loads((out / f"kkt_{tag}.json").read_text())
-    assert kkt["stationarity_x1"] <= 1e-8
+    assert kkt["state_residual"] <= 1e-10
     assert (out / f"iterations_{tag}.log").read_text().startswith("iter=")
 
 
@@ -275,6 +278,27 @@ def test_verify_passes_on_healthy_build(tmp_path):
             "solve_self_adjointness",
         }
         assert all(c["passed"] for c in checks)
+
+
+def test_verify_cone_checks_use_the_penalty_cone(monkeypatch):
+    # projection_identities and penalty_gradient_fd test the cone the penalty uses:
+    # weight 1 on the scalar volume budget, h = 1/16 on grid functions
+    seen = []
+
+    def recorded(function):
+        def wrapper(cone, *args):
+            seen.append(cone.weight)
+            return function(cone, *args)
+        return wrapper
+
+    for name in ("project", "penalty"):
+        monkeypatch.setattr(cli_mod, name, recorded(getattr(cli_mod, name)))
+    for overrides, weight in ((VOLUME, 1.0), ({}, 1.0 / 16)):
+        seen.clear()
+        checks = itertools.islice(cli_mod._verify_checks(resolve(dict(SMALL, **overrides))), 2)
+        assert [(name, passed) for name, passed, _ in checks] == [
+            ("projection_identities", True), ("penalty_gradient_fd", True)]
+        assert seen and set(seen) == {weight}
 
 
 def test_verify_catches_adjoint_sign_mutation(tmp_path, monkeypatch, capsys):

@@ -38,7 +38,7 @@ def manufactured_problem(n: int):
     lam_star = np.where(active, 5.0 * np.sin(np.pi * (s - 0.4) / 0.2) + 1.0, 0.0)
     psi = y_star - EPSILON * x_star + np.where(active, 0.0, 0.05 + 0.5 * np.abs(s - 0.5))
     y_d = y_star + MU * op.matvec(x_star)[0] - EPSILON * op.matvec(lam_star)[0] + lam_star
-    data = ProblemData.build(
+    data = ProblemData(
         grid=grid, scenarios=scenarios,
         constraint=ConstraintMap(kind="mixed", grid=grid, bounds=psi[None, :], epsilon=EPSILON),
         risk=RiskMeasure(), y_d=y_d, mu_tik=MU, lo=-50.0, hi=50.0,

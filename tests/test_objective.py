@@ -35,7 +35,7 @@ def make_problem(
     bounds = np.full((n_scen, bound_points(kind, grid).size), float(bound))
     constraint = ConstraintMap(kind=kind, grid=grid, bounds=bounds, epsilon=0.05, delta=1e-6)
     y_d = 2.0 * grid.nodes * (1.0 - grid.nodes)
-    return ProblemData.build(
+    return ProblemData(
         grid=grid,
         scenarios=scen,
         constraint=constraint,
@@ -145,8 +145,8 @@ def _boxed_problem(kind, risk_kind):
     """
     data = make_problem(n=12, n_scen=3, bound=0.01 if kind == "volume" else 0.05, kind=kind,
                         risk_kind=risk_kind, alpha=0.3, tau=1e-2, mu_tik=0.01)
-    return ProblemData.build(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
-                             risk=data.risk, y_d=data.y_d, mu_tik=data.mu_tik, lo=-3.0, hi=3.0)
+    return ProblemData(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
+                       risk=data.risk, y_d=data.y_d, mu_tik=data.mu_tik, lo=-3.0, hi=3.0)
 
 
 KINDS = pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
@@ -422,6 +422,12 @@ def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatc
     assert checks == [False, True] * 2
 
 
+def _assert_same_bundle(got, want):
+    for f in dataclasses.fields(EvalBundle):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
 @pytest.mark.parametrize("kind,risk_kind,bound", PRODUCT_CASES)
 def test_evaluate_reusing_a_bundle_is_bit_identical(kind, risk_kind, bound):
     # the control half of a bundle at one gamma serves the same control at another
@@ -430,9 +436,34 @@ def test_evaluate_reusing_a_bundle_is_bit_identical(kind, risk_kind, bound):
     before = evaluate(data, 10.0, x)
     reused, fresh = evaluate(data, 1e3, before), evaluate(data, 1e3, x)
     assert np.any(fresh.penalty_residuals > 0.0)
-    for f in dataclasses.fields(EvalBundle):
-        got, want = getattr(reused, f.name), getattr(fresh, f.name)
-        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    _assert_same_bundle(reused, fresh)
+
+
+@pytest.mark.parametrize("changed", ["scenarios", "constraint"])
+def test_replaced_input_evaluates_like_a_fresh_problem(changed):
+    # the factor and the cone are derived from the inputs, so replace cannot keep stale ones
+    data = make_problem(n=15, n_scen=4, seed=1, bound=0.15)
+    fresh = (make_problem(n=15, n_scen=4, seed=2, bound=0.15) if changed == "scenarios"
+             else make_problem(n=15, n_scen=4, seed=1, bound=0.15, kind="volume"))
+    replaced = dataclasses.replace(data, **{changed: getattr(fresh, changed)})
+    x = np.full(15, 5.0)
+    _assert_same_bundle(evaluate(replaced, 100.0, x), evaluate(fresh, 100.0, x))
+    assert evaluate(replaced, 100.0, x).j_gamma != evaluate(data, 100.0, x).j_gamma
+
+
+def test_derived_fields_are_not_inputs():
+    data = make_problem()
+    for name in ("operator", "cone"):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(data, **{name: getattr(data, name)})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lo", np.nan), ("hi", np.nan), ("mu_tik", np.nan), ("mu_tik", 0.0), ("lo", 60.0)])
+def test_invalid_input_rejected(name, value):
+    # NaN fails every ordering comparison, so each check passes only for numbers
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        dataclasses.replace(make_problem(), **{name: value})
 
 
 @pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])

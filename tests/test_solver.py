@@ -27,7 +27,7 @@ def make_recovery_problem(n=15, mu_tik=1.0, seed=0):
     # with S = A^{-1} and the mass-weighted pairing folding into A directly
     s_x = solve_state(op, x_star)[0]
     y_d = s_x + mu_tik * op.matvec(x_star)[0]
-    return ProblemData.build(
+    return ProblemData(
         grid=data.grid,
         scenarios=data.scenarios,
         constraint=data.constraint,
@@ -58,7 +58,7 @@ def test_recovers_manufactured_minimizer(solve, err_tol):
 
 def test_singleton_box_returns_immediately():
     data = make_problem(bound=0.1)
-    fixed = ProblemData.build(
+    fixed = ProblemData(
         grid=data.grid,
         scenarios=data.scenarios,
         constraint=data.constraint,
@@ -104,7 +104,7 @@ def test_newton_descends_monotonically():
 
 def test_iterates_stay_in_box():
     data = make_problem(n=11, bound=0.05)
-    tight = ProblemData.build(
+    tight = ProblemData(
         grid=data.grid,
         scenarios=data.scenarios,
         constraint=data.constraint,
@@ -122,7 +122,7 @@ def test_iterates_stay_in_box():
 def test_active_bounds_produce_normal_cone_element():
     data = make_problem(n=11, bound=10.0, mu_tik=1e-4)
     # loose regularization and a strong target push some controls to the bounds
-    tight = ProblemData.build(
+    tight = ProblemData(
         grid=data.grid,
         scenarios=data.scenarios,
         constraint=data.constraint,
@@ -359,8 +359,8 @@ def test_step_with_a_binding_bound_takes_cg(monkeypatch):
     # exact directions on binding steps were measured to cost more steps: at
     # the solution on a tight box, where bounds bind, the masked CG direction
     data = make_problem(n=15, bound=10.0, mu_tik=1e-4)
-    tight = ProblemData.build(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
-                              risk=data.risk, y_d=5.0 * data.y_d, mu_tik=1e-4, lo=-0.5, hi=0.5)
+    tight = ProblemData(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
+                        risk=data.risk, y_d=5.0 * data.y_d, mu_tik=1e-4, lo=-0.5, hi=0.5)
     x = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10)).x1_opt
     bundle = evaluate(tight, 1.0, x)
     g = bundle.gradient
