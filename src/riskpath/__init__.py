@@ -12,7 +12,6 @@ from .grid import (
     EllipticOperator,
     EllipticityError,
     Grid,
-    NumericalDegeneracyError,
     assemble,
     inner_h,
     norm_h,

@@ -17,7 +17,7 @@ from . import path as path_mod
 from . import risk as risk_mod
 from .cone import constraint_adjoints, constraint_eval, penalty, project
 from .config import ConfigError
-from .grid import NumericalDegeneracyError, inner_h, solve_state
+from .grid import DivergedError, inner_h, solve_state
 
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -241,7 +241,7 @@ def _verify_checks(cfg: dict):
     else:
         try:
             worst = reduced_gradient_fd_error(data, rng)
-        except NumericalDegeneracyError:  # a state or adjoint solve overflowed
+        except DivergedError:  # a state or adjoint solve overflowed
             worst = np.nan
         yield "reduced_gradient_fd", bool(worst <= tol), f"max rel err = {worst:.3e}"
 

@@ -71,7 +71,7 @@ def penalty_multiplier(cone: ConeSpec, gamma: float, i_value):
     return gamma * project(cone, i_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintMap:
     """Constraint i(x1, x2; omega) for every scenario, one of three kinds.
 

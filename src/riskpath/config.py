@@ -241,16 +241,13 @@ def build_problem(cfg: dict) -> ProblemData:
         nodes = grid.nodes  # the first array of n_interior entries
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"problem.n_interior: {exc}") from exc
-    try:
-        scen_cfg = ScenarioConfig(
-            n_scenarios=int(cfg["scenarios"]["n_scenarios"]),
-            seed=int(cfg["scenarios"]["seed"]),
-            a0=float(cfg["scenarios"]["a0"]),
-            sigma=tuple(cfg["scenarios"]["sigma"]),
-            a_min=float(cfg["scenarios"]["a_min"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenarios: {exc}") from exc
+    scen_cfg = ScenarioConfig(  # resolve rejects every input its checks reject
+        n_scenarios=int(cfg["scenarios"]["n_scenarios"]),
+        seed=int(cfg["scenarios"]["seed"]),
+        a0=float(cfg["scenarios"]["a0"]),
+        sigma=tuple(cfg["scenarios"]["sigma"]),
+        a_min=float(cfg["scenarios"]["a_min"]),
+    )
     try:
         scenarios = sample(scen_cfg, grid.n_cells)
     except (MemoryError, ValueError) as exc:
@@ -273,8 +270,8 @@ def build_problem(cfg: dict) -> ProblemData:
             alpha=float(cfg["risk"]["alpha"]),
             tau=float(cfg["risk"]["tau"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"risk: {exc}") from exc
+    except ValueError as exc:  # the schema checked the rest: tau <= 0 under avar-smooth
+        raise ConfigError(f"risk.tau: {exc}") from exc
     y_d = _target_field(cfg["problem"]["y_d"], nodes)
     try:
         return ProblemData(

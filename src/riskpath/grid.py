@@ -27,8 +27,9 @@ class EllipticityError(ValueError):
     """Conductivity violates uniform ellipticity (some entry <= 0, or a stencil not finite)."""
 
 
-class NumericalDegeneracyError(RuntimeError):
-    """Direct factorization of the assembled operator broke down."""
+class DivergedError(RuntimeError):
+    """Objective or gradient non-finite at the start point, objective along a line
+    search, or a state, adjoint or Hessian solve non-finite anywhere in the solve."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Grid:
         return (np.arange(self.n_cells) + 0.5) * self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipticOperator:
     """Assembled tridiagonal stencils for -(a u')', one per conductivity row, SPD.
 
@@ -71,7 +72,7 @@ class EllipticOperator:
 
     diag: np.ndarray
     off: np.ndarray
-    _ldl: tuple = field(repr=False, compare=False, default=None)
+    _ldl: tuple = field(repr=False, default=None)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         v = self.diag * u
@@ -117,7 +118,7 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     # f2py's dpttrf rejects an empty off-diagonal; one node has nothing to couple
     d_ldl, e_ldl, info = dpttrf(diag.reshape(-1), e if e.size else np.zeros(1))
     if info != 0:  # pragma: no cover - SPD by construction
-        raise NumericalDegeneracyError(f"dpttrf failed with info={info}")
+        raise EllipticityError(f"stencil is not positive definite (dpttrf info={info})")
     return EllipticOperator(diag=diag, off=off, _ldl=(d_ldl, e_ldl))
 
 
@@ -143,7 +144,7 @@ def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = 
     b = out.ravel() if out.ndim == op.diag.ndim else out.reshape(-1, op.diag.size).T
     u, info = dpttrs(*op._ldl, b, overwrite_b=1)
     if info != 0 or check and not np.isfinite(u).all():
-        raise NumericalDegeneracyError(f"non-finite solution from tridiagonal solve (info {info})")
+        raise DivergedError(f"non-finite solution from tridiagonal solve (info {info})")
     return out
 
 

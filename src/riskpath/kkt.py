@@ -80,6 +80,7 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
     return float(np.cumsum(masses[order])[taken - 1]) / total if taken else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf or NaN in the report
 def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
     """The penalized equations that can fail, and distance-to-limit diagnostics."""
     h, op = data.grid.h, data.operator

@@ -22,17 +22,13 @@ import numpy as np
 
 from . import cone as cone_mod
 from . import risk as risk_mod
-from .cone import ConeSpec, ConstraintMap
+from .cone import ConeSpec, ConstraintMap, bound_points
 from .grid import EllipticOperator, Grid, assemble, dot_last, solve_state
 from .risk import RiskMeasure
 from .scenario import ScenarioSet
 
-# test hook: flipped by the mutation harness to validate that the verification
-# battery catches a wrong adjoint sign; always 1.0 in production
-_ADJOINT_SIGN = 1.0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """The inputs of one problem, and the two values derived from them when it is made.
 
@@ -56,6 +52,12 @@ class ProblemData:
         if not self.mu_tik > 0.0:  # NaN fails too
             raise ValueError("mu_tik must be positive (strong convexity)")
         n, lo, hi = self.grid.n_interior, self.lo, self.hi
+        m = (self.scenarios.count, bound_points(self.constraint.kind, self.grid).size)
+        for name, ok in (("constraint.grid", self.constraint.grid == self.grid),
+                         ("constraint.bounds", np.shape(self.constraint.bounds) == m),
+                         ("y_d", np.shape(self.y_d) == (n,))):
+            if not ok:
+                raise ValueError(f"{name} does not fit {n} nodes and bounds of shape {m}")
         object.__setattr__(self, "lo", np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy())
         object.__setattr__(self, "hi", np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy())
         if not np.all(self.lo <= self.hi):  # NaN fails too
@@ -68,10 +70,11 @@ class ProblemData:
         return np.minimum(np.maximum(x1, self.lo), self.hi)  # np.clip's bits, in less time
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlEval:
     """The half of an evaluation that depends on the control alone, not on gamma."""
 
+    data: ProblemData = field(repr=False)  # the problem it was computed for
     x1: np.ndarray
     states: np.ndarray  # x2, (K, n)
     scenario_costs: np.ndarray  # J2, (K,)
@@ -83,7 +86,7 @@ class ControlEval:
     risk_value: float
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalBundle(ControlEval):
     """One full evaluation; per-scenario quantities are stacked along axis 0."""
 
@@ -108,19 +111,21 @@ def _control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
     risk = risk_mod.subgradient(data.risk, costs, data.scenarios.weights)
     j1 = 0.5 * data.mu_tik * (h * np.dot(x1, x1))  # 0.5 mu inner_h(x1, x1)
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
-    return ControlEval(x1, states, costs, i_vals, zeta2, risk.theta, data.mu_tik * h * x1, j1,
-                       risk.value)
+    return ControlEval(data, x1, states, costs, i_vals, zeta2, risk.theta, data.mu_tik * h * x1,
+                       j1, risk.value)
 
 
 def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     """Full evaluation: states, penalty, multipliers, adjoints, reduced gradient.
 
-    ``x1`` is a control, or a ControlEval of one (the EvalBundle of the same
-    control at another gamma, say), whose control half is taken as it is: only
-    the penalty, multipliers, adjoint solve and gradient depend on gamma.
+    ``x1`` is a control, or a ControlEval of one. One of ``data`` (its bundle at
+    another gamma, say) is taken as it is: only the penalty, multipliers, adjoint
+    solve and gradient depend on gamma. One of another problem gives its control.
     """
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError("gamma must be a finite positive real")
+    if isinstance(x1, ControlEval) and x1.data is not data:
+        x1 = x1.x1
     c = x1 if isinstance(x1, ControlEval) else _control_half(data, np.asarray(x1, dtype=float))
     h, weights = data.grid.h, data.scenarios.weights
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
@@ -129,7 +134,7 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
     lam_e = np.multiply(c.theta[:, None], c.zeta2)
     lam_e += adj_y
-    lam_e /= -_ADJOINT_SIGN * h  # exact, as the sign is +-1
+    lam_e /= -h
     lam_e = solve_state(data.operator, lam_e, out=lam_e)
     rho = np.multiply(-h, lam_e)  # e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)
     rho += adj_u
@@ -137,7 +142,7 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     rho_mean = (weights[:, None] * rho).sum(axis=0)
     penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
     return EvalBundle(  # the control half, in field order, then the gamma half
-        c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
+        data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
         c.risk_value, gamma=gamma, penalty_residuals=pv.residual, lambda_i=lam_i,
         lambda_e=lam_e, rho=rho, rho_mean=rho_mean, penalty_term=penalty_term,
         j_gamma=c.j1 + c.risk_value + penalty_term, gradient=c.eta + rho_mean,
@@ -201,7 +206,7 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
 
 
 def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
-    """j^gamma, summed before the adjoint solve (for difference quotients)."""
+    """j^gamma alone, as evaluate computes it (for difference quotients)."""
     return evaluate(data, gamma, x1).j_gamma
 
 

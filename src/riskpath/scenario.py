@@ -31,7 +31,7 @@ class ScenarioConfig:
             raise ValueError("field model admits nonpositive conductivity (a0 - sum sigma <= 0)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """K scenarios stacked along the first axis of every per-scenario array."""
 

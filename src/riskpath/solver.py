@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from . import objective as obj_mod
-from .grid import NumericalDegeneracyError
+from .grid import DivergedError
 from .objective import EvalBundle, ProblemData
 
 ARMIJO = 1e-4  # sufficient-decrease constant
@@ -55,11 +55,6 @@ BINDING_EPS = 1e-3  # largest distance to a bound at which it can bind
 CG_MARGIN = 0.5  # CG stops once its residual alone would pass this share of the test
 ETA_MAX = 0.03  # cap of the CG forcing term min(ETA_MAX, sqrt|g_F|)
 DENSE_WORK = 4096  # largest K n n at which a step with no bound binding forms the Hessian
-
-
-class DivergedError(RuntimeError):
-    """Objective or gradient non-finite at the start point, objective along a line
-    search, or a state, adjoint or Hessian solve non-finite anywhere in the solve."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class SolveOptions:
             raise ValueError("tol_stationarity must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     x1_opt: np.ndarray
     bundle: EvalBundle
@@ -99,21 +94,20 @@ def minimize(
 ) -> SolveResult:
     """Minimize j^gamma over the box; deterministic given inputs.
 
-    ``warm_start`` is a control, clamped to the box, or the bundle of a solve of
-    ``data`` at another gamma, whose control half the start evaluation reuses.
+    ``warm_start`` is a control, clamped to the box, or the bundle of a solve at
+    another gamma: of ``data``, its control half is reused; else, its control.
     ``callback(it, j_gamma, stationarity, step, hessian_products)`` sees every
     iterate, with the products counted so far. Returns converged=False (not an
     error) when the iteration budget runs out or no step decreases j_gamma.
     """
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
+    if isinstance(start, EvalBundle) and start.data is not data:
+        start = start.x1
     if not isinstance(start, EvalBundle):
         start = data.clamp(np.asarray(start, dtype=float))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
-            return _newton(data, gamma, opts, start, callback)
-    except NumericalDegeneracyError as exc:  # a state, adjoint or Hessian solve overflowed
-        raise DivergedError(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
+        return _newton(data, gamma, opts, start, callback)
 
 
 def _newton(data, gamma, opts, start, callback) -> SolveResult:

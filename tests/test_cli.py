@@ -13,6 +13,7 @@ import riskpath.objective as objective_mod
 from riskpath.cli import main, reduced_gradient_fd_error
 from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
 from riskpath.path import CSV_SCHEMA_VERSION
+from test_objective import flip_adjoint_sign
 
 SMALL = {
     "problem": {
@@ -196,6 +197,20 @@ def test_overflow_at_huge_gamma_is_divergence(tmp_path, capsys):
     assert all(np.isfinite(float(r["j_gamma"])) for r in rows)
 
 
+def test_overflowing_kkt_report_warns_nothing(tmp_path, capsys):
+    # at gamma = 1e200 the adjoint residual overflows to inf: a value in
+    # the report, not a numpy warning on stderr
+    cfg_path = write_config(tmp_path, {"problem": {"n_interior": 3},
+                                       "gamma_schedule": {"values": [1.0, 1e200]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    reports = json.loads((out / f"kkt_path_{tag_of(cfg_path)}.json").read_text())
+    assert reports[-1]["adjoint_residual"] == inf
+
+
 def test_overflowing_hessian_solve_aborts_the_path(tmp_path, capsys, monkeypatch):
     # from gamma = 100 on, every Hessian product overflows its tridiagonal solves:
     # the path stops there with exit 1 and keeps the CSV of the points before it
@@ -303,7 +318,7 @@ def test_verify_cone_checks_use_the_penalty_cone(monkeypatch):
 
 def test_verify_catches_adjoint_sign_mutation(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path)
-    monkeypatch.setattr(objective_mod, "_ADJOINT_SIGN", -1.0)
+    flip_adjoint_sign(monkeypatch)
     rc = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err
@@ -354,7 +369,10 @@ def test_malformed_config_names_field(tmp_path, capsys):
     cases += [
         ({"scenarios": {"n_scenarios": 0, "seed": 1}}, "scenarios.n_scenarios"),
         ({"problem": {"n_interior": "15"}}, "problem.n_interior"),
-        ({"risk": {"kind": "avar-smooth", "tau": 0}}, "tau"),
+        ({"risk": {"kind": "avar-smooth", "tau": 0}}, "error: risk.tau: tau must be positive"),
+        ({"problem": {"control_lo": 1.0, "control_hi": 0.0}},
+         "problem.control_lo must be <= problem.control_hi"),
+        ({"scenarios": {"a0": 0.4}}, "scenarios.a0 minus the sigma budget"),
         ({"solver": {"step_rule": "bogus"}}, "step_rule"),
         ({"solver": {"step_rule": "fixed"}}, "solver.step_rule"),
         ({"solver": {"subgradient_mode": True}}, "solver.subgradient_mode"),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from riskpath.grid import (
+    DivergedError,
     EllipticityError,
     Grid,
-    NumericalDegeneracyError,
     assemble,
     inner_h,
     norm_h,
@@ -166,14 +166,14 @@ def test_solve_into_buffer():
     assert np.array_equal(buf[0], solve_state(op, np.tile(rhs[1], (3, 1)))[0])
     bad = rhs.copy()
     bad[2, 0] = np.nan
-    with pytest.raises(NumericalDegeneracyError, match="non-finite"):
+    with pytest.raises(DivergedError, match="non-finite"):
         solve_state(op, bad, out=buf)
 
 
 def test_solve_rejects_non_finite_solution():
     op, rhs = _unequal_stack()
     rhs[1, 4] = np.inf
-    with pytest.raises(NumericalDegeneracyError, match="non-finite"):
+    with pytest.raises(DivergedError, match="non-finite"):
         solve_state(op, rhs)
 
 

@@ -6,7 +6,7 @@ import pytest
 import riskpath.objective as objective_mod
 from riskpath import cone, risk
 from riskpath.cone import ConstraintMap, bound_points
-from riskpath.grid import Grid, NumericalDegeneracyError, inner_h, solve_state
+from riskpath.grid import DivergedError, Grid, inner_h, solve_state
 from riskpath.objective import (
     EvalBundle,
     ProblemData,
@@ -17,6 +17,7 @@ from riskpath.objective import (
 )
 from riskpath.risk import RiskMeasure
 from riskpath.scenario import ScenarioConfig, sample
+from riskpath.solver import SolveOptions, minimize
 
 
 def make_problem(
@@ -326,19 +327,31 @@ def test_clamp_respects_bounds():
     assert np.array_equal(c[inside], x[inside])
 
 
-def test_adjoint_sign_hook_breaks_gradient():
+def flip_adjoint_sign(monkeypatch):
+    """Negate every in-place solve of objective: in evaluate, only the adjoint's is one."""
+    real_solve = objective_mod.solve_state
+
+    def flipped(op, rhs, out=None, check=True):
+        u = real_solve(op, rhs, out=out, check=check)
+        if out is rhs:
+            u *= -1.0
+        return u
+
+    monkeypatch.setattr(objective_mod, "solve_state", flipped)
+
+
+def test_adjoint_sign_hook_breaks_gradient(monkeypatch):
     data = make_problem(bound=0.05)
     rng = np.random.Generator(np.random.Philox(13))
     x = rng.standard_normal(15)
     d = rng.standard_normal(15)
     eps = 1e-6
     fd = (objective_only(data, 50.0, x + eps * d) - objective_only(data, 50.0, x - eps * d)) / (2 * eps)
-    objective_mod._ADJOINT_SIGN = -1.0
-    try:
-        bad = float(np.dot(evaluate(data, 50.0, x).gradient, d))
-    finally:
-        objective_mod._ADJOINT_SIGN = 1.0
-    assert abs(fd - bad) > 1e-3
+    good = evaluate(data, 50.0, x)
+    flip_adjoint_sign(monkeypatch)
+    bad = evaluate(data, 50.0, x)
+    assert np.array_equal(bad.lambda_e, -good.lambda_e)
+    assert abs(fd - float(np.dot(bad.gradient, d))) > 1e-3
 
 
 def test_clamp_is_np_clip_bit_for_bit():
@@ -413,17 +426,19 @@ def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatc
         checks.append(check) or real_solve(*a, check=check, **kw)))
     v = np.zeros(15)
     v[7] = np.inf
-    with pytest.raises(NumericalDegeneracyError):
+    with pytest.raises(DivergedError):
         product(v)
     stack = np.eye(15)  # and in one column of a stack of directions
     stack[4, 7] = np.inf
-    with pytest.raises(NumericalDegeneracyError):
+    with pytest.raises(DivergedError):
         product(stack)
     assert checks == [False, True] * 2
 
 
 def _assert_same_bundle(got, want):
     for f in dataclasses.fields(EvalBundle):
+        if f.name == "data":  # the problem evaluated, a reference and not a value
+            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
@@ -464,6 +479,29 @@ def test_invalid_input_rejected(name, value):
     # NaN fails every ordering comparison, so each check passes only for numbers
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         dataclasses.replace(make_problem(), **{name: value})
+
+
+def test_inconsistent_parts_rejected():
+    # parts built for another grid or scenario count are named, not broadcast
+    data = make_problem(bound=0.05)  # 15 nodes, 4 scenarios, 15 bound points
+    cmap, bounds = data.constraint, data.constraint.bounds
+    for name, parts in (
+        ("constraint.grid", {"constraint": dataclasses.replace(cmap, grid=Grid(31))}),
+        ("constraint.bounds", {"constraint": dataclasses.replace(cmap, bounds=bounds[:1])}),
+        ("constraint.bounds", {"constraint": dataclasses.replace(cmap, bounds=bounds[:, :1])}),
+        ("y_d", {"y_d": data.y_d[:1]}),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            dataclasses.replace(data, **parts)
+
+
+def test_array_holders_compare_by_identity():
+    # arrays give no single truth value, so these dataclasses compare as objects
+    data = make_problem()
+    result = minimize(data, 10.0, SolveOptions(max_iters=1))
+    for value in (data, data.scenarios, data.constraint, data.operator, result.bundle, result):
+        assert value == value and value != dataclasses.replace(value)
+        assert len({value, dataclasses.replace(value)}) == 2
 
 
 @pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])

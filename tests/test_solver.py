@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,22 @@ def test_warm_start_from_a_bundle_equals_warm_start_from_its_control():
     from_control = minimize(data, 1e3, SolveOptions(), warm_start=first.x1_opt)
     assert from_bundle.iterations == from_control.iterations > 0
     assert from_bundle.hessian_products == from_control.hessian_products
+    assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
+    assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
+
+
+def test_warm_start_from_another_problems_bundle_equals_warm_start_from_its_control():
+    # shifted bounds, as an augmented Lagrangian step makes them: the bundle's constraint
+    # values are the old problem's, so only its control carries over
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    first = minimize(data, 1e3, SolveOptions())
+    shifted = dataclasses.replace(data, constraint=dataclasses.replace(
+        data.constraint, bounds=data.constraint.bounds - 0.02))
+    assert evaluate(shifted, 1e3, first.bundle).j_gamma == evaluate(
+        shifted, 1e3, first.x1_opt).j_gamma
+    from_bundle = minimize(shifted, 1e3, SolveOptions(), warm_start=first.bundle)
+    from_control = minimize(shifted, 1e3, SolveOptions(), warm_start=first.x1_opt)
+    assert from_bundle.iterations == from_control.iterations > 0
     assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
     assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
 
