@@ -12,7 +12,7 @@ from riskpath import ConeSpec, penalty, penalty_multiplier, project
 cone = ConeSpec(weight=0.125)
 
 k = np.array([-1.0, 0.0, 0.5, 2.0, -0.3])
-p = project(cone, k)
+p = project(k)
 print(f"k         = {k}")
 print(f"project k = {p}")
 print(f"(p, k - p)_H = {cone.inner(p, k - p):.3e}  (orthogonality at the projection)")

@@ -18,7 +18,7 @@ cfg = resolve({"problem": {"n_interior": 63}})
 data = build_problem(cfg)
 
 result = minimize(data, gamma=100.0, opts=SolveOptions(tol_stationarity=1e-8))
-j, feasible, max_violation = unpenalized_objective(data, result.x1_opt)
+j, feasible, max_violation = unpenalized_objective(data, result.bundle.x1)
 
 print(f"converged={result.converged}  iterations={result.iterations}")
 print(f"stationarity            {result.stationarity_norm:.3e}")
@@ -31,7 +31,7 @@ print(f"\nstates {b.states.shape}, multipliers {b.lambda_i.shape}, adjoints {b.l
 print(f"scenarios with an active constraint: {int(np.sum(np.any(b.lambda_i > 0.0, axis=1)))}"
       f" of {data.scenarios.count}")
 
-report = check_limit_system(data, result.bundle)
+report = check_limit_system(result.bundle)
 print("\nKKT report (distance to the constrained system at gamma=100):")
 for name, value in report.as_dict().items():
     print(f"  {name:<28} {value:.6e}")

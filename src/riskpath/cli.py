@@ -61,7 +61,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
             "j": record.j,
             "feasible": float(np.max(result.bundle.constraint_values)) <= data.tol_feas,
             "max_violation": record.max_violation,
-            "control": [repr(float(v)) for v in result.x1_opt],
+            "control": [repr(float(v)) for v in result.bundle.x1],
         }
     )
     _write_json(out / f"solve_{tag}.json", summary)
@@ -98,7 +98,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
         try:
-            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.x1_opt)
+            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.bundle.x1)
         except ValueError as exc:
             print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
             return 1
@@ -156,13 +156,13 @@ def _verify_checks(cfg: dict):
     ok, worst = True, 0.0
     for _ in range(200):
         k = rng.standard_normal(g.n_interior)
-        p = project(cone, k)
+        p = project(k)
         resid = abs(cone.inner(p, k - p))
         worst = max(worst, resid)
         ok &= np.all(p >= 0.0) and resid <= 1e-12
         q = rng.standard_normal(g.n_interior)
-        ok &= cone.norm(project(cone, k) - project(cone, q)) <= cone.norm(k - q) + 1e-12
-        ok &= np.allclose(project(cone, p), p)
+        ok &= cone.norm(project(k) - project(q)) <= cone.norm(k - q) + 1e-12
+        ok &= np.allclose(project(p), p)
     yield "projection_identities", bool(ok), f"max |(p, k-p)_H| = {worst:.3e}"
 
     # penalty gradient vs central differences of the envelope

@@ -42,8 +42,8 @@ class ConeSpec:
         return np.sqrt(np.maximum(self.inner(u, u), 0.0))
 
 
-def project(cone: ConeSpec, k):
-    """H-orthogonal projection onto the cone: pointwise positive part."""
+def project(k):
+    """H-orthogonal projection onto every ConeSpec: the pointwise positive part."""
     return np.maximum(0.0, np.asarray(k, dtype=float))
 
 
@@ -60,7 +60,7 @@ def penalty(cone: ConeSpec, gamma: float, i_value) -> PenaltyValue:
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    r = project(cone, i_value)
+    r = project(i_value)
     return PenaltyValue(value=0.5 * gamma * cone.inner(r, r), residual=r)
 
 
@@ -68,7 +68,7 @@ def penalty_multiplier(cone: ConeSpec, gamma: float, i_value):
     """gamma * (i + proj(-i)) = gamma * max(0, i); always in the dual cone."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    return gamma * project(cone, i_value)
+    return gamma * project(i_value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,7 +81,7 @@ SCHEMA = {
         "control_hi": (50.0, NUM),
         "constraint": Variant({"kind": "mixed", "epsilon": 0.05, "delta": 1e-8}, "kind", None,
                               dict.fromkeys(("mixed", "volume", "gradient"), _CONSTRAINT_KEYS)),
-        "tol_feas": (1e-9, NUM),
+        "tol_feas": (1e-9, NUM, NONNEGATIVE),
     },
     "scenarios": {
         "n_scenarios": (16, INT, AT_LEAST_ONE),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from .grid import dot_last
-from .objective import EvalBundle, ProblemData
+from .objective import EvalBundle
 from .scenario import empirical_expectation
 
 Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concentration_index
@@ -53,8 +53,9 @@ def _max_norm(weight: float, u: np.ndarray) -> float:
     return math.sqrt(weight * float(dot_last(u, u).max()))
 
 
-def complementarity_value(data: ProblemData, bundle: EvalBundle) -> float:
+def complementarity_value(bundle: EvalBundle) -> float:
     """Signed pairing E[(lambda_i, i)_H]; equals gamma E[||max(0,i)||_H^2]."""
+    data = bundle.data
     return empirical_expectation(
         data.scenarios, data.cone.inner(bundle.lambda_i, bundle.constraint_values)
     )
@@ -81,11 +82,11 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf or NaN in the report
-def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
+def check_limit_system(bundle: EvalBundle) -> KktReport:
     """The penalized equations that can fail, and distance-to-limit diagnostics."""
+    data = bundle.data
     h, op = data.grid.h, data.operator
-    w, cone = data.scenarios.weights, data.cone
-    lam_i = bundle.lambda_i
+    w, cone, lam_i = data.scenarios.weights, data.cone, bundle.lambda_i
     _, adj_y = cone_mod.constraint_adjoints(data.constraint, bundle.x1, bundle.states, lam_i)
     return KktReport(
         # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
@@ -94,7 +95,7 @@ def check_limit_system(data: ProblemData, bundle: EvalBundle) -> KktReport:
         # h A x2 = h x1 (state equation in mass-weighted form)
         state_residual=_max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1),
         primal_feasibility=max(0.0, float(bundle.constraint_values.max())),
-        complementarity=abs(complementarity_value(data, bundle)),
+        complementarity=abs(complementarity_value(bundle)),
         # the expectations below are empirical_expectation's np.dot
         multiplier_l1=float(np.dot(w, cone.weight * np.abs(lam_i).sum(axis=-1))),
         adjoint_l1=float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1))),

@@ -51,6 +51,8 @@ class ProblemData:
     def __post_init__(self):
         if not self.mu_tik > 0.0:  # NaN fails too
             raise ValueError("mu_tik must be positive (strong convexity)")
+        if not self.tol_feas >= 0.0:  # NaN fails too
+            raise ValueError("tol_feas must be >= 0")
         n, lo, hi = self.grid.n_interior, self.lo, self.hi
         m = (self.scenarios.count, bound_points(self.constraint.kind, self.grid).size)
         for name, ok in (("constraint.grid", self.constraint.grid == self.grid),
@@ -149,7 +151,7 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     )
 
 
-def hessian_operator(data: ProblemData, bundle: EvalBundle):
+def hessian_operator(bundle: EvalBundle):
     """Generalised Hessian of j^gamma at the bundle's point, as a product v -> H v.
 
     Each product is one stacked state solve (the state directions) and one
@@ -169,6 +171,7 @@ def hessian_operator(data: ProblemData, bundle: EvalBundle):
     constraint adjoint, so each non-finite entry of the state solution stays
     non-finite there (inf * 0 and inf - inf are NaN).
     """
+    data = bundle.data
     h, w = data.grid.h, data.scenarios.weights
     mu_h = data.mu_tik * h
     x1, states, theta = bundle.x1, bundle.states, bundle.theta

@@ -100,12 +100,12 @@ def run_path(
         except solver_mod.DivergedError as exc:
             raise PathAborted(f"solve diverged at gamma={gamma}", steps) from exc
         bundle = result.bundle
-        report = kkt_mod.check_limit_system(data, bundle)
+        report = kkt_mod.check_limit_system(bundle)
         j = bundle.j1 + bundle.risk_value  # the unpenalized objective
         sq_violation = empirical_expectation(
             data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
         )
-        change = norm_h(data.grid, result.x1_opt - steps[-1].result.x1_opt) if steps else np.nan
+        change = norm_h(data.grid, bundle.x1 - steps[-1].result.bundle.x1) if steps else np.nan
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(
             gamma=float(gamma),

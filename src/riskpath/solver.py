@@ -65,14 +65,13 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_stationarity <= 0.0:
+        if not self.tol_stationarity > 0.0:  # NaN fails too
             raise ValueError("tol_stationarity must be positive")
 
 
 @dataclass(eq=False)
 class SolveResult:
-    x1_opt: np.ndarray
-    bundle: EvalBundle
+    bundle: EvalBundle  # of the last point; its control is bundle.x1
     iterations: int
     stationarity_norm: float
     converged: bool
@@ -80,9 +79,9 @@ class SolveResult:
     backtracks: int  # trial points the line search rejected
 
 
-def _stationarity(data: ProblemData, x1: np.ndarray, g: np.ndarray) -> float:
-    r = x1 - data.clamp(x1 - g)
-    return math.sqrt(data.grid.h * np.dot(r, r))  # norm_h(r): np.dot sums as dot_last does
+def _stationarity(bundle: EvalBundle) -> float:
+    r = bundle.x1 - bundle.data.clamp(bundle.x1 - bundle.gradient)
+    return math.sqrt(bundle.data.grid.h * np.dot(r, r))  # norm_h(r): np.dot sums as dot_last does
 
 
 def minimize(
@@ -95,42 +94,40 @@ def minimize(
     """Minimize j^gamma over the box; deterministic given inputs.
 
     ``warm_start`` is a control, clamped to the box, or the bundle of a solve at
-    another gamma: of ``data``, its control half is reused; else, its control.
-    ``callback(it, j_gamma, stationarity, step, hessian_products)`` sees every
-    iterate, with the products counted so far. Returns converged=False (not an
-    error) when the iteration budget runs out or no step decreases j_gamma.
+    another gamma: of ``data``, its control half is reused; of another problem,
+    its control is clamped. ``callback(it, j_gamma, stationarity, step,
+    hessian_products)`` sees every iterate, with the products counted so far.
+    The solution is the returned bundle's control, ``result.bundle.x1``.
+    Returns converged=False (not an error) when the iteration budget runs out
+    or no step decreases j_gamma.
     """
     opts = opts or SolveOptions()
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
-    if isinstance(start, EvalBundle) and start.data is not data:
-        start = start.x1
-    if not isinstance(start, EvalBundle):
-        start = data.clamp(np.asarray(start, dtype=float))
+    if not (isinstance(start, EvalBundle) and start.data is data):
+        start = data.clamp(np.asarray(getattr(start, "x1", start), dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
         return _newton(data, gamma, opts, start, callback)
 
 
 def _newton(data, gamma, opts, start, callback) -> SolveResult:
     bundle = obj_mod.evaluate(data, gamma, start)
-    x = bundle.x1
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
     s, products, backtracks = 1.0, 0, 0  # s: the last accepted step
     for it in range(opts.max_iters + 1):
-        stat = _stationarity(data, x, bundle.gradient)
+        stat = _stationarity(bundle)
         if callback:
             callback(it, bundle.j_gamma, stat, s, products)
         if stat <= opts.tol_stationarity or it == opts.max_iters:
             break
-        direction, used = _newton_direction(data, bundle, x, stat, opts.tol_stationarity)
+        direction, used = _newton_direction(bundle, stat, opts.tol_stationarity)
         products += used
-        accepted, rejected = _line_search(data, gamma, x, bundle, stat, direction)
+        accepted, rejected = _line_search(bundle, stat, direction)
         backtracks += rejected
         if accepted is None:
             break
-        x, bundle, s = accepted
-    return SolveResult(  # the loop ends on the stopping test of x, so stat is x's
-        x1_opt=x,
+        bundle, s = accepted
+    return SolveResult(  # the loop ends on the bundle's stopping test, so stat is the bundle's
         bundle=bundle,
         iterations=it,
         stationarity_norm=stat,
@@ -140,31 +137,29 @@ def _newton(data, gamma, opts, start, callback) -> SolveResult:
     )
 
 
-def _line_search(data, gamma, x, bundle, stat, direction):
+def _line_search(bundle, stat, direction):
     """Backtrack from s = 1 along clamp(x + s * direction) until j_gamma decreases enough.
 
     Sufficient decrease is Armijo's along the projected path. A change of
     j_gamma within round-off of its size carries no information, so there a
     step is accepted when it lowers the stationarity residual instead.
-    Returns ((x_new, bundle_new, s), rejected) with the number of rejected
-    trial points, or (None, rejected) when no trial step qualifies.
+    Returns ((bundle_new, s), rejected) with the number of rejected trial
+    points, or (None, rejected) when no trial step qualifies.
     """
-    g, f = bundle.gradient, bundle.j_gamma
+    data, x, g, f = bundle.data, bundle.x1, bundle.gradient, bundle.j_gamma
     s = 1.0
     for rejected in range(BACKTRACKS):
         x_new = data.clamp(x + s * direction)
         if np.array_equal(x_new, x):
             return None, rejected
-        new = obj_mod.evaluate(data, gamma, x_new)
+        new = obj_mod.evaluate(data, bundle.gamma, x_new)
         if not np.isfinite(new.j_gamma):
             raise DivergedError("non-finite objective during line search")
         slope = float(np.dot(g, x_new - x))
         if slope < 0.0 and new.j_gamma <= f + ARMIJO * slope:
-            return (x_new, new, s), rejected
-        if abs(new.j_gamma - f) <= ROUNDOFF * abs(f) and (
-            _stationarity(data, x_new, new.gradient) < stat
-        ):
-            return (x_new, new, s), rejected
+            return (new, s), rejected
+        if abs(new.j_gamma - f) <= ROUNDOFF * abs(f) and _stationarity(new) < stat:
+            return (new, s), rejected
         s *= SHRINK
     return None, BACKTRACKS
 
@@ -191,7 +186,7 @@ def _conjugate_gradients(product, b, tol, max_products):
     return d, products
 
 
-def _newton_direction(data, bundle, x, stat, tol_stationarity):
+def _newton_direction(bundle, stat, tol_stationarity):
     """Projected Newton direction and its products: -g on the binding bounds, CG on the rest.
 
     With no bound binding and K n n at most DENSE_WORK, the exact Newton
@@ -199,10 +194,10 @@ def _newton_direction(data, bundle, x, stat, tol_stationarity):
     On the quadratic model the free gradient after a CG step is minus the CG
     residual r, which the stopping test measures as sqrt(h) |r|.
     """
-    g = bundle.gradient
+    data, x, g = bundle.data, bundle.x1, bundle.gradient
     eps = min(BINDING_EPS, stat)
     binding = ((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0))
-    hessian = obj_mod.hessian_operator(data, bundle)
+    hessian = obj_mod.hessian_operator(bundle)
     direction, products = -g, 0
     if binding.any():
         free, v = ~binding, np.zeros(x.shape)

@@ -11,6 +11,7 @@ import pytest
 import riskpath.cli as cli_mod
 import riskpath.objective as objective_mod
 from riskpath.cli import main, reduced_gradient_fd_error
+from riskpath.cone import ConeSpec
 from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
 from riskpath.path import CSV_SCHEMA_VERSION
 from test_objective import flip_adjoint_sign
@@ -104,9 +105,9 @@ def test_solve_reports_hessian_products(tmp_path):
     (None, "1e6"),
     (VOLUME, "100"),
     ({"problem": dict(SMALL["problem"], tol_feas=1.0)}, "100"),
-    ({"problem": dict(SMALL["problem"], tol_feas=-1.0)}, "100"),
-    # slack by more than |tol_feas|: feasible although tol_feas < 0 = max_violation
-    ({"problem": dict(SMALL["problem"], tol_feas=-1.0),
+    ({"problem": dict(SMALL["problem"], tol_feas=0.0)}, "100"),
+    # slack everywhere: feasible at the least tolerance, tol_feas = 0 = max_violation
+    ({"problem": dict(SMALL["problem"], tol_feas=0.0),
       "scenarios": dict(SMALL["scenarios"], bound_spec={"kind": "constant", "value": 10.0})}, "100"),
 ])
 def test_solve_report_equals_unpenalized_objective(tmp_path, overrides, gamma):
@@ -216,8 +217,8 @@ def test_overflowing_hessian_solve_aborts_the_path(tmp_path, capsys, monkeypatch
     # the path stops there with exit 1 and keeps the CSV of the points before it
     real = objective_mod.hessian_operator
 
-    def overflowing(data, bundle):
-        product = real(data, bundle)
+    def overflowing(bundle):
+        product = real(bundle)
         return product if bundle.gamma < 100.0 else (lambda v: product(v * np.inf))
 
     monkeypatch.setattr(objective_mod, "hessian_operator", overflowing)
@@ -297,7 +298,8 @@ def test_verify_passes_on_healthy_build(tmp_path):
 
 def test_verify_cone_checks_use_the_penalty_cone(monkeypatch):
     # projection_identities and penalty_gradient_fd test the cone the penalty uses:
-    # weight 1 on the scalar volume budget, h = 1/16 on grid functions
+    # weight 1 on the scalar volume budget, h = 1/16 on grid functions. The
+    # projection takes no cone, so its identities meet the cone in its inner product
     seen = []
 
     def recorded(function):
@@ -306,8 +308,8 @@ def test_verify_cone_checks_use_the_penalty_cone(monkeypatch):
             return function(cone, *args)
         return wrapper
 
-    for name in ("project", "penalty"):
-        monkeypatch.setattr(cli_mod, name, recorded(getattr(cli_mod, name)))
+    monkeypatch.setattr(cli_mod, "penalty", recorded(cli_mod.penalty))
+    monkeypatch.setattr(ConeSpec, "inner", recorded(ConeSpec.inner))
     for overrides, weight in ((VOLUME, 1.0), ({}, 1.0 / 16)):
         seen.clear()
         checks = itertools.islice(cli_mod._verify_checks(resolve(dict(SMALL, **overrides))), 2)
@@ -402,6 +404,9 @@ def test_malformed_config_names_field(tmp_path, capsys):
         # json reads NaN and Infinity; every number must be finite
         ({"risk": {"kind": "avar-smooth", "tau": nan}}, "risk.tau"),
         ({"problem": {"tol_feas": nan}}, "problem.tol_feas"),
+        # a negative tolerance passed solve and failed path only at its reference
+        ({"problem": {"n_interior": 15, "tol_feas": -1}, "scenarios": {"n_scenarios": 4},
+          "gamma_schedule": {"stop_exp": 3}}, "problem.tol_feas"),
         ({"problem": {"mu_tik": inf}}, "problem.mu_tik"),
         ({"scenarios": {"a0": inf}}, "scenarios.a0"),
         ({"scenarios": {"a_min": inf}}, "scenarios.a_min"),

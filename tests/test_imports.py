@@ -1,4 +1,4 @@
-"""What the package loads at import time.
+"""What the package loads at import time, and what its functions take.
 
 ``src/`` needs numpy and ``scipy.linalg.lapack`` only. ``scipy.optimize`` (with
 ``scipy.special``) costs about 20 MB of resident memory and 0.3 s of start-up
@@ -6,7 +6,10 @@ on every ``riskpath`` process, so it stays a test-only dependency (the L-BFGS-B
 reference in tests/reference.py).
 """
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +26,19 @@ def test_cli_import_leaves_scipy_optimize_and_special_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert done.stdout == "[]\n"
+
+
+def test_no_function_takes_a_problem_beside_a_bundle():
+    # a bundle records the problem it was evaluated for: a separate problem
+    # argument could only disagree with it
+    scanned = {}
+    for info in pkgutil.iter_modules(riskpath.__path__):
+        module = importlib.import_module(f"riskpath.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and (
+                    not name.startswith("_") or info.name == "solver"):
+                scanned[f"{info.name}.{name}"] = set(inspect.signature(fn).parameters)
+    assert {"objective.hessian_operator", "kkt.check_limit_system", "kkt.complementarity_value",
+            "solver._stationarity", "solver._newton_direction",
+            "solver._line_search"} <= set(scanned)
+    assert [name for name, params in scanned.items() if {"data", "bundle"} <= params] == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from riskpath.kkt import (
     complementarity_value,
     concentration_index,
 )
-from riskpath.objective import evaluate
+from riskpath.objective import evaluate, hessian_operator
 from riskpath.solver import SolveOptions, minimize
 
 from test_objective import make_problem
@@ -26,7 +28,7 @@ def converged_run():
 
 def test_gamma_system_residuals_small_at_solution(converged_run):
     data, res = converged_run
-    rep = check_limit_system(data, res.bundle)
+    rep = check_limit_system(res.bundle)
     b = res.bundle  # stationarity is the solver's, recomputed here from the bundle
     stationarity = norm_h(data.grid, b.x1 - data.clamp(b.x1 - b.gradient))
     assert stationarity <= 1e-8
@@ -39,9 +41,9 @@ def test_gamma_system_residuals_small_at_solution(converged_run):
 
 def test_adjoint_residual_detects_perturbed_adjoint(converged_run):
     data, res = converged_run
-    bundle = evaluate(data, res.bundle.gamma, res.x1_opt)
+    bundle = evaluate(data, res.bundle.gamma, res.bundle.x1)
     bundle.lambda_e[0] = bundle.lambda_e[0] + 0.01
-    rep = check_limit_system(data, bundle)
+    rep = check_limit_system(bundle)
     assert rep.adjoint_residual > 1e-4
 
 
@@ -49,12 +51,35 @@ def test_limit_system_zeros_on_slack_problem():
     # a problem whose constraint never activates: every limit residual is zero
     data = make_problem(n=11, bound=10.0)
     res = minimize(data, 1000.0, SolveOptions(tol_stationarity=1e-10))
-    rep = check_limit_system(data, res.bundle)
+    rep = check_limit_system(res.bundle)
     assert np.all(res.bundle.lambda_i >= 0.0)
     assert rep.primal_feasibility == 0.0
     assert rep.complementarity == 0.0
     assert rep.multiplier_l1 == 0.0
     assert rep.concentration_index == 0.0
+
+
+def test_a_bundle_reports_and_curves_the_problem_it_was_evaluated_for():
+    # shifted bounds, as an augmented Lagrangian step makes them: the report and
+    # the Hessian read the problem from the bundle, so the shifted problem's are
+    # reached only through a bundle of it, here re-evaluated from the old control
+    data = make_problem(bound=0.05, mu_tik=0.01)
+    r = minimize(data, 1e3, SolveOptions())
+    shifted = dataclasses.replace(data, constraint=dataclasses.replace(
+        data.constraint, bounds=data.constraint.bounds - 0.02))
+    moved = evaluate(shifted, 1e3, r.bundle)  # another problem's bundle: its control only
+    fresh = evaluate(shifted, 1e3, r.bundle.x1.copy())
+    rep = check_limit_system(moved)
+    assert rep == check_limit_system(fresh)
+    assert rep.primal_feasibility == pytest.approx(0.0227, abs=5e-5)
+    assert rep.complementarity == pytest.approx(0.162, abs=5e-4)
+    old = check_limit_system(r.bundle)  # the unshifted problem's own report
+    assert old.primal_feasibility == pytest.approx(0.00267, abs=5e-6)
+    assert old.complementarity == pytest.approx(0.000582, abs=5e-7)
+    ones = np.ones(data.grid.n_interior)
+    assert hessian_operator(moved)(ones).tobytes() == hessian_operator(fresh)(ones).tobytes()
+    curvature_change = hessian_operator(moved)(ones) - hessian_operator(r.bundle)(ones)
+    assert np.max(np.abs(curvature_change)) == pytest.approx(0.168, abs=5e-4)
 
 
 def test_complementarity_identity(converged_run):
@@ -65,7 +90,7 @@ def test_complementarity_identity(converged_run):
         p * data.cone.inner(r, r)
         for p, r in zip(data.scenarios.weights, b.penalty_residuals)
     )
-    assert complementarity_value(data, b) == pytest.approx(b.gamma * sq, rel=1e-12)
+    assert complementarity_value(b) == pytest.approx(b.gamma * sq, rel=1e-12)
 
 
 def test_complementarity_pairing_nonnegative(converged_run):
@@ -132,8 +157,8 @@ def test_limit_quantities_decay_along_gamma(converged_run):
         res = minimize(data, gamma, SolveOptions(tol_stationarity=1e-8), warm_start=x)
         assert res.converged
         assert np.all(res.bundle.lambda_i >= 0.0)
-        x = res.x1_opt
-        reports.append(check_limit_system(data, res.bundle))
+        x = res.bundle.x1
+        reports.append(check_limit_system(res.bundle))
     feas = [r.primal_feasibility for r in reports]
     comp = [r.complementarity for r in reports]
     assert feas[2] < feas[0]
@@ -145,7 +170,7 @@ def test_limit_quantities_decay_along_gamma(converged_run):
 
 def test_report_as_dict_roundtrip(converged_run):
     data, res = converged_run
-    rep = check_limit_system(data, res.bundle)
+    rep = check_limit_system(res.bundle)
     d = rep.as_dict()
     assert set(d) == set(rep.__dict__)
     assert all(isinstance(v, float) for v in d.values())
@@ -162,7 +187,7 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
     rng = np.random.Generator(np.random.Philox(6))
     for gamma in (1.0, 1e3, 1e6):
         b = evaluate(data, gamma, 1.0 + rng.standard_normal(15))
-        rep = check_limit_system(data, b)
+        rep = check_limit_system(b)
         _, adj_y = cone.constraint_adjoints(data.constraint, b.x1, b.states, b.lambda_i)
         i_vals = b.constraint_values
         w = data.scenarios.weights
@@ -179,7 +204,7 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
             "concentration_index": concentration_index(data.cone.norm(b.lambda_i), w, 0.125),
         }
         assert set(expected) == set(rep.as_dict())  # every field is recomputed here
-        assert norm_h(g, b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(
-            data, b.x1, b.gradient)  # the solver's measure, the one stationarity reported
+        # the solver's measure, the one stationarity reported
+        assert norm_h(g, b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(b)
         for name, value in expected.items():
             assert getattr(rep, name) == value, name

@@ -55,7 +55,7 @@ def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():
     steps = run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10))
     assert all(step.record.converged for step in steps)
     gammas = np.array([step.record.gamma for step in steps])
-    errors = np.array([norm_h(data.grid, step.result.x1_opt - x_star) for step in steps])
+    errors = np.array([norm_h(data.grid, step.result.bundle.x1 - x_star) for step in steps])
     assert np.all(np.diff(errors) < 0.0)
     slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
     assert abs(slope + 1.0) <= 0.05, (slope, errors)

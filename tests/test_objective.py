@@ -110,7 +110,7 @@ def test_hessian_product_matches_gradient_differences(kind, risk_kind):
     b = evaluate(data, 50.0, x)
     assert np.any(b.constraint_values > 0.0)  # the penalty is active somewhere
     assert np.min(np.abs(b.constraint_values)) > 1e-3  # and no difference crosses a kink
-    hessian = hessian_operator(data, b)
+    hessian = hessian_operator(b)
     eps = 1e-5
     for _ in range(5):
         d = rng.standard_normal(15)
@@ -129,7 +129,7 @@ def test_hessian_product_is_symmetric_positive_definite(kind, risk_kind):
     rng = np.random.Generator(np.random.Philox(15))
     b = evaluate(data, 100.0, 3.0 + 3.0 * rng.standard_normal(15))
     assert np.any(b.penalty_residuals > 0.0)
-    hessian = hessian_operator(data, b)
+    hessian = hessian_operator(b)
     for _ in range(10):
         u, v = rng.standard_normal(15), rng.standard_normal(15)
         hu, hv = hessian(u), hessian(v)
@@ -216,7 +216,7 @@ def test_hessian_product_equals_previous_formula(kind, risk_kind):
     assert np.any(b.penalty_residuals > 0.0)
     at_bound = (x <= data.lo) | (x >= data.hi)
     assert np.any(at_bound) and not np.all(at_bound)
-    hessian = hessian_operator(data, b)
+    hessian = hessian_operator(b)
     directions = list(rng.standard_normal((3, 12)))
     # a Newton step restricts its CG directions to the free nodes
     directions.append(np.where(at_bound, 0.0, directions[0]))
@@ -367,9 +367,10 @@ def test_clamp_is_np_clip_bit_for_bit():
         assert d.clamp(x).tobytes() == np.clip(x, d.lo, d.hi).tobytes()
 
 
-def _product_with_two_checks(data, bundle):
+def _product_with_two_checks(bundle):
     # the Hessian product as written before its state solve went unchecked:
     # both solves checked, the curvature and mu h v applied out of place
+    data = bundle.data
     h, w = data.grid.h, data.scenarios.weights
     x1, states, theta = bundle.x1, bundle.states, bundle.theta
     curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
@@ -408,7 +409,7 @@ def test_hessian_product_is_bit_identical_to_two_checked_solves(kind, risk_kind,
     for gamma in (1.0, 1e3, 1e6):
         bundle = evaluate(data, gamma, rng.standard_normal(15))
         active += np.count_nonzero(bundle.penalty_residuals)
-        product, expected = hessian_operator(data, bundle), _product_with_two_checks(data, bundle)
+        product, expected = hessian_operator(bundle), _product_with_two_checks(bundle)
         for _ in range(3):
             v = rng.standard_normal(15)
             assert product(v).tobytes() == expected(v).tobytes()
@@ -419,7 +420,7 @@ def test_hessian_product_is_bit_identical_to_two_checked_solves(kind, risk_kind,
 def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatch):
     # the state solve of a product is not checked; its inf reaches the adjoint solve
     data = make_problem(bound=0.05, kind=kind, mu_tik=0.01)
-    product = hessian_operator(data, evaluate(data, 1e3, np.ones(15)))
+    product = hessian_operator(evaluate(data, 1e3, np.ones(15)))
     checks = []
     real_solve = objective_mod.solve_state
     monkeypatch.setattr(objective_mod, "solve_state", lambda *a, check=True, **kw: (
@@ -474,7 +475,8 @@ def test_derived_fields_are_not_inputs():
 
 
 @pytest.mark.parametrize("name,value", [
-    ("lo", np.nan), ("hi", np.nan), ("mu_tik", np.nan), ("mu_tik", 0.0), ("lo", 60.0)])
+    ("lo", np.nan), ("hi", np.nan), ("mu_tik", np.nan), ("mu_tik", 0.0), ("lo", 60.0),
+    ("tol_feas", np.nan), ("tol_feas", -1.0)])
 def test_invalid_input_rejected(name, value):
     # NaN fails every ordering comparison, so each check passes only for numbers
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -517,7 +519,7 @@ def test_batched_product_equals_single_products(kind, risk_kind):
     for gamma in (1.0, 1e3, 1e6):
         bundle = evaluate(data, gamma, rng.standard_normal(15))
         active += np.count_nonzero(bundle.penalty_residuals)
-        product = hessian_operator(data, bundle)
+        product = hessian_operator(bundle)
         for stack in (rng.standard_normal((7, 15)), np.eye(15)):
             batched = product(stack)
             single = np.array([product(v) for v in stack])

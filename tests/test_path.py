@@ -68,7 +68,7 @@ def test_single_point_schedule_equals_direct_solve():
     (step,) = run_path(data, [100.0], OPTS)
     direct = minimize(data, 100.0, OPTS)
     assert step.record.j_gamma == pytest.approx(direct.bundle.j_gamma, abs=1e-14)
-    assert np.array_equal(step.result.x1_opt, direct.x1_opt)
+    assert np.array_equal(step.result.bundle.x1, direct.bundle.x1)
     assert np.isnan(step.record.control_change)
 
 
@@ -166,7 +166,7 @@ def test_sandwich_against_feasible_reference(active_path):
     data, records = active_path
     # rebuild the final control by re-running the last solve
     (step,) = run_path(data, [records[-1].gamma], OPTS)
-    final = step.result.x1_opt
+    final = step.result.bundle.x1
     ref, j_ref = shrink_to_feasible(data, final)
     assert unpenalized_objective(data, ref)[:2] == (j_ref, True)
     for r in records:
@@ -313,7 +313,7 @@ def test_records_read_objective_and_violation_from_the_bundle(active_path):
     # j and max_violation equal unpenalized_objective at each point, bit for bit
     data, records = active_path
     for step in run_path(data, [r.gamma for r in records], OPTS):
-        j, _, max_violation = unpenalized_objective(data, step.result.x1_opt)
+        j, _, max_violation = unpenalized_objective(data, step.result.bundle.x1)
         assert step.record.j == j and step.record.max_violation == max_violation
 
 

@@ -44,7 +44,7 @@ def make_recovery_problem(n=15, mu_tik=1.0, seed=0):
 def _newton_control(data, gamma):
     res = minimize(data, gamma, SolveOptions(tol_stationarity=1e-9, max_iters=20000))
     assert res.converged
-    return res.x1_opt
+    return res.bundle.x1
 
 
 @pytest.mark.parametrize(
@@ -75,7 +75,7 @@ def test_singleton_box_returns_immediately():
     res = minimize(fixed, 10.0, SolveOptions(), callback=lambda *args: seen.append(args))
     assert res.iterations == 0
     assert res.converged and res.stationarity_norm == 0.0
-    assert np.allclose(res.x1_opt, 0.7)
+    assert np.allclose(res.bundle.x1, 0.7)
     assert [args[0] for args in seen] == [0]
 
 
@@ -87,7 +87,7 @@ def test_methods_agree_on_strongly_convex_instances():
         ref = reference_minimize(data, 100.0)
         assert newton.converged
         assert abs(newton.bundle.j_gamma - ref.fun) <= 1e-8 * max(1.0, abs(newton.bundle.j_gamma))
-        assert np.max(np.abs(newton.x1_opt - ref.x)) <= 1e-5
+        assert np.max(np.abs(newton.bundle.x1 - ref.x)) <= 1e-5
 
 
 def test_newton_descends_monotonically():
@@ -117,8 +117,8 @@ def test_iterates_stay_in_box():
         hi=0.2,
     )
     res = minimize(tight, 100.0, SolveOptions(tol_stationarity=1e-10))
-    assert np.all(res.x1_opt >= tight.lo - 1e-15)
-    assert np.all(res.x1_opt <= tight.hi + 1e-15)
+    assert np.all(res.bundle.x1 >= tight.lo - 1e-15)
+    assert np.all(res.bundle.x1 <= tight.hi + 1e-15)
 
 
 def test_active_bounds_produce_normal_cone_element():
@@ -136,8 +136,8 @@ def test_active_bounds_produce_normal_cone_element():
     )
     res = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10))
     assert res.converged
-    at_lo = res.x1_opt <= tight.lo + 1e-9
-    at_hi = res.x1_opt >= tight.hi - 1e-9
+    at_lo = res.bundle.x1 <= tight.lo + 1e-9
+    at_hi = res.bundle.x1 >= tight.hi - 1e-9
     assert np.any(at_lo | at_hi)
     # -gradient lies in the normal cone of the box: it points out of each active bound
     g = res.bundle.gradient
@@ -148,7 +148,7 @@ def test_warm_start_helps():
     data = make_problem(n=15, bound=0.05)
     opts = SolveOptions(tol_stationarity=1e-9)
     cold = minimize(data, 1000.0, opts)
-    warm = minimize(data, 1000.0, opts, warm_start=cold.x1_opt)
+    warm = minimize(data, 1000.0, opts, warm_start=cold.bundle.x1)
     assert warm.converged
     assert warm.iterations <= max(5, cold.iterations // 2)
     assert abs(warm.bundle.j_gamma - cold.bundle.j_gamma) <= 1e-10 * max(1.0, cold.bundle.j_gamma)
@@ -198,7 +198,7 @@ def test_solve_evaluates_each_point_once(monkeypatch):
     assert len(set(evaluated)) == len(evaluated), "evaluate called twice on one point"
     _, x_last, bundle = calls[-1]
     assert bundle is res.bundle
-    assert np.array_equal(x_last, res.x1_opt)
+    assert np.array_equal(x_last, res.bundle.x1)
 
 
 def test_newton_counts_hessian_products():
@@ -214,12 +214,12 @@ def test_newton_counts_hessian_products():
     assert 0 < res.hessian_products <= res.iterations * 15
 
 
-def _masked_direction(data, bundle, x, stat, tol_stationarity):
+def _masked_direction(bundle, stat, tol_stationarity):
     # the free-set path of _newton_direction, taken even when nothing binds
-    g = bundle.gradient
+    data, x, g = bundle.data, bundle.x1, bundle.gradient
     eps = min(solver_mod.BINDING_EPS, stat)
     free = ~(((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0)))
-    hessian = obj_mod.hessian_operator(data, bundle)
+    hessian = obj_mod.hessian_operator(bundle)
     v = np.zeros_like(x)
 
     def product(p):
@@ -249,9 +249,9 @@ def test_unmasked_newton_direction_is_bit_identical(kind, risk_kind):
     for gamma in (1.0, 1e3, 1e6):
         x = rng.standard_normal(31)  # far inside the box [-50, 50]: no bound binds
         bundle = evaluate(data, gamma, x)
-        stat = solver_mod._stationarity(data, x, bundle.gradient)
-        direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
-        expected, expected_products = _masked_direction(data, bundle, x, stat, 1e-8)
+        stat = solver_mod._stationarity(bundle)
+        direction, products = solver_mod._newton_direction(bundle, stat, 1e-8)
+        expected, expected_products = _masked_direction(bundle, stat, 1e-8)
         assert np.array_equal(direction, expected) and products == expected_products > 0
 
 
@@ -288,6 +288,8 @@ def test_newton_agrees_with_reference(kind, risk_kind):
 def test_invalid_options_rejected():
     with pytest.raises(ValueError):
         SolveOptions(tol_stationarity=0.0)
+    with pytest.raises(ValueError, match="tol_stationarity"):  # else no solve could converge
+        SolveOptions(tol_stationarity=np.nan)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
 
@@ -299,8 +301,8 @@ def test_non_finite_state_direction_in_a_product_is_divergence(kind, monkeypatch
     data = make_cg_problem(bound=0.05, mu_tik=0.01, kind=kind)
     real = obj_mod.hessian_operator
 
-    def poisoned(data, bundle):
-        product = real(data, bundle)
+    def poisoned(bundle):
+        product = real(bundle)
         return lambda v: product(np.where(np.arange(v.size) == 7, np.inf, v))
 
     monkeypatch.setattr(obj_mod, "hessian_operator", poisoned)
@@ -314,10 +316,10 @@ def test_warm_start_from_a_bundle_equals_warm_start_from_its_control():
                         alpha=0.25)
     first = minimize(data, 10.0, SolveOptions())
     from_bundle = minimize(data, 1e3, SolveOptions(), warm_start=first.bundle)
-    from_control = minimize(data, 1e3, SolveOptions(), warm_start=first.x1_opt)
+    from_control = minimize(data, 1e3, SolveOptions(), warm_start=first.bundle.x1)
     assert from_bundle.iterations == from_control.iterations > 0
     assert from_bundle.hessian_products == from_control.hessian_products
-    assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
+    assert from_bundle.bundle.x1.tobytes() == from_control.bundle.x1.tobytes()
     assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
 
 
@@ -329,11 +331,11 @@ def test_warm_start_from_another_problems_bundle_equals_warm_start_from_its_cont
     shifted = dataclasses.replace(data, constraint=dataclasses.replace(
         data.constraint, bounds=data.constraint.bounds - 0.02))
     assert evaluate(shifted, 1e3, first.bundle).j_gamma == evaluate(
-        shifted, 1e3, first.x1_opt).j_gamma
+        shifted, 1e3, first.bundle.x1).j_gamma
     from_bundle = minimize(shifted, 1e3, SolveOptions(), warm_start=first.bundle)
-    from_control = minimize(shifted, 1e3, SolveOptions(), warm_start=first.x1_opt)
+    from_control = minimize(shifted, 1e3, SolveOptions(), warm_start=first.bundle.x1)
     assert from_bundle.iterations == from_control.iterations > 0
-    assert from_bundle.x1_opt.tobytes() == from_control.x1_opt.tobytes()
+    assert from_bundle.bundle.x1.tobytes() == from_control.bundle.x1.tobytes()
     assert from_bundle.bundle.j_gamma == from_control.bundle.j_gamma
 
 
@@ -348,10 +350,10 @@ def test_dense_direction_solves_the_newton_system(kind, risk_kind):
     for gamma in (1.0, 1e3, 1e6):
         x = rng.standard_normal(15)
         bundle = evaluate(data, gamma, x)
-        stat = solver_mod._stationarity(data, x, bundle.gradient)
-        direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
+        stat = solver_mod._stationarity(bundle)
+        direction, products = solver_mod._newton_direction(bundle, stat, 1e-8)
         assert products == 15
-        product, g = obj_mod.hessian_operator(data, bundle), bundle.gradient
+        product, g = obj_mod.hessian_operator(bundle), bundle.gradient
         hessian = np.array([product(e) for e in np.eye(15)])
         assert np.linalg.norm(hessian @ direction + g) <= 1e-12 * np.linalg.norm(hessian) * (
             np.linalg.norm(direction))
@@ -364,8 +366,8 @@ def test_non_finite_batched_column_is_divergence(monkeypatch):
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     real = obj_mod.hessian_operator
 
-    def poisoned(data, bundle):
-        product = real(data, bundle)
+    def poisoned(bundle):
+        product = real(bundle)
         return lambda v: product(np.where(np.arange(v.shape[-1]) == 7, np.inf, v))
 
     monkeypatch.setattr(obj_mod, "hessian_operator", poisoned)
@@ -379,14 +381,14 @@ def test_step_with_a_binding_bound_takes_cg(monkeypatch):
     data = make_problem(n=15, bound=10.0, mu_tik=1e-4)
     tight = ProblemData(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
                         risk=data.risk, y_d=5.0 * data.y_d, mu_tik=1e-4, lo=-0.5, hi=0.5)
-    x = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10)).x1_opt
+    x = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10)).bundle.x1
     bundle = evaluate(tight, 1.0, x)
     g = bundle.gradient
     assert np.any((x <= tight.lo) & (g > 0.0)) or np.any((x >= tight.hi) & (g < 0.0))
     monkeypatch.setattr(solver_mod, "dposv", None)  # a call would raise
-    stat = solver_mod._stationarity(tight, x, g)
-    direction, products = solver_mod._newton_direction(tight, bundle, x, stat, 1e-8)
-    expected, expected_products = _masked_direction(tight, bundle, x, stat, 1e-8)
+    stat = solver_mod._stationarity(bundle)
+    direction, products = solver_mod._newton_direction(bundle, stat, 1e-8)
+    expected, expected_products = _masked_direction(bundle, stat, 1e-8)
     assert np.array_equal(direction, expected) and products == expected_products
 
 
@@ -395,8 +397,8 @@ def test_hessian_not_positive_definite_falls_back_to_cg(monkeypatch):
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     x = np.random.Generator(np.random.Philox(23)).standard_normal(15)
     bundle = evaluate(data, 1e3, x)
-    stat = solver_mod._stationarity(data, x, bundle.gradient)
+    stat = solver_mod._stationarity(bundle)
     monkeypatch.setattr(solver_mod, "dposv", lambda a, b: (a, b, 3))
-    direction, products = solver_mod._newton_direction(data, bundle, x, stat, 1e-8)
-    expected, expected_products = _masked_direction(data, bundle, x, stat, 1e-8)
+    direction, products = solver_mod._newton_direction(bundle, stat, 1e-8)
+    expected, expected_products = _masked_direction(bundle, stat, 1e-8)
     assert np.array_equal(direction, expected) and products == 15 + expected_products
