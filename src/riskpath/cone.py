@@ -64,7 +64,7 @@ def penalty(cone: ConeSpec, gamma: float, i_value) -> PenaltyValue:
     return PenaltyValue(value=0.5 * gamma * cone.inner(r, r), residual=r)
 
 
-def penalty_multiplier(cone: ConeSpec, gamma: float, i_value):
+def penalty_multiplier(gamma: float, i_value):
     """gamma * (i + proj(-i)) = gamma * max(0, i); always in the dual cone."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from .grid import dot_last
-from .objective import EvalBundle
+from .objective import EvalBundle, control_adjoint
 from .scenario import empirical_expectation
 
 Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concentration_index
@@ -55,10 +55,13 @@ def _max_norm(weight: float, u: np.ndarray) -> float:
 
 def complementarity_value(bundle: EvalBundle) -> float:
     """Signed pairing E[(lambda_i, i)_H]; equals gamma E[||max(0,i)||_H^2]."""
+    return _pairing(bundle, bundle.lambda_i)
+
+
+def _pairing(bundle: EvalBundle, lam_i: np.ndarray) -> float:
+    """E[(lam_i, i)_H] with the bundle's constraint values i."""
     data = bundle.data
-    return empirical_expectation(
-        data.scenarios, data.cone.inner(bundle.lambda_i, bundle.constraint_values)
-    )
+    return empirical_expectation(data.scenarios, data.cone.inner(lam_i, bundle.constraint_values))
 
 
 def concentration_index(lambda_masses, weights, q: float) -> float:
@@ -87,7 +90,7 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     data = bundle.data
     h, op = data.grid.h, data.operator
     w, cone, lam_i = data.scenarios.weights, data.cone, bundle.lambda_i
-    _, adj_y = cone_mod.constraint_adjoints(data.constraint, bundle.x1, bundle.states, lam_i)
+    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, bundle.x1, bundle.states, lam_i)
     return KktReport(
         # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
         adjoint_residual=_max_norm(
@@ -95,11 +98,11 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
         # h A x2 = h x1 (state equation in mass-weighted form)
         state_residual=_max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1),
         primal_feasibility=max(0.0, float(bundle.constraint_values.max())),
-        complementarity=abs(complementarity_value(bundle)),
+        complementarity=abs(_pairing(bundle, lam_i)),
         # the expectations below are empirical_expectation's np.dot
         multiplier_l1=float(np.dot(w, cone.weight * np.abs(lam_i).sum(axis=-1))),
         adjoint_l1=float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1))),
         concentration_index=concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION),
         rho_mean_norm=_max_norm(h, bundle.rho_mean),
-        rho_per_scenario_max=_max_norm(h, bundle.rho),
+        rho_per_scenario_max=_max_norm(h, control_adjoint(h, bundle.lambda_e, adj_u)),
     )

@@ -90,17 +90,44 @@ class ControlEval:
 
 @dataclass(eq=False)
 class EvalBundle(ControlEval):
-    """One full evaluation; per-scenario quantities are stacked along axis 0."""
+    """One full evaluation; per-scenario quantities are stacked along axis 0.
+
+    It stores four stacked arrays: the states, zeta2, the constraint values and
+    the adjoint states. The penalty residuals, the multipliers and rho are
+    one-line functions of them, computed on access with evaluate's expressions,
+    so a path that keeps a bundle per gamma point does not keep them.
+    """
 
     gamma: float
-    penalty_residuals: np.ndarray  # max(0, i), (K, m)
-    lambda_i: np.ndarray  # penalty multipliers, (K, m)
     lambda_e: np.ndarray  # adjoint states, (K, n)
-    rho: np.ndarray  # per-scenario stationarity contribution, (K, n)
     rho_mean: np.ndarray  # E[rho], (n,)
     penalty_term: float
     j_gamma: float
     gradient: np.ndarray  # reduced gradient, dual of the control
+
+    @property
+    def penalty_residuals(self) -> np.ndarray:
+        """max(0, i), (K, m)."""
+        return cone_mod.project(self.constraint_values)
+
+    @property
+    def lambda_i(self) -> np.ndarray:
+        """The penalty multipliers gamma max(0, i), (K, m)."""
+        return self.gamma * self.penalty_residuals
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The per-scenario stationarity contribution, (K, n)."""
+        adj_u, _ = cone_mod.constraint_adjoints(self.data.constraint, self.x1, self.states,
+                                                self.lambda_i)
+        return control_adjoint(self.data.grid.h, self.lambda_e, adj_u)
+
+
+def control_adjoint(h: float, lambda_e: np.ndarray, adj_u: np.ndarray) -> np.ndarray:
+    """rho = e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)."""
+    rho = np.multiply(-h, lambda_e)
+    rho += adj_u
+    return rho
 
 
 def _control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
@@ -138,15 +165,13 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     lam_e += adj_y
     lam_e /= -h
     lam_e = solve_state(data.operator, lam_e, out=lam_e)
-    rho = np.multiply(-h, lam_e)  # e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)
-    rho += adj_u
+    rho = control_adjoint(h, lam_e, adj_u)
     # the axis-0 sum adds the scenarios in index order
     rho_mean = (weights[:, None] * rho).sum(axis=0)
     penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
     return EvalBundle(  # the control half, in field order, then the gamma half
         data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
-        c.risk_value, gamma=gamma, penalty_residuals=pv.residual, lambda_i=lam_i,
-        lambda_e=lam_e, rho=rho, rho_mean=rho_mean, penalty_term=penalty_term,
+        c.risk_value, gamma=gamma, lambda_e=lam_e, rho_mean=rho_mean, penalty_term=penalty_term,
         j_gamma=c.j1 + c.risk_value + penalty_term, gradient=c.eta + rho_mean,
     )
 
@@ -175,7 +200,7 @@ def hessian_operator(bundle: EvalBundle):
     h, w = data.grid.h, data.scenarios.weights
     mu_h = data.mu_tik * h
     x1, states, theta = bundle.x1, bundle.states, bundle.theta
-    curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
+    curvature = bundle.gamma * (bundle.constraint_values > 0.0)  # where max(0, i) > 0
     if data.risk.kind == "avar-smooth":
         grad_j = solve_state(data.operator, bundle.zeta2)  # grad J_k, (K, n)
         # sigma'(z_k)/(alpha tau) with sigma(z_k) = alpha theta_k, weighted

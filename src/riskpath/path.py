@@ -102,9 +102,8 @@ def run_path(
         bundle = result.bundle
         report = kkt_mod.check_limit_system(bundle)
         j = bundle.j1 + bundle.risk_value  # the unpenalized objective
-        sq_violation = empirical_expectation(
-            data.scenarios, data.cone.inner(bundle.penalty_residuals, bundle.penalty_residuals)
-        )
+        residual = bundle.penalty_residuals
+        sq_violation = empirical_expectation(data.scenarios, data.cone.inner(residual, residual))
         change = norm_h(data.grid, bundle.x1 - steps[-1].result.bundle.x1) if steps else np.nan
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(

@@ -153,7 +153,7 @@ def test_criterion_07_cone_projection_identities():
         gamma = float(rng.uniform(0.5, 100.0))
         pv = penalty(cone, gamma, k)
         ok &= (pv.value == 0.0) == bool(np.all(k <= 0.0))
-        lam = penalty_multiplier(cone, gamma, k)
+        lam = penalty_multiplier(gamma, k)
         d = rng.standard_normal(dim)
         eps = 1e-6
         fd = (penalty(cone, gamma, k + eps * d).value - penalty(cone, gamma, k - eps * d).value) / (2 * eps)

@@ -11,7 +11,7 @@ import pytest
 import riskpath.cli as cli_mod
 import riskpath.objective as objective_mod
 from riskpath.cli import main, reduced_gradient_fd_error
-from riskpath.cone import ConeSpec
+from riskpath.cone import ConeSpec, constraint_eval
 from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
 from riskpath.path import CSV_SCHEMA_VERSION
 from test_objective import flip_adjoint_sign
@@ -135,6 +135,23 @@ def test_path_with_infeasible_zero_control_exits_one(tmp_path, capsys):
     tag = tag_of(cfg_path)
     assert len((out / f"path_{tag}.csv").read_text().splitlines()) == 2 + 4
     assert not (out / f"path_{tag}.json").exists()  # the CSV is the one record of the path
+
+
+def test_path_with_infeasible_zero_but_feasible_final_control_exits_zero(tmp_path):
+    # a negative volume bound makes the zero control infeasible, but the constraint is
+    # inactive at the optimum: the final control is its own reference and the path passes
+    problem = dict(VOLUME["problem"], y_d={"kind": "parabola", "amplitude": -2.0})
+    spec = {"kind": "constant", "value": -0.05}
+    cfg_path = write_config(tmp_path, {"problem": problem,
+                                       "scenarios": dict(SMALL["scenarios"], bound_spec=spec),
+                                       "feasible_reference": {"mode": "scaled-initial"}})
+    data = build_problem(load_config(cfg_path))
+    zero = np.zeros(data.grid.n_interior)
+    assert np.max(constraint_eval(data.constraint, zero, zero)) > data.tol_feas
+    out = tmp_path / "out"
+    assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 0
+    slopes = json.loads((out / f"slopes_{tag_of(cfg_path)}.json").read_text())
+    assert slopes["assertions"]["sandwich_j_le_jgamma_le_jref"] is True
 
 
 def test_solve_exit_two_when_budget_exhausted(tmp_path):

@@ -93,7 +93,7 @@ def test_penalty_rejects_bad_gamma(grid_cone):
     with pytest.raises(ValueError):
         penalty(cone, 0.0, np.zeros(7))
     with pytest.raises(ValueError):
-        penalty_multiplier(cone, -1.0, np.zeros(7))
+        penalty_multiplier(-1.0, np.zeros(7))
 
 
 def test_penalty_matches_envelope_minimization(grid_cone):
@@ -122,10 +122,8 @@ def test_penalty_convex_along_segments(grid_cone):
 
 
 def test_multiplier_examples():
-    cone = ConeSpec(weight=1.0)
-    assert penalty_multiplier(cone, 10.0, np.array([0.3])) == pytest.approx([3.0])
-    gcone = ConeSpec(weight=0.25)
-    assert np.array_equal(penalty_multiplier(gcone, 7.0, -np.ones(3)), np.zeros(3))
+    assert penalty_multiplier(10.0, np.array([0.3])) == pytest.approx([3.0])
+    assert np.array_equal(penalty_multiplier(7.0, -np.ones(3)), np.zeros(3))
 
 
 def test_multiplier_is_gradient_of_penalty(grid_cone):
@@ -135,7 +133,7 @@ def test_multiplier_is_gradient_of_penalty(grid_cone):
     gamma = 3.5
     for _ in range(20):
         i = rng.standard_normal(7)
-        lam = penalty_multiplier(cone, gamma, i)
+        lam = penalty_multiplier(gamma, i)
         d = rng.standard_normal(7)
         eps = 1e-6
         fd = (penalty(cone, gamma, i + eps * d).value - penalty(cone, gamma, i - eps * d).value) / (2 * eps)
@@ -148,7 +146,7 @@ def test_multiplier_sign_and_complementarity(grid_cone):
     basis = np.eye(7)
     for _ in range(50):
         i = rng.standard_normal(7)
-        lam = penalty_multiplier(cone, 2.0, i)
+        lam = penalty_multiplier(2.0, i)
         for e in basis:
             assert cone.inner(lam, e) >= 0.0
         assert cone.inner(lam, project(-i)) == 0.0

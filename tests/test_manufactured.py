@@ -26,7 +26,7 @@ from riskpath.solver import SolveOptions
 EPSILON, MU = 0.05, 1e-2
 
 
-def manufactured_problem(n: int):
+def manufactured_problem(n: int, epsilon: float = EPSILON):
     """(data, x*) for the construction above on n interior nodes."""
     grid = Grid(n)
     s = grid.nodes
@@ -36,14 +36,23 @@ def manufactured_problem(n: int):
     y_star = solve_state(op, x_star)[0]
     active = (s > 0.4) & (s < 0.6)
     lam_star = np.where(active, 5.0 * np.sin(np.pi * (s - 0.4) / 0.2) + 1.0, 0.0)
-    psi = y_star - EPSILON * x_star + np.where(active, 0.0, 0.05 + 0.5 * np.abs(s - 0.5))
-    y_d = y_star + MU * op.matvec(x_star)[0] - EPSILON * op.matvec(lam_star)[0] + lam_star
+    psi = y_star - epsilon * x_star + np.where(active, 0.0, 0.05 + 0.5 * np.abs(s - 0.5))
+    y_d = y_star + MU * op.matvec(x_star)[0] - epsilon * op.matvec(lam_star)[0] + lam_star
     data = ProblemData(
         grid=grid, scenarios=scenarios,
-        constraint=ConstraintMap(kind="mixed", grid=grid, bounds=psi[None, :], epsilon=EPSILON),
+        constraint=ConstraintMap(kind="mixed", grid=grid, bounds=psi[None, :], epsilon=epsilon),
         risk=RiskMeasure(), y_d=y_d, mu_tik=MU, lo=-50.0, hi=50.0,
     )
     return data, x_star
+
+
+def _path_errors(epsilon: float):
+    """(gammas, ||x_gamma - x*||_h) along gamma = 1e3 ... 1e8 at n = 127, every point converged."""
+    data, x_star = manufactured_problem(127, epsilon)
+    steps = run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10))
+    assert all(step.record.converged for step in steps)
+    gammas = np.array([step.record.gamma for step in steps])
+    return gammas, np.array([norm_h(data.grid, step.result.bundle.x1 - x_star) for step in steps])
 
 
 def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():
@@ -51,11 +60,16 @@ def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():
     # the error reaches its O(1/gamma) value, and the error freezes at 1.7e-5
     # from gamma of about 1e7 (the test measures the mass-weighted gradient as
     # a primal step, so it passes more easily than the error it stands for)
-    data, x_star = manufactured_problem(127)
-    steps = run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10))
-    assert all(step.record.converged for step in steps)
-    gammas = np.array([step.record.gamma for step in steps])
-    errors = np.array([norm_h(data.grid, step.result.bundle.x1 - x_star) for step in steps])
+    gammas, errors = _path_errors(EPSILON)
     assert np.all(np.diff(errors) < 0.0)
     slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
+    assert abs(slope + 1.0) <= 0.05, (slope, errors)
+
+
+def test_pure_state_bound_converges_at_rate_one_over_gamma_from_1e5():
+    # epsilon 0: a bound on the state alone, with the L2 multiplier lambda*; the
+    # error leaves its pre-asymptotic regime later (slope -0.90 over 1e3 ... 1e8)
+    gammas, errors = _path_errors(0.0)
+    assert np.all(np.diff(errors) < 0.0)
+    slope = np.polyfit(np.log(gammas[2:]), np.log(errors[2:]), 1)[0]  # gamma = 1e5 ... 1e8
     assert abs(slope + 1.0) <= 0.05, (slope, errors)

@@ -168,7 +168,7 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     costs = 0.5 * inner_h(data.grid, states - data.y_d, states - data.y_d)
     theta = risk.subgradient(data.risk, costs, w).theta
     i_vals = cone.constraint_eval(data.constraint, x, states)
-    lam_i = cone.penalty_multiplier(data.cone, 100.0, i_vals)
+    lam_i = cone.penalty_multiplier(100.0, i_vals)
     adj_u, adj_y = cone.constraint_adjoints(data.constraint, x, states, lam_i)
     lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
     rho = -h * lam_e + adj_u
@@ -437,11 +437,11 @@ def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatc
 
 
 def _assert_same_bundle(got, want):
-    for f in dataclasses.fields(EvalBundle):
-        if f.name == "data":  # the problem evaluated, a reference and not a value
-            continue
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    # the stored fields but the problem evaluated (a reference, not a value), and the derived arrays
+    names = [f.name for f in dataclasses.fields(EvalBundle) if f.name != "data"]
+    for name in names + ["penalty_residuals", "lambda_i", "rho"]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 @pytest.mark.parametrize("kind,risk_kind,bound", PRODUCT_CASES)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,28 @@ def test_control_settles_in_last_decade():
     opts = SolveOptions(tol_stationarity=1e-4)
     steps = run_path(data, decade_schedule(0, 6), opts)
     assert steps[-1].record.control_change <= 10.0 * opts.tol_stationarity
+
+
+def test_a_finished_path_retains_four_stacked_arrays_per_point():
+    # a bundle stores the states, zeta2, the constraint values and the adjoints;
+    # it derives max(0, i), the multipliers and rho (7.2 K n 8 bytes when it stored them)
+    k, n = 64, 63
+    cfg = resolve({"problem": {"n_interior": n}, "scenarios": {"n_scenarios": k},
+                   "gamma_schedule": {"start_exp": 0, "stop_exp": 3, "per_decade": 1}})
+    data, schedule, opts = build_problem(cfg), build_schedule(cfg), build_solve_options(cfg)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        steps = run_path(data, schedule, opts)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(steps) == 4
+    assert retained <= 4.5 * k * n * 8 * len(steps), retained / (k * n * 8 * len(steps))
 
 
 def test_shrink_to_feasible_basics():
