@@ -32,7 +32,7 @@ class ConeSpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight <= 0.0:
+        if not self.weight > 0.0:  # NaN fails too
             raise ValueError("cone weight must be positive")
 
     def inner(self, u, v):
@@ -91,7 +91,7 @@ class ConstraintMap:
     def __post_init__(self):
         if self.kind not in ("mixed", "volume", "gradient"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.epsilon < 0.0 or self.delta < 0.0:
+        if not (self.epsilon >= 0.0 and self.delta >= 0.0):  # NaN fails too
             raise ValueError("epsilon and delta must be nonnegative")
         if self.kind == "gradient" and np.any(self.bounds < 0.0):  # i >= -psi: none feasible
             raise ValueError("a gradient bound must be >= 0: no smoothed gradient norm is below 0")
@@ -137,16 +137,19 @@ def ray_bounds(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, tol: float):
     return np.abs(cmap._grad_cells(x2)), np.sqrt(slack * (slack + 2.0 * cmap.delta))
 
 
-def _slope(cmap: ConstraintMap, x2: np.ndarray) -> np.ndarray:
-    """Derivative of the smoothed norm at the cell gradients of x2 (gradient kind)."""
+def constraint_slope(cmap: ConstraintMap, x2: np.ndarray):
+    """The point's factor in i's derivative, from the states x2: the smoothed-norm slope at
+    the cell gradients (gradient kind); None for the affine kinds, whose derivative is fixed."""
+    if cmap.kind != "gradient":
+        return None
     du = cmap._grad_cells(x2)
     denom = np.sqrt(du**2 + cmap.delta**2)
     # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
     return np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
 
 
-def constraint_jvp(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, dx1, dx2):
-    """Linearisation i_x1 dx1 + i_x2 dx2 at (x1, x2), stacked (K, m) like the values.
+def constraint_jvp(cmap: ConstraintMap, d, dx1, dx2):
+    """Linearisation i_x1 dx1 + i_x2 dx2 at d = constraint_slope(point), stacked (K, m).
 
     Exact for the affine kinds; for the gradient kind it is the first-order term
     of the smoothed norm (its curvature is left out).
@@ -155,11 +158,11 @@ def constraint_jvp(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, dx1, dx2
         return dx2 - cmap.epsilon * np.asarray(dx1, dtype=float)
     if cmap.kind == "volume":
         return cmap.grid.h * np.sum(dx2, axis=-1, keepdims=True)
-    return _slope(cmap, x2) * cmap._grad_cells(dx2)
+    return d * cmap._grad_cells(dx2)
 
 
-def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, lam):
-    """Adjoints (i_x1^* lam, i_x2^* lam) as dual (mass-weighted) vectors.
+def constraint_adjoints(cmap: ConstraintMap, d, lam):
+    """Adjoints (i_x1^* lam, i_x2^* lam) at d = constraint_slope(point), as dual vectors.
 
     Satisfy (lam, i_x1 du + i_x2 dy)_H = <i_x1^* lam, du> + <i_x2^* lam, dy>
     with the right-hand pairings the plain euclidean dot product, row by row.
@@ -171,6 +174,6 @@ def constraint_adjoints(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, lam
     if cmap.kind == "volume":
         dual_x2 = h * lam * np.ones(cmap.grid.n_interior)
     else:
-        c = lam * _slope(cmap, x2)
+        c = lam * d
         dual_x2 = c[..., :-1] - c[..., 1:]
     return np.zeros_like(dual_x2), dual_x2

@@ -90,7 +90,8 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     data = bundle.data
     h, op = data.grid.h, data.operator
     w, cone, lam_i = data.scenarios.weights, data.cone, bundle.lambda_i
-    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, bundle.x1, bundle.states, lam_i)
+    i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
+    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     return KktReport(
         # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
         adjoint_residual=_max_norm(

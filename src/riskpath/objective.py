@@ -93,9 +93,9 @@ class EvalBundle(ControlEval):
     """One full evaluation; per-scenario quantities are stacked along axis 0.
 
     It stores four stacked arrays: the states, zeta2, the constraint values and
-    the adjoint states. The penalty residuals, the multipliers and rho are
-    one-line functions of them, computed on access with evaluate's expressions,
-    so a path that keeps a bundle per gamma point does not keep them.
+    the adjoint states. The penalty residuals and the multipliers are one-line
+    functions of them, computed on access with evaluate's expressions, so a path
+    that keeps a bundle per gamma point does not keep them.
     """
 
     gamma: float
@@ -114,13 +114,6 @@ class EvalBundle(ControlEval):
     def lambda_i(self) -> np.ndarray:
         """The penalty multipliers gamma max(0, i), (K, m)."""
         return self.gamma * self.penalty_residuals
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The per-scenario stationarity contribution, (K, n)."""
-        adj_u, _ = cone_mod.constraint_adjoints(self.data.constraint, self.x1, self.states,
-                                                self.lambda_i)
-        return control_adjoint(self.data.grid.h, self.lambda_e, adj_u)
 
 
 def control_adjoint(h: float, lambda_e: np.ndarray, adj_u: np.ndarray) -> np.ndarray:
@@ -159,7 +152,8 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     h, weights = data.grid.h, data.scenarios.weights
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
     lam_i = gamma * pv.residual  # the penalty multiplier gamma * max(0, i)
-    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, c.x1, c.states, lam_i)
+    i_slope = cone_mod.constraint_slope(data.constraint, c.states)
+    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
     lam_e = np.multiply(c.theta[:, None], c.zeta2)
     lam_e += adj_y
@@ -199,7 +193,7 @@ def hessian_operator(bundle: EvalBundle):
     data = bundle.data
     h, w = data.grid.h, data.scenarios.weights
     mu_h = data.mu_tik * h
-    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    theta, i_slope = bundle.theta, cone_mod.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.constraint_values > 0.0)  # where max(0, i) > 0
     if data.risk.kind == "avar-smooth":
         grad_j = solve_state(data.operator, bundle.zeta2)  # grad J_k, (K, n)
@@ -215,9 +209,9 @@ def hessian_operator(bundle: EvalBundle):
         dv = v[..., None, :]  # a stack (m, n) meets the scenarios as (m, 1, n)
         out = work if v.ndim == 1 else np.empty(v.shape[:-1] + shape)
         d_states = solve_state(data.operator, dv, out=out, check=False)
-        d_lam = cone_mod.constraint_jvp(data.constraint, x1, states, dv, d_states)
+        d_lam = cone_mod.constraint_jvp(data.constraint, i_slope, dv, d_states)
         d_lam *= curvature
-        adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, x1, states, d_lam)
+        adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, d_lam)
         d_states *= risk_weight
         d_states += adj_y
         rho = solve_state(data.operator, d_states, out=out)

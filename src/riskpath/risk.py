@@ -36,7 +36,7 @@ class RiskMeasure:
             raise ValueError(f"unknown risk measure kind {self.kind!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.kind == "avar-smooth" and self.tau <= 0.0:
+        if self.kind == "avar-smooth" and not 0.0 < self.tau < math.inf:  # NaN fails too
             raise ValueError("tau must be positive for the smoothed measure")
 
     @property

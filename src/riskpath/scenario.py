@@ -25,9 +25,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_scenarios < 1:
             raise ValueError("n_scenarios must be positive")
-        if self.a_min <= 0.0:
+        if not self.a_min > 0.0:  # NaN fails too
             raise ValueError("a_min must be positive")
-        if self.a0 - sum(abs(s) for s in self.sigma) <= 0.0:
+        if not self.a0 - sum(abs(s) for s in self.sigma) > 0.0:  # NaN fails too
             raise ValueError("field model admits nonpositive conductivity (a0 - sum sigma <= 0)")
 
 
@@ -40,7 +40,7 @@ class ScenarioSet:
 
     def __post_init__(self):
         w = self.weights
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.conductivities.shape[0] != w.size:
             raise ValueError("conductivities need one row per weight")

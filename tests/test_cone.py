@@ -7,6 +7,7 @@ from riskpath.cone import (
     constraint_adjoints,
     constraint_eval,
     constraint_jvp,
+    constraint_slope,
     penalty,
     penalty_multiplier,
     project,
@@ -168,7 +169,7 @@ def test_mixed_eval_zero_at_bound(mixed_map):
 def test_mixed_adjoints_epsilon_zero(mixed_map):
     g, cmap = mixed_map
     lam = np.array([1.0, 2.0, 3.0])
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.zeros(3), lam)
+    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.zeros(3)), lam)
     assert np.allclose(adj_u, 0.0)
     assert np.allclose(adj_y, g.h * lam)
 
@@ -179,7 +180,8 @@ def test_volume_eval_and_adjoint():
     val = constraint_eval(cmap, np.zeros(3), np.ones((1, 3)))
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(0.25)  # 3h - 0.5 with h = 0.25
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(3), np.ones((1, 3)), np.array([[1.0]]))
+    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.ones((1, 3))),
+                                       np.array([[1.0]]))
     assert np.allclose(adj_u, 0.0)
     assert np.allclose(adj_y, g.h * np.ones(3))
 
@@ -211,7 +213,7 @@ def test_gradient_adjoint_identity():
     ip = constraint_eval(cmap, x1 + eps * du, x2 + eps * dy)[0]
     im = constraint_eval(cmap, x1 - eps * du, x2 - eps * dy)[0]
     fd = cone.inner(lam, (ip - im) / (2 * eps))
-    adj_u, adj_y = constraint_adjoints(cmap, x1, x2, lam)
+    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
     an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
@@ -225,7 +227,7 @@ def test_linearisation_matches_differences_and_adjoints(kind):
     cone = cmap.cone_spec()
     x1, du = rng.standard_normal(9), rng.standard_normal(9)
     x2, dy = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
-    jvp = constraint_jvp(cmap, x1, x2, du, dy)
+    jvp = constraint_jvp(cmap, constraint_slope(cmap, x2), du, dy)
     eps = 1e-7
     fd = (constraint_eval(cmap, x1 + eps * du, x2 + eps * dy)
           - constraint_eval(cmap, x1 - eps * du, x2 - eps * dy)) / (2 * eps)
@@ -233,7 +235,7 @@ def test_linearisation_matches_differences_and_adjoints(kind):
     assert np.allclose(jvp, fd, rtol=1e-6, atol=1e-6)
     # the adjoints are the transpose of the linearisation, row by row
     lam = rng.standard_normal((3, m))
-    adj_u, adj_y = constraint_adjoints(cmap, x1, x2, lam)
+    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
     pairing = adj_u @ du + np.sum(adj_y * dy, axis=-1)
     assert np.allclose(cone.inner(lam, jvp), pairing, rtol=1e-12, atol=1e-12)
 
@@ -242,7 +244,8 @@ def test_gradient_flat_state_tie_break():
     # delta = 0 with a flat state: subgradient value 0 at the kink
     g = Grid(5)
     cmap = ConstraintMap(kind="gradient", grid=g, bounds=np.ones((1, g.n_cells)), delta=0.0)
-    adj_u, adj_y = constraint_adjoints(cmap, np.zeros(5), np.zeros(5), np.ones(g.n_cells))
+    i_slope = constraint_slope(cmap, np.zeros(5))
+    adj_u, adj_y = constraint_adjoints(cmap, i_slope, np.ones(g.n_cells))
     assert np.allclose(adj_y, 0.0)
 
 

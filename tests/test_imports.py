@@ -6,6 +6,7 @@ on every ``riskpath`` process, so it stays a test-only dependency (the L-BFGS-B
 reference in tests/reference.py).
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -42,3 +43,19 @@ def test_no_function_takes_a_problem_beside_a_bundle():
             "solver._stationarity", "solver._newton_direction",
             "solver._line_search"} <= set(scanned)
     assert [name for name, params in scanned.items() if {"data", "bundle"} <= params] == []
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an argument every caller forms for nothing
+    unread = []
+    for path in sorted((SRC / "riskpath").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                name = getattr(node, "name", "<lambda>")
+                unread += [f"{path.stem}.{name}: {p.arg}" for p in params
+                           if p.arg not in read | {"self", "cls"}]
+    assert unread == []

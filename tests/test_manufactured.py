@@ -27,7 +27,7 @@ EPSILON, MU = 0.05, 1e-2
 
 
 def manufactured_problem(n: int, epsilon: float = EPSILON):
-    """(data, x*) for the construction above on n interior nodes."""
+    """(data, x*, lambda*) for the construction above on n interior nodes."""
     grid = Grid(n)
     s = grid.nodes
     scenarios = sample(ScenarioConfig(n_scenarios=1, seed=0), grid.n_cells)
@@ -43,16 +43,19 @@ def manufactured_problem(n: int, epsilon: float = EPSILON):
         constraint=ConstraintMap(kind="mixed", grid=grid, bounds=psi[None, :], epsilon=epsilon),
         risk=RiskMeasure(), y_d=y_d, mu_tik=MU, lo=-50.0, hi=50.0,
     )
-    return data, x_star
+    return data, x_star, lam_star
 
 
 def _path_errors(epsilon: float):
-    """(gammas, ||x_gamma - x*||_h) along gamma = 1e3 ... 1e8 at n = 127, every point converged."""
-    data, x_star = manufactured_problem(127, epsilon)
+    """(gammas, ||x_gamma - x*||_h, ||lambda_gamma - lambda*||_h) along gamma = 1e3 ... 1e8
+    at n = 127, every point converged; lambda_gamma is the penalty multiplier gamma max(0, i)."""
+    data, x_star, lam_star = manufactured_problem(127, epsilon)
     steps = run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10))
     assert all(step.record.converged for step in steps)
     gammas = np.array([step.record.gamma for step in steps])
-    return gammas, np.array([norm_h(data.grid, step.result.bundle.x1 - x_star) for step in steps])
+    bundles = [step.result.bundle for step in steps]
+    return (gammas, np.array([norm_h(data.grid, b.x1 - x_star) for b in bundles]),
+            np.array([norm_h(data.grid, b.lambda_i[0] - lam_star) for b in bundles]))
 
 
 def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():
@@ -60,16 +63,23 @@ def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():
     # the error reaches its O(1/gamma) value, and the error freezes at 1.7e-5
     # from gamma of about 1e7 (the test measures the mass-weighted gradient as
     # a primal step, so it passes more easily than the error it stands for)
-    gammas, errors = _path_errors(EPSILON)
+    gammas, errors, lam_errors = _path_errors(EPSILON)
     assert np.all(np.diff(errors) < 0.0)
     slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
     assert abs(slope + 1.0) <= 0.05, (slope, errors)
+    # the multiplier converges at the same rate (1.1e-2 ... 1.1e-7, slope -1.001)
+    slope = np.polyfit(np.log(gammas), np.log(lam_errors), 1)[0]
+    assert abs(slope + 1.0) <= 0.05, (slope, lam_errors)
 
 
 def test_pure_state_bound_converges_at_rate_one_over_gamma_from_1e5():
     # epsilon 0: a bound on the state alone, with the L2 multiplier lambda*; the
     # error leaves its pre-asymptotic regime later (slope -0.90 over 1e3 ... 1e8)
-    gammas, errors = _path_errors(0.0)
+    gammas, errors, lam_errors = _path_errors(0.0)
     assert np.all(np.diff(errors) < 0.0)
     slope = np.polyfit(np.log(gammas[2:]), np.log(errors[2:]), 1)[0]  # gamma = 1e5 ... 1e8
     assert abs(slope + 1.0) <= 0.05, (slope, errors)
+    # the multiplier converges more slowly here (4.5e-1 ... 1.4e-4, slope -0.75 on 1e5 ... 1e8)
+    assert np.all(np.diff(lam_errors) < 0.0)
+    slope = np.polyfit(np.log(gammas[2:]), np.log(lam_errors[2:]), 1)[0]
+    assert slope <= -0.5, (slope, lam_errors)

@@ -169,12 +169,13 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     theta = risk.subgradient(data.risk, costs, w).theta
     i_vals = cone.constraint_eval(data.constraint, x, states)
     lam_i = cone.penalty_multiplier(100.0, i_vals)
-    adj_u, adj_y = cone.constraint_adjoints(data.constraint, x, states, lam_i)
+    adj_u, adj_y = cone.constraint_adjoints(
+        data.constraint, cone.constraint_slope(data.constraint, states), lam_i)
     lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
     rho = -h * lam_e + adj_u
     assert np.array_equal(b.zeta2, zeta2)
     assert np.array_equal(b.lambda_e, lam_e)
-    assert np.array_equal(b.rho, rho)
+    assert np.array_equal(objective_mod.control_adjoint(h, b.lambda_e, adj_u), rho)
     assert np.array_equal(b.lambda_i, lam_i)
     assert np.array_equal(b.penalty_residuals, np.maximum(0.0, i_vals))
     assert np.array_equal(b.gradient, b.eta + (w[:, None] * rho).sum(axis=0))
@@ -189,11 +190,11 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
 def _previous_product(data, bundle, v):
     """The generalised Hessian product as it was computed with fresh arrays."""
     h, w = data.grid.h, data.scenarios.weights
-    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    theta, i_slope = bundle.theta, cone.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
     d_states = solve_state(data.operator, v)
-    d_lam = curvature * cone.constraint_jvp(data.constraint, x1, states, v, d_states)
-    adj_u, adj_y = cone.constraint_adjoints(data.constraint, x1, states, d_lam)
+    d_lam = curvature * cone.constraint_jvp(data.constraint, i_slope, v, d_states)
+    adj_u, adj_y = cone.constraint_adjoints(data.constraint, i_slope, d_lam)
     rho = solve_state(data.operator, theta[:, None] * h * d_states + adj_y) + adj_u
     hv = data.mu_tik * h * v + (w[:, None] * rho).sum(axis=0)
     if data.risk.kind == "avar-smooth":
@@ -297,7 +298,10 @@ def test_rho_mean_matches_weighted_sum():
     data = make_problem(bound=0.05)
     rng = np.random.Generator(np.random.Philox(12))
     b = evaluate(data, 10.0, rng.standard_normal(15))
-    direct = sum(p * r for p, r in zip(data.scenarios.weights, b.rho))
+    i_slope = cone.constraint_slope(data.constraint, b.states)
+    adj_u, _ = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
+    rho = objective_mod.control_adjoint(data.grid.h, b.lambda_e, adj_u)
+    direct = sum(p * r for p, r in zip(data.scenarios.weights, rho))
     assert np.array_equal(b.rho_mean, direct)
     assert np.allclose(b.gradient, b.eta + direct)
 
@@ -372,7 +376,7 @@ def _product_with_two_checks(bundle):
     # both solves checked, the curvature and mu h v applied out of place
     data = bundle.data
     h, w = data.grid.h, data.scenarios.weights
-    x1, states, theta = bundle.x1, bundle.states, bundle.theta
+    theta, i_slope = bundle.theta, cone.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
     if data.risk.kind == "avar-smooth":
         grad_j = solve_state(data.operator, bundle.zeta2)
@@ -381,8 +385,8 @@ def _product_with_two_checks(bundle):
 
     def product(v):
         d_states = solve_state(data.operator, v)
-        d_lam = curvature * cone.constraint_jvp(data.constraint, x1, states, v, d_states)
-        adj_u, adj_y = cone.constraint_adjoints(data.constraint, x1, states, d_lam)
+        d_lam = curvature * cone.constraint_jvp(data.constraint, i_slope, v, d_states)
+        adj_u, adj_y = cone.constraint_adjoints(data.constraint, i_slope, d_lam)
         d_states *= theta[:, None] * h
         d_states += adj_y
         rho = solve_state(data.operator, d_states)
@@ -439,7 +443,7 @@ def test_non_finite_state_direction_raises_at_the_adjoint_solve(kind, monkeypatc
 def _assert_same_bundle(got, want):
     # the stored fields but the problem evaluated (a reference, not a value), and the derived arrays
     names = [f.name for f in dataclasses.fields(EvalBundle) if f.name != "data"]
-    for name in names + ["penalty_residuals", "lambda_i", "rho"]:
+    for name in names + ["penalty_residuals", "lambda_i"]:
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
@@ -481,6 +485,20 @@ def test_invalid_input_rejected(name, value):
     # NaN fails every ordering comparison, so each check passes only for numbers
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         dataclasses.replace(make_problem(), **{name: value})
+
+
+@pytest.mark.parametrize("part,name,value", [
+    ("constraint", "epsilon", np.nan), ("constraint", "delta", np.nan), ("risk", "tau", np.nan),
+    ("risk", "tau", np.inf), ("config", "a0", np.nan), ("config", "a_min", np.nan),
+    ("config", "sigma", (np.nan, 0.15)), ("cone", "weight", np.nan),
+    ("scenarios", "weights", np.array([np.nan, 0.5, 0.5, 0.0]))])
+def test_parts_reject_nan_parameters(part, name, value):
+    # each would surface only later, as a divergence of the solve (tau = inf too)
+    data = make_problem(kind="gradient", risk_kind="avar-smooth")
+    parts = {"constraint": data.constraint, "risk": data.risk, "scenarios": data.scenarios,
+             "cone": data.cone, "config": ScenarioConfig(n_scenarios=4, seed=2)}
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        dataclasses.replace(parts[part], **{name: value})
 
 
 def test_inconsistent_parts_rejected():

@@ -186,11 +186,14 @@ def test_control_settles_in_last_decade():
     assert steps[-1].record.control_change <= 10.0 * opts.tol_stationarity
 
 
-def test_a_finished_path_retains_four_stacked_arrays_per_point():
+@pytest.mark.parametrize("kind", ["mixed", "gradient"])
+def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
     # a bundle stores the states, zeta2, the constraint values and the adjoints;
-    # it derives max(0, i), the multipliers and rho (7.2 K n 8 bytes when it stored them)
+    # it derives max(0, i) and the multipliers (7.2 K n 8 bytes when it stored them
+    # and rho), and keeps no constraint slope (5.2 for gradient if it did)
     k, n = 64, 63
-    cfg = resolve({"problem": {"n_interior": n}, "scenarios": {"n_scenarios": k},
+    cfg = resolve({"problem": {"n_interior": n, "constraint": {"kind": kind}},
+                   "scenarios": {"n_scenarios": k},
                    "gamma_schedule": {"start_exp": 0, "stop_exp": 3, "per_decade": 1}})
     data, schedule, opts = build_problem(cfg), build_schedule(cfg), build_solve_options(cfg)
     started = not tracemalloc.is_tracing()
