@@ -98,7 +98,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
         try:
-            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.bundle.x1)
+            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.bundle)
         except ValueError as exc:
             print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
             return 1

@@ -93,7 +93,9 @@ class ConstraintMap:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if not (self.epsilon >= 0.0 and self.delta >= 0.0):  # NaN fails too
             raise ValueError("epsilon and delta must be nonnegative")
-        if self.kind == "gradient" and np.any(self.bounds < 0.0):  # i >= -psi: none feasible
+        if not np.isfinite(self.bounds).all():
+            raise ValueError("constraint bounds must be finite")
+        if self.kind == "gradient" and not (self.bounds >= 0.0).all():  # i >= -psi: none feasible
             raise ValueError("a gradient bound must be >= 0: no smoothed gradient norm is below 0")
 
     def cone_spec(self) -> ConeSpec:

@@ -88,22 +88,31 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
 def check_limit_system(bundle: EvalBundle) -> KktReport:
     """The penalized equations that can fail, and distance-to-limit diagnostics."""
     data = bundle.data
-    h, op = data.grid.h, data.operator
-    w, cone, lam_i = data.scenarios.weights, data.cone, bundle.lambda_i
+    h, op, w, cone = data.grid.h, data.operator, data.scenarios.weights, data.cone
+    state_residual = _max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1)  # h A x2 = h x1
+    # the expectations below are empirical_expectation's np.dot
+    adjoint_l1 = float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1)))
+    lam_i = bundle.lambda_i
     i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
     adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
+    complementarity = abs(_pairing(bundle, lam_i))
+    concentration = concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION)
+    multiplier_l1 = float(np.dot(w, cone.weight * np.abs(lam_i, out=lam_i).sum(axis=-1)))
+    rho = control_adjoint(h, bundle.lambda_e, adj_u)
+    rho_per_scenario_max = _max_norm(h, rho)
+    del lam_i, i_slope, adj_u  # each stack is dropped, or reused, once it has been reduced
+    # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0, in rho's stack
+    residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=rho)
+    residual += h * op.matvec(bundle.lambda_e)
+    residual += adj_y
     return KktReport(
-        # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0
-        adjoint_residual=_max_norm(
-            h, bundle.theta[:, None] * bundle.zeta2 + h * op.matvec(bundle.lambda_e) + adj_y),
-        # h A x2 = h x1 (state equation in mass-weighted form)
-        state_residual=_max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1),
+        adjoint_residual=_max_norm(h, residual),
+        state_residual=state_residual,
         primal_feasibility=max(0.0, float(bundle.constraint_values.max())),
-        complementarity=abs(_pairing(bundle, lam_i)),
-        # the expectations below are empirical_expectation's np.dot
-        multiplier_l1=float(np.dot(w, cone.weight * np.abs(lam_i).sum(axis=-1))),
-        adjoint_l1=float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1))),
-        concentration_index=concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION),
+        complementarity=complementarity,
+        multiplier_l1=multiplier_l1,
+        adjoint_l1=adjoint_l1,
+        concentration_index=concentration,
         rho_mean_norm=_max_norm(h, bundle.rho_mean),
-        rho_per_scenario_max=_max_norm(h, control_adjoint(h, bundle.lambda_e, adj_u)),
+        rho_per_scenario_max=rho_per_scenario_max,
     )

@@ -65,6 +65,8 @@ class ProblemData:
         if not np.all(self.lo <= self.hi):  # NaN fails too
             raise ValueError("control bounds lo and hi must be numbers with lo <= hi nodewise")
         object.__setattr__(self, "y_d", np.asarray(self.y_d, dtype=float))
+        if not np.isfinite(self.y_d).all():
+            raise ValueError("y_d must be finite")
         object.__setattr__(self, "operator", assemble(self.grid, self.scenarios.conductivities))
         object.__setattr__(self, "cone", self.constraint.cone_spec())
 
@@ -116,14 +118,14 @@ class EvalBundle(ControlEval):
         return self.gamma * self.penalty_residuals
 
 
-def control_adjoint(h: float, lambda_e: np.ndarray, adj_u: np.ndarray) -> np.ndarray:
-    """rho = e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0)."""
-    rho = np.multiply(-h, lambda_e)
+def control_adjoint(h: float, lambda_e: np.ndarray, adj_u: np.ndarray, out=None) -> np.ndarray:
+    """rho = e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0), in ``out``."""
+    rho = np.multiply(-h, lambda_e, out=out)
     rho += adj_u
     return rho
 
 
-def _control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
+def control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
     """The one forward map of a control: states, scenario costs, risk, constraint values."""
     h = data.grid.h
     states = solve_state(data.operator, x1)
@@ -148,10 +150,10 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
         raise ValueError("gamma must be a finite positive real")
     if isinstance(x1, ControlEval) and x1.data is not data:
         x1 = x1.x1
-    c = x1 if isinstance(x1, ControlEval) else _control_half(data, np.asarray(x1, dtype=float))
+    c = x1 if isinstance(x1, ControlEval) else control_half(data, np.asarray(x1, dtype=float))
     h, weights = data.grid.h, data.scenarios.weights
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
-    lam_i = gamma * pv.residual  # the penalty multiplier gamma * max(0, i)
+    lam_i = np.multiply(gamma, pv.residual, out=pv.residual)  # gamma * max(0, i), in place
     i_slope = cone_mod.constraint_slope(data.constraint, c.states)
     adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
@@ -159,9 +161,8 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     lam_e += adj_y
     lam_e /= -h
     lam_e = solve_state(data.operator, lam_e, out=lam_e)
-    rho = control_adjoint(h, lam_e, adj_u)
-    # the axis-0 sum adds the scenarios in index order
-    rho_mean = (weights[:, None] * rho).sum(axis=0)
+    rho = control_adjoint(h, lam_e, adj_u, out=adj_y)  # adj_y is spent
+    rho_mean = np.multiply(rho, weights[:, None], out=rho).sum(axis=0)  # scenarios in index order
     penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
     return EvalBundle(  # the control half, in field order, then the gamma half
         data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
@@ -234,6 +235,6 @@ def objective_only(data: ProblemData, gamma: float, x1: np.ndarray) -> float:
 
 def unpenalized_objective(data: ProblemData, x1: np.ndarray):
     """(j, feasible, max_violation) without the penalty term."""
-    c = _control_half(data, np.asarray(x1, dtype=float))
+    c = control_half(data, np.asarray(x1, dtype=float))
     max_i = float(np.max(c.constraint_values))
     return c.j1 + c.risk_value, max_i <= data.tol_feas, max(0.0, max_i)

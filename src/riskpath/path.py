@@ -126,33 +126,36 @@ def run_path(
     return steps
 
 
-def shrink_to_feasible(data: ProblemData, base_control: np.ndarray):
+def shrink_to_feasible(data: ProblemData, base_control):
     """Scale a control toward zero until the unpenalized problem is feasible.
 
-    One solve of the clamped base gives the states of every scale t, so the
-    largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
+    ``base_control`` is a control, clamped to the box, or a ControlEval, whose states give
+    those of every scale t (one of ``data``, a path's final bundle, is read as it is), so
+    the largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
     Fresh solves differ by round-off: unpenalized_objective certifies t* base,
     each rejection backs t off by a relative 2**-44, 2**-40, ..., and the zero
     control is the last resort. Returns (control, j) with j its unpenalized
     objective, from the certifying call where there is one. Fixture for the
     reference-control comparisons.
     """
-    base = data.clamp(np.asarray(base_control, dtype=float))
-    states = obj_mod.solve_state(data.operator, base)
-    cmap, tol = data.constraint, data.tol_feas
-    if np.max(cone_mod.constraint_eval(cmap, base, states)) <= tol:
-        return base, obj_mod.unpenalized_objective(data, base)[0]
-    if np.max(cone_mod.constraint_eval(cmap, 0.0 * base, 0.0 * states)) > tol:
+    c = base_control
+    if not (isinstance(c, obj_mod.ControlEval) and c.data is data):
+        c = obj_mod.control_half(data, data.clamp(np.asarray(getattr(c, "x1", c), dtype=float)))
+    base, cmap, tol = c.x1, data.constraint, data.tol_feas
+    if np.max(c.constraint_values) <= tol:
+        return base, c.j1 + c.risk_value
+    zero = 0.0 * base  # its states are exactly zero, in every scenario
+    if np.max(cone_mod.constraint_eval(cmap, zero, zero)) > tol:
         raise ValueError("zero control is infeasible; no scaled reference exists")
-    slope, bound = cone_mod.ray_bounds(cmap, base, states, tol)
+    slope, bound = cone_mod.ray_bounds(cmap, base, c.states, tol)
     over = slope > bound  # the entries infeasible at full scale; b >= 0 here
     t = float(np.min(bound[over] / slope[over], initial=1.0))
+    del c, slope, bound, over  # the certifying solves need none of the base's stacks
     for k in range(5):  # certifying solves before the zero control
         j, feasible, _ = obj_mod.unpenalized_objective(data, t * base)
         if feasible:
             return t * base, j
         t *= 1.0 - 2.0 ** (4 * k - 44)
-    zero = 0.0 * base  # its states are exactly zero: feasible, as tested above
     return zero, obj_mod.unpenalized_objective(data, zero)[0]
 
 

@@ -15,9 +15,10 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from riskpath import config, objective, solver
+from riskpath import cone, config, objective, path, solver
 from riskpath.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,23 +37,40 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) as the tracer does; the list gets (name, args, result) per call."""
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def test_setup_calls_go_through_traced_module_attributes(monkeypatch):
     # the harness times load_config + build_problem + build_schedule as set-up, and
     # traces sampling and assembly where build_problem reaches them
     assert all(callable(getattr(config, name, None))
                for name in ("resolve", "load_config", "build_schedule"))
-    calls = []
-
-    def counted(name, function):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return function(*args, **kwargs)
-        return wrapper
-
-    for module, name in ((config, "sample"), (objective, "assemble")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    calls = _count_calls(monkeypatch, ((config, "sample"), (objective, "assemble")))
     config.build_problem(config.resolve({"problem": {"n_interior": 7}}))
-    assert sorted(calls) == ["assemble", "sample"]
+    assert sorted(name for name, _, _ in calls) == ["assemble", "sample"]
+
+
+def test_an_evaluation_calls_each_traced_cone_function_once(monkeypatch):
+    # an evaluation that formed a cone quantity inline would leave the per-layer
+    # cone metrics reading fewer calls, and fail nothing else
+    data = config.build_problem(config.resolve({"problem": {"n_interior": 7}}))
+    names = ("constraint_eval", "penalty", "constraint_adjoints")
+    calls = _count_calls(monkeypatch, [(cone, name) for name in names])
+    objective.evaluate(data, 10.0, np.ones(7))
+    assert sorted(name for name, _, _ in calls) == sorted(names)
 
 
 def test_minimize_takes_gamma_second_and_reports_iterations():
@@ -78,3 +96,14 @@ def test_path_command_on_small_workload_writes_one_result(tmp_path):
     assert main(["path", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(list(out.glob("path_*.csv"))) == 1
     assert len(list(out.glob("slopes_*.json"))) == 1
+
+
+def test_path_command_checks_the_final_bundle_once(monkeypatch, tmp_path):
+    # the feasible reference is one traced call, handed the last point's bundle
+    workload = json.loads((PERFBENCH / "workloads" / "path-small.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(workload["config"]))
+    calls = _count_calls(monkeypatch, ((path, "run_path"), (path, "shrink_to_feasible")))
+    assert main(["path", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (_, _, steps), (name, args, _) = calls
+    assert name == "shrink_to_feasible" and args[1] is steps[-1].result.bundle

@@ -501,6 +501,19 @@ def test_parts_reject_nan_parameters(part, name, value):
         dataclasses.replace(parts[part], **{name: value})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient", "y_d"])
+def test_non_finite_problem_data_rejected(kind, value):
+    # a constraint bound of each kind, or y_d: built, each would surface only later, as a
+    # diverging solve or (a +inf mixed bound) a NaN complementarity in the KKT report
+    data = make_problem(kind="mixed" if kind == "y_d" else kind)
+    part, name = (data, "y_d") if kind == "y_d" else (data.constraint, "bounds")
+    array = getattr(part, name).copy()
+    array.flat[-1] = value
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        dataclasses.replace(part, **{name: array})
+
+
 def test_inconsistent_parts_rejected():
     # parts built for another grid or scenario count are named, not broadcast
     data = make_problem(bound=0.05)  # 15 nodes, 4 scenarios, 15 bound points

@@ -19,6 +19,7 @@ from riskpath.path import (
 from riskpath import cone, objective, solver
 from riskpath.config import build_problem, build_schedule, build_solve_options, resolve
 from riskpath.grid import solve_state
+from riskpath.kkt import check_limit_system
 from riskpath.objective import unpenalized_objective
 from riskpath.solver import SolveOptions, minimize
 
@@ -209,6 +210,56 @@ def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
             tracemalloc.stop()
     assert len(steps) == 4
     assert retained <= 4.5 * k * n * 8 * len(steps), retained / (k * n * 8 * len(steps))
+
+
+# At K = 64, n = 63, in stacks of K n 8 bytes: the peak above the memory before each call of
+# evaluate from a control, evaluate of another gamma's bundle, the KKT report,
+# shrink_to_feasible of the final bundle and run_path, then what run_path retains per point.
+# Each peak bound is the value from before these calls stopped building per-scenario
+# temporaries, less 2.5 stacks (1.5 for volume; 0.5 for the report and volume's reference).
+# Those values were, in order, 11.18, 8.10, 8.03, 8.32 (from the final control), 29.06 and
+# 4.22 for mixed; 8.24, 6.13, 7.05, 4.18, 21.26 and 3.25 for volume; 12.26, 9.16, 9.09, 9.47,
+# 30.30 and 4.26 for gradient.
+ALLOCATION_BOUNDS = {
+    "mixed": (8.68, 5.60, 7.53, 5.82, 26.56, 4.3),
+    "volume": (6.74, 4.63, 6.55, 3.68, 19.76, 3.3),
+    "gradient": (9.76, 6.66, 8.59, 6.97, 27.80, 4.3),
+}
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_an_evaluation_allocates_only_what_it_returns(kind):
+    k, n = 64, 63
+    cfg = resolve({"problem": {"n_interior": n, "constraint": {"kind": kind}},
+                   "scenarios": {"n_scenarios": k},
+                   "gamma_schedule": {"start_exp": 0, "stop_exp": 3, "per_decade": 1}})
+    data, schedule, opts = build_problem(cfg), build_schedule(cfg), build_solve_options(cfg)
+
+    def peak(call):
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        now, top = tracemalloc.get_traced_memory()
+        return result, (top - before) / (k * n * 8), (now - before) / (k * n * 8)
+
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        steps, path_peak, retained = peak(lambda: run_path(data, schedule, opts))
+        final = steps[-1].result.bundle
+        x = final.x1.copy()
+        peaks = [peak(call)[1] for call in (
+            lambda: objective.evaluate(data, final.gamma, x),
+            lambda: objective.evaluate(data, 10.0 * final.gamma, final),
+            lambda: check_limit_system(final),
+            lambda: shrink_to_feasible(data, final))]
+    finally:
+        if started:
+            tracemalloc.stop()
+    measured = (*peaks, path_peak, retained / len(steps))
+    assert all(m <= bound for m, bound in zip(measured, ALLOCATION_BOUNDS[kind])), measured
+    assert np.max(final.constraint_values) > data.tol_feas  # the reference scales the control
 
 
 def test_shrink_to_feasible_basics():
