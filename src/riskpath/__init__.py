@@ -17,7 +17,7 @@ from .grid import (
     norm_h,
     solve_state,
 )
-from .kkt import KktReport, check_limit_system, complementarity_value, concentration_index
+from .kkt import KktReport, check_limit_system, concentration_index
 from .objective import EvalBundle, ProblemData, evaluate, objective_only, unpenalized_objective
 from .path import (
     PathAborted,

@@ -227,8 +227,8 @@ def _verify_checks(cfg: dict):
         ip = constraint_eval(data.constraint, x1 + eps * du, x2 + eps * dy)[0]
         im = constraint_eval(data.constraint, x1 - eps * du, x2 - eps * dy)[0]
         fd = cone.inner(lam, (ip - im) / (2 * eps))
-        adj_u, adj_y = constraint_adjoints(data.constraint, i_slope, lam)
-        an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
+        adj_y = constraint_adjoints(data.constraint, i_slope, lam)  # i_x1^* lam = -c adj_y
+        an = float(np.dot(-data.constraint.control_coefficient * adj_y, du) + np.dot(adj_y, dy))
         err = abs(fd - an) / max(1.0, abs(an))
         worst = max(worst, err)
         ok &= err <= 1e-6

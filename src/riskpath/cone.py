@@ -8,7 +8,10 @@ Three constraint maps are realized: a mixed control/state bound, a scalar
 volume bound, and a bound on the state gradient magnitude (delta-smoothed so
 the map stays continuously differentiable), each with its linearisation and
 adjoints. Constraint values are stacked (K, m) arrays, one row per scenario;
-the volume bound is the case m = 1.
+the volume bound is the case m = 1. Each map reads the control at most as
+-epsilon x1, so its control derivative is a multiple of its state derivative,
+i_x1 = -c i_x2 with c = ConstraintMap.control_coefficient, and only the state
+adjoint i_x2^* lam is ever formed.
 """
 
 from __future__ import annotations
@@ -101,8 +104,20 @@ class ConstraintMap:
     def cone_spec(self) -> ConeSpec:
         return ConeSpec(weight=1.0 if self.kind == "volume" else self.grid.h)
 
-    def _grad_cells(self, x2: np.ndarray) -> np.ndarray:
-        return np.diff(x2, prepend=0.0, append=0.0, axis=-1) / self.grid.h
+    @property
+    def control_coefficient(self) -> float:
+        """c with i_x1 = -c i_x2: epsilon for mixed, 0 for the kinds that do not read x1."""
+        return self.epsilon if self.kind == "mixed" else 0.0
+
+    def _grad_cells(self, x2: np.ndarray, out=None) -> np.ndarray:
+        """Forward differences of x2 over every cell, 0 beyond both ends, / h, in ``out``."""
+        if out is None:
+            out = np.empty(x2.shape[:-1] + (x2.shape[-1] + 1,))
+        out[..., 0] = x2[..., 0]
+        np.subtract(x2[..., 1:], x2[..., :-1], out=out[..., 1:-1])
+        np.subtract(0.0, x2[..., -1], out=out[..., -1])
+        out /= self.grid.h
+        return out
 
 
 def bound_points(kind: str, grid: Grid) -> np.ndarray:
@@ -150,32 +165,32 @@ def constraint_slope(cmap: ConstraintMap, x2: np.ndarray):
     return np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
 
 
-def constraint_jvp(cmap: ConstraintMap, d, dx1, dx2):
-    """Linearisation i_x1 dx1 + i_x2 dx2 at d = constraint_slope(point), stacked (K, m).
+def constraint_jvp(cmap: ConstraintMap, d, dx1, dx2, out=None):
+    """Linearisation i_x1 dx1 + i_x2 dx2 at d = constraint_slope(point), stacked (K, m), in
+    ``out``.
 
     Exact for the affine kinds; for the gradient kind it is the first-order term
     of the smoothed norm (its curvature is left out).
     """
     if cmap.kind == "mixed":
-        return dx2 - cmap.epsilon * np.asarray(dx1, dtype=float)
+        return np.subtract(dx2, cmap.epsilon * np.asarray(dx1, dtype=float), out=out)
     if cmap.kind == "volume":
-        return cmap.grid.h * np.sum(dx2, axis=-1, keepdims=True)
-    return d * cmap._grad_cells(dx2)
+        return np.multiply(cmap.grid.h, np.sum(dx2, axis=-1, keepdims=True), out=out)
+    du = cmap._grad_cells(dx2, out=out)
+    return np.multiply(du, d, out=du)
 
 
-def constraint_adjoints(cmap: ConstraintMap, d, lam):
-    """Adjoints (i_x1^* lam, i_x2^* lam) at d = constraint_slope(point), as dual vectors.
+def constraint_adjoints(cmap: ConstraintMap, d, lam, out=None):
+    """State adjoint i_x2^* lam at d = constraint_slope(point), a dual vector, in ``out``.
 
-    Satisfy (lam, i_x1 du + i_x2 dy)_H = <i_x1^* lam, du> + <i_x2^* lam, dy>
-    with the right-hand pairings the plain euclidean dot product, row by row.
+    With the control adjoint i_x1^* lam = -c i_x2^* lam (c = cmap.control_coefficient)
+    it satisfies (lam, i_x1 du + i_x2 dy)_H = <-c i_x2^* lam, du> + <i_x2^* lam, dy>,
+    the right-hand pairings the plain euclidean dot product, row by row.
     """
-    h = cmap.grid.h
     lam = np.asarray(lam, dtype=float)
-    if cmap.kind == "mixed":
-        return -cmap.epsilon * h * lam, h * lam
-    if cmap.kind == "volume":
-        dual_x2 = h * lam * np.ones(cmap.grid.n_interior)
-    else:
+    if out is None:
+        out = np.empty(lam.shape[:-1] + (cmap.grid.n_interior,))
+    if cmap.kind == "gradient":
         c = lam * d
-        dual_x2 = c[..., :-1] - c[..., 1:]
-    return np.zeros_like(dual_x2), dual_x2
+        return np.subtract(c[..., :-1], c[..., 1:], out=out)
+    return np.multiply(cmap.grid.h, lam, out=out)  # volume: the one column, on every node

@@ -74,16 +74,13 @@ class EllipticOperator:
     off: np.ndarray
     _ldl: tuple = field(repr=False, default=None)
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        v = self.diag * u
-        v[..., :-1] += self.off * u[..., 1:]
-        v[..., 1:] += self.off * u[..., :-1]
+    def matvec(self, u: np.ndarray, out=None) -> np.ndarray:
+        """The product with every stencil, in ``out``, through one off-diagonal scratch."""
+        v = np.multiply(self.diag, u, out=out)
+        t = np.multiply(self.off, u[..., 1:])
+        v[..., :-1] += t
+        v[..., 1:] += np.multiply(self.off, u[..., :-1], out=t)
         return v
-
-    def to_dense(self) -> np.ndarray:
-        """The (block-diagonal) matrix of all stencils."""
-        e = _stacked_off(self.diag, self.off)
-        return np.diag(self.diag.reshape(-1)) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def _stacked_off(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from .grid import dot_last
-from .objective import EvalBundle, control_adjoint
+from .objective import EvalBundle
 from .scenario import empirical_expectation
 
 Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concentration_index
@@ -53,17 +53,6 @@ def _max_norm(weight: float, u: np.ndarray) -> float:
     return math.sqrt(weight * float(dot_last(u, u).max()))
 
 
-def complementarity_value(bundle: EvalBundle) -> float:
-    """Signed pairing E[(lambda_i, i)_H]; equals gamma E[||max(0,i)||_H^2]."""
-    return _pairing(bundle, bundle.lambda_i)
-
-
-def _pairing(bundle: EvalBundle, lam_i: np.ndarray) -> float:
-    """E[(lam_i, i)_H] with the bundle's constraint values i."""
-    data = bundle.data
-    return empirical_expectation(data.scenarios, data.cone.inner(lam_i, bundle.constraint_values))
-
-
 def concentration_index(lambda_masses, weights, q: float) -> float:
     """Fraction of total multiplier mass carried by the heaviest scenarios.
 
@@ -89,21 +78,30 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     """The penalized equations that can fail, and distance-to-limit diagnostics."""
     data = bundle.data
     h, op, w, cone = data.grid.h, data.operator, data.scenarios.weights, data.cone
-    state_residual = _max_norm(h, h * op.matvec(bundle.states) - h * bundle.x1)  # h A x2 = h x1
     # the expectations below are empirical_expectation's np.dot
     adjoint_l1 = float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1)))
     lam_i = bundle.lambda_i
     i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
-    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
-    complementarity = abs(_pairing(bundle, lam_i))
+    adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
+    # E[(lambda_i, i)_H], which equals gamma E[||max(0, i)||_H^2]
+    complementarity = abs(empirical_expectation(
+        data.scenarios, cone.inner(lam_i, bundle.constraint_values)))
     concentration = concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION)
     multiplier_l1 = float(np.dot(w, cone.weight * np.abs(lam_i, out=lam_i).sum(axis=-1)))
-    rho = control_adjoint(h, bundle.lambda_e, adj_u)
+    del lam_i, i_slope  # each stack is dropped, or reused, once it has been reduced
+    work = op.matvec(bundle.states)  # the one stack of both matvecs, and rho's scratch
+    work *= h
+    work -= h * bundle.x1
+    state_residual = _max_norm(h, work)  # h A x2 = h x1
+    # rho = e_x1^* lambda_e + i_x1^* lambda_i = -h lambda_e - coef i_x2^* lambda_i
+    rho = np.multiply(-h, bundle.lambda_e)
+    coef = data.constraint.control_coefficient
+    if coef:
+        rho -= np.multiply(coef, adj_y, out=work)
     rho_per_scenario_max = _max_norm(h, rho)
-    del lam_i, i_slope, adj_u  # each stack is dropped, or reused, once it has been reduced
     # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0, in rho's stack
     residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=rho)
-    residual += h * op.matvec(bundle.lambda_e)
+    residual += np.multiply(h, op.matvec(bundle.lambda_e, out=work), out=work)
     residual += adj_y
     return KktReport(
         adjoint_residual=_max_norm(h, residual),

@@ -10,7 +10,8 @@ in), which is what the finite-difference checks in the tests rely on.
 Per-scenario quantities are stacked (K, n) arrays: one solve with the shared
 block-diagonal factor gives every state, one more every adjoint, and each
 pointwise map (penalty, multiplier, constraint adjoints) acts on the whole
-stack at once.
+stack at once. Each expectation over the scenarios is one matrix-vector
+product with the weights.
 """
 
 from __future__ import annotations
@@ -118,13 +119,6 @@ class EvalBundle(ControlEval):
         return self.gamma * self.penalty_residuals
 
 
-def control_adjoint(h: float, lambda_e: np.ndarray, adj_u: np.ndarray, out=None) -> np.ndarray:
-    """rho = e_x1^* lambda_e + i_x1^* lambda_i (the control part of zeta is 0), in ``out``."""
-    rho = np.multiply(-h, lambda_e, out=out)
-    rho += adj_u
-    return rho
-
-
 def control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
     """The one forward map of a control: states, scenario costs, risk, constraint values."""
     h = data.grid.h
@@ -155,14 +149,18 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
     lam_i = np.multiply(gamma, pv.residual, out=pv.residual)  # gamma * max(0, i), in place
     i_slope = cone_mod.constraint_slope(data.constraint, c.states)
-    adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
+    adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
     lam_e = np.multiply(c.theta[:, None], c.zeta2)
     lam_e += adj_y
     lam_e /= -h
     lam_e = solve_state(data.operator, lam_e, out=lam_e)
-    rho = control_adjoint(h, lam_e, adj_u, out=adj_y)  # adj_y is spent
-    rho_mean = np.multiply(rho, weights[:, None], out=rho).sum(axis=0)  # scenarios in index order
+    # E[rho] with rho = e_x1^* lambda_e + i_x1^* lambda_i = -h lambda_e - coef i_x2^* lambda_i
+    # (the control part of zeta is 0), each expectation one matrix-vector product
+    rho_mean = -h * (weights @ lam_e)
+    coef = data.constraint.control_coefficient
+    if coef:
+        rho_mean -= coef * (weights @ adj_y)
     penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
     return EvalBundle(  # the control half, in field order, then the gamma half
         data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
@@ -202,23 +200,28 @@ def hessian_operator(bundle: EvalBundle):
         slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
         total = float(slope.sum())
 
-    risk_weight, scenario_weight = theta[:, None] * h, w[:, None]
+    risk_weight, coef = theta[:, None] * h, data.constraint.control_coefficient
     shape = data.operator.diag.shape
-    work = np.empty(shape)  # the states, then the adjoints, of one direction
+    # one direction's states, then adjoints; its multiplier; its constraint adjoint
+    work, lam_work, adj_work = np.empty(shape), np.empty(curvature.shape), np.empty(shape)
 
     def product(v: np.ndarray) -> np.ndarray:
         dv = v[..., None, :]  # a stack (m, n) meets the scenarios as (m, 1, n)
-        out = work if v.ndim == 1 else np.empty(v.shape[:-1] + shape)
+        one = v.ndim == 1
+        out = work if one else np.empty(v.shape[:-1] + shape)
         d_states = solve_state(data.operator, dv, out=out, check=False)
-        d_lam = cone_mod.constraint_jvp(data.constraint, i_slope, dv, d_states)
+        d_lam = cone_mod.constraint_jvp(data.constraint, i_slope, dv, d_states,
+                                        out=lam_work if one else None)
         d_lam *= curvature
-        adj_u, adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, d_lam)
+        adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, d_lam,
+                                             out=adj_work if one else None)
         d_states *= risk_weight
         d_states += adj_y
-        rho = solve_state(data.operator, d_states, out=out)
-        rho += adj_u
-        rho *= scenario_weight
-        hv = rho.sum(axis=-2)
+        y = solve_state(data.operator, d_states, out=out)
+        # E[rho] with rho = y - coef adj_y, as in evaluate
+        hv = w @ y
+        if coef:
+            hv -= coef * (w @ adj_y)
         hv += mu_h * v
         if data.risk.kind == "avar-smooth" and total > 0.0:
             dj = grad_j @ v.T  # (K,), or (K, m) for a stack

@@ -1,9 +1,11 @@
-"""Independent reference solver for cross-checking ``riskpath.solver.minimize``.
+"""Independent references for cross-checking the package.
 
-SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) on
-the same penalized objective and gradient, with the control box as its bounds.
+``reference_minimize`` cross-checks ``riskpath.solver.minimize``: SciPy's
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) on the same
+penalized objective and gradient, with the control box as its bounds.
 It shares only ``objective.evaluate`` with the solver it checks: its line
-search, directions and stopping test are SciPy's.
+search, directions and stopping test are SciPy's. ``dense_matrix`` is the
+block-diagonal matrix of an operator's stencils, for dense linear algebra.
 """
 
 import numpy as np
@@ -31,3 +33,12 @@ def reference_minimize(data, gamma):
                          options=OPTIONS)
     assert res.success, res.message
     return res
+
+
+def dense_matrix(op):
+    """The (block-diagonal) matrix of all of ``op``'s stencils, from its bands."""
+    diag = op.diag.reshape(-1)
+    off = np.zeros(op.diag.shape)
+    off[..., :-1] = op.off  # zero between blocks: the stencils stay uncoupled
+    off = off.reshape(-1)[:-1]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

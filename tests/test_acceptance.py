@@ -16,7 +16,7 @@ from riskpath.cli import main
 from riskpath.cone import ConeSpec, penalty, penalty_multiplier, project
 from riskpath.config import build_problem, build_schedule, resolve
 from riskpath.grid import Grid, assemble, inner_h, norm_h, solve_state
-from riskpath.kkt import check_limit_system, complementarity_value
+from riskpath.kkt import check_limit_system
 from riskpath.objective import evaluate, objective_only, unpenalized_objective
 from riskpath.path import fit_decay_slope, run_path, shrink_to_feasible
 from riskpath.risk import RiskMeasure, duality_gap
@@ -114,7 +114,9 @@ def test_criterion_05_complementarity_identity_and_trend(default_path):
     data, records, steps, _ = default_path
     comps = []
     for r, step in zip(records, steps):
-        comp = complementarity_value(step.result.bundle)
+        b = step.result.bundle  # E[(lambda_i, i)_H]
+        comp = float(np.dot(data.scenarios.weights,
+                            data.cone.inner(b.lambda_i, b.constraint_values)))
         identity = r.gamma * r.sq_violation
         assert comp == pytest.approx(identity, rel=1e-12, abs=1e-12)
         comps.append(comp)

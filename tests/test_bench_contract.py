@@ -73,6 +73,17 @@ def test_an_evaluation_calls_each_traced_cone_function_once(monkeypatch):
     assert sorted(name for name, _, _ in calls) == sorted(names)
 
 
+def test_a_hessian_product_makes_two_traced_solves_and_one_constraint_adjoint(monkeypatch):
+    # the per-layer solve and adjoint counts of a path are products times these, plus the
+    # evaluations' own: a product that formed a solve or an adjoint inline would hide it
+    data = config.build_problem(config.resolve({"problem": {"n_interior": 7}}))
+    product = objective.hessian_operator(objective.evaluate(data, 1e3, np.full(7, 5.0)))
+    calls = _count_calls(monkeypatch, ((objective, "solve_state"), (cone, "constraint_adjoints")))
+    product(np.ones(7))
+    assert sorted(name for name, _, _ in calls) == ["constraint_adjoints", "solve_state",
+                                                     "solve_state"]
+
+
 def test_minimize_takes_gamma_second_and_reports_iterations():
     assert list(inspect.signature(solver.minimize).parameters)[1] == "gamma"
     assert "iterations" in {f.name for f in dataclasses.fields(solver.SolveResult)}

@@ -169,9 +169,9 @@ def test_mixed_eval_zero_at_bound(mixed_map):
 def test_mixed_adjoints_epsilon_zero(mixed_map):
     g, cmap = mixed_map
     lam = np.array([1.0, 2.0, 3.0])
-    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.zeros(3)), lam)
-    assert np.allclose(adj_u, 0.0)
-    assert np.allclose(adj_y, g.h * lam)
+    adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.zeros(3)), lam)
+    assert cmap.control_coefficient == 0.0  # i_x1^* lam = -0 adj_y
+    assert np.array_equal(adj_y, g.h * lam)
 
 
 def test_volume_eval_and_adjoint():
@@ -180,10 +180,11 @@ def test_volume_eval_and_adjoint():
     val = constraint_eval(cmap, np.zeros(3), np.ones((1, 3)))
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(0.25)  # 3h - 0.5 with h = 0.25
-    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.ones((1, 3))),
-                                       np.array([[1.0]]))
-    assert np.allclose(adj_u, 0.0)
-    assert np.allclose(adj_y, g.h * np.ones(3))
+    adj_y = constraint_adjoints(cmap, constraint_slope(cmap, np.ones((1, 3))),
+                                np.array([[1.0]]))
+    assert cmap.control_coefficient == 0.0  # the volume does not read the control
+    assert np.array_equal(adj_y, np.full((1, 3), g.h))
+    assert np.array_equal(adj_y, g.h * np.array([[1.0]]) * np.ones(3))  # the previous formula
 
 
 def test_gradient_eval_linear_state():
@@ -213,8 +214,9 @@ def test_gradient_adjoint_identity():
     ip = constraint_eval(cmap, x1 + eps * du, x2 + eps * dy)[0]
     im = constraint_eval(cmap, x1 - eps * du, x2 - eps * dy)[0]
     fd = cone.inner(lam, (ip - im) / (2 * eps))
-    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
-    an = float(np.dot(adj_u, du) + np.dot(adj_y, dy))
+    adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
+    assert cmap.control_coefficient == 0.0  # i_x1^* lam = 0
+    an = float(np.dot(adj_y, dy))
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
 
@@ -235,9 +237,23 @@ def test_linearisation_matches_differences_and_adjoints(kind):
     assert np.allclose(jvp, fd, rtol=1e-6, atol=1e-6)
     # the adjoints are the transpose of the linearisation, row by row
     lam = rng.standard_normal((3, m))
-    adj_u, adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
+    adj_y = constraint_adjoints(cmap, constraint_slope(cmap, x2), lam)
+    adj_u = -cmap.control_coefficient * adj_y  # i_x1^* lam
     pairing = adj_u @ du + np.sum(adj_y * dy, axis=-1)
     assert np.allclose(cone.inner(lam, jvp), pairing, rtol=1e-12, atol=1e-12)
+    # the previous formulas: -epsilon h lam for mixed, zeros otherwise; the cells' np.diff
+    previous_u = -cmap.epsilon * g.h * lam if kind == "mixed" else np.zeros_like(adj_y)
+    assert np.max(np.abs(adj_u - previous_u)) <= 1e-13 * np.max(np.abs(previous_u), initial=0.0)
+    d = constraint_slope(cmap, x2)
+    if kind == "gradient":
+        cells = np.diff(dy, prepend=0.0, append=0.0, axis=-1) / g.h
+        assert np.array_equal(jvp, d * cells)
+        assert np.array_equal(adj_y, (lam * d)[..., :-1] - (lam * d)[..., 1:])
+    # into given arrays, the same bits
+    buf, adj_buf = np.empty((3, m)), np.empty((3, 9))
+    assert constraint_jvp(cmap, d, du, dy, out=buf) is buf and np.array_equal(buf, jvp)
+    assert constraint_adjoints(cmap, d, lam, out=adj_buf) is adj_buf
+    assert np.array_equal(adj_buf, adj_y)
 
 
 def test_gradient_flat_state_tie_break():
@@ -245,7 +261,7 @@ def test_gradient_flat_state_tie_break():
     g = Grid(5)
     cmap = ConstraintMap(kind="gradient", grid=g, bounds=np.ones((1, g.n_cells)), delta=0.0)
     i_slope = constraint_slope(cmap, np.zeros(5))
-    adj_u, adj_y = constraint_adjoints(cmap, i_slope, np.ones(g.n_cells))
+    adj_y = constraint_adjoints(cmap, i_slope, np.ones(g.n_cells))
     assert np.allclose(adj_y, 0.0)
 
 

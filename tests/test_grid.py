@@ -12,6 +12,8 @@ from riskpath.grid import (
 )
 from riskpath.scenario import ScenarioConfig, sample
 
+from reference import dense_matrix
+
 
 def test_grid_invariants():
     g = Grid(7)
@@ -52,7 +54,7 @@ def test_assemble_matches_literal_loop():
         if j + 1 < n:
             dense[j, j + 1] = -a[j + 1] / h**2
             dense[j + 1, j] = -a[j + 1] / h**2
-    assert np.allclose(op.to_dense(), dense, rtol=0, atol=0)
+    assert np.allclose(dense_matrix(op), dense, rtol=0, atol=0)
 
 
 def test_solve_single_node():
@@ -86,7 +88,7 @@ def test_assemble_diagonal_dominance():
     a = 0.2 + rng.uniform(0.0, 2.0, g.n_cells)
     op = assemble(g, a)
     assert np.all(op.off < 0)
-    dense = op.to_dense()
+    dense = dense_matrix(op)
     offsum = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
     # weak dominance on interior rows, strict at the boundary rows (irreducible)
     assert np.all(offsum <= np.diag(dense) + 1e-12)
@@ -115,7 +117,7 @@ def test_solve_matches_dense_lu():
     op = assemble(g, a)
     rhs = rng.standard_normal(g.n_interior)
     u = solve_state(op, rhs)
-    u_dense = np.linalg.solve(op.to_dense(), rhs)
+    u_dense = np.linalg.solve(dense_matrix(op), rhs)
     assert np.allclose(u, u_dense, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
 
 

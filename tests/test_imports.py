@@ -39,9 +39,8 @@ def test_no_function_takes_a_problem_beside_a_bundle():
             if fn.__module__ == module.__name__ and (
                     not name.startswith("_") or info.name == "solver"):
                 scanned[f"{info.name}.{name}"] = set(inspect.signature(fn).parameters)
-    assert {"objective.hessian_operator", "kkt.check_limit_system", "kkt.complementarity_value",
-            "solver._stationarity", "solver._newton_direction",
-            "solver._line_search"} <= set(scanned)
+    assert {"objective.hessian_operator", "kkt.check_limit_system", "solver._stationarity",
+            "solver._newton_direction", "solver._line_search"} <= set(scanned)
     assert [name for name, params in scanned.items() if {"data", "bundle"} <= params] == []
 
 

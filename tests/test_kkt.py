@@ -6,11 +6,7 @@ import pytest
 import riskpath.solver as solver_mod
 from riskpath import cone
 from riskpath.grid import norm_h
-from riskpath.kkt import (
-    check_limit_system,
-    complementarity_value,
-    concentration_index,
-)
+from riskpath.kkt import check_limit_system, concentration_index
 from riskpath.objective import evaluate, hessian_operator
 from riskpath.solver import SolveOptions, minimize
 
@@ -90,7 +86,9 @@ def test_complementarity_identity(converged_run):
         p * data.cone.inner(r, r)
         for p, r in zip(data.scenarios.weights, b.penalty_residuals)
     )
-    assert complementarity_value(b) == pytest.approx(b.gamma * sq, rel=1e-12)
+    pairing = sum(p * data.cone.inner(lam, i)  # E[(lambda_i, i)_H]
+                  for p, lam, i in zip(data.scenarios.weights, b.lambda_i, b.constraint_values))
+    assert pairing == pytest.approx(b.gamma * sq, rel=1e-12)
 
 
 def test_complementarity_pairing_nonnegative(converged_run):
@@ -189,15 +187,17 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
         b = evaluate(data, gamma, 1.0 + rng.standard_normal(15))
         rep = check_limit_system(b)
         i_slope = cone.constraint_slope(data.constraint, b.states)
-        adj_u, adj_y = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
+        adj_y = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
         i_vals = b.constraint_values
-        w = data.scenarios.weights
+        w, coef = data.scenarios.weights, data.constraint.control_coefficient
+        # rho = -h lambda_e + i_x1^* lambda_i, with i_x1^* lambda_i = -coef adj_y
+        rho = -h * b.lambda_e - coef * adj_y if coef else -h * b.lambda_e
         expected = {
             "adjoint_residual": np.max(norm_h(
                 g, b.theta[:, None] * b.zeta2 + h * op.matvec(b.lambda_e) + adj_y)),
             "state_residual": np.max(norm_h(g, h * op.matvec(b.states) - h * b.x1)),
             "rho_mean_norm": norm_h(g, b.rho_mean),
-            "rho_per_scenario_max": np.max(norm_h(g, -h * b.lambda_e + adj_u)),
+            "rho_per_scenario_max": np.max(norm_h(g, rho)),
             "primal_feasibility": max(0.0, float(np.max(i_vals))),
             "complementarity": abs(float(np.dot(w, data.cone.inner(b.lambda_i, i_vals)))),
             "multiplier_l1": float(np.dot(w, data.cone.weight * np.sum(np.abs(b.lambda_i), -1))),
@@ -209,3 +209,7 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
         assert norm_h(g, b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(b)
         for name, value in expected.items():
             assert getattr(rep, name) == value, name
+        # the previous formula, with the control adjoint -epsilon h lambda_i as its own stack
+        adj_u = -data.constraint.epsilon * h * b.lambda_i if kind == "mixed" else 0.0
+        previous = np.max(norm_h(g, -h * b.lambda_e + adj_u))
+        assert abs(rep.rho_per_scenario_max - previous) <= 1e-13 * previous

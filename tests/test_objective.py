@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,32 +156,48 @@ KINDS = pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
 RISK_KINDS = pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
 
 
+def _within(got, previous, rel=1e-13):
+    """The largest entrywise difference is at most rel times the largest entry of previous."""
+    return np.max(np.abs(got - previous)) <= rel * np.max(np.abs(previous))
+
+
+def _control_adjoint_stack(data, lam):
+    """i_x1^* lam as its own stack, as the previous formulas formed it: -epsilon h lam (mixed)."""
+    if data.constraint.kind == "mixed":
+        return -data.constraint.epsilon * data.grid.h * lam
+    return np.zeros((lam.shape[0], data.grid.n_interior))
+
+
 @KINDS
 @RISK_KINDS
 def test_evaluate_equals_previous_formula(kind, risk_kind):
-    # the in-place adjoint solve reproduces the allocating formulas bit for bit
+    # the in-place adjoint solve and the one matrix-vector product per expectation
+    # reproduce these formulas bit for bit
     data = _boxed_problem(kind, risk_kind)
     rng = np.random.Generator(np.random.Philox(16))
     x = data.clamp(3.0 + 3.0 * rng.standard_normal(12))
     b = evaluate(data, 100.0, x)
-    h, w = data.grid.h, data.scenarios.weights
+    h, w, coef = data.grid.h, data.scenarios.weights, data.constraint.control_coefficient
     states = solve_state(data.operator, x)
     zeta2 = h * (states - data.y_d)
     costs = 0.5 * inner_h(data.grid, states - data.y_d, states - data.y_d)
     theta = risk.subgradient(data.risk, costs, w).theta
     i_vals = cone.constraint_eval(data.constraint, x, states)
     lam_i = cone.penalty_multiplier(100.0, i_vals)
-    adj_u, adj_y = cone.constraint_adjoints(
+    adj_y = cone.constraint_adjoints(
         data.constraint, cone.constraint_slope(data.constraint, states), lam_i)
     lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
-    rho = -h * lam_e + adj_u
+    rho_mean = -h * (w @ lam_e) - coef * (w @ adj_y) if coef else -h * (w @ lam_e)
     assert np.array_equal(b.zeta2, zeta2)
     assert np.array_equal(b.lambda_e, lam_e)
-    assert np.array_equal(objective_mod.control_adjoint(h, b.lambda_e, adj_u), rho)
+    assert np.array_equal(b.rho_mean, rho_mean)
     assert np.array_equal(b.lambda_i, lam_i)
     assert np.array_equal(b.penalty_residuals, np.maximum(0.0, i_vals))
-    assert np.array_equal(b.gradient, b.eta + (w[:, None] * rho).sum(axis=0))
+    assert np.array_equal(b.gradient, b.eta + rho_mean)
     assert b.risk_value == risk.evaluate(data.risk, costs, w)
+    # the previous formula: rho with its control adjoint stack, weighted, summed over axis 0
+    rho = -h * lam_e + _control_adjoint_stack(data, lam_i)
+    assert _within(b.rho_mean, (w[:, None] * rho).sum(axis=0))
     # objective_only and unpenalized_objective read this one evaluation
     assert objective_only(data, 100.0, x) == b.j_gamma
     max_i = float(np.max(i_vals))
@@ -187,24 +205,42 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
                                              max(0.0, max_i))
 
 
-def _previous_product(data, bundle, v):
-    """The generalised Hessian product as it was computed with fresh arrays."""
+def _product_parts(data, bundle, v):
+    """(the adjoint solve y, the multiplier, the constraint adjoint's state part, the smoothed
+    tail mean's rank-one term or zeros) of a Hessian product: fresh arrays, checked solves."""
     h, w = data.grid.h, data.scenarios.weights
     theta, i_slope = bundle.theta, cone.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
     d_states = solve_state(data.operator, v)
     d_lam = curvature * cone.constraint_jvp(data.constraint, i_slope, v, d_states)
-    adj_u, adj_y = cone.constraint_adjoints(data.constraint, i_slope, d_lam)
-    rho = solve_state(data.operator, theta[:, None] * h * d_states + adj_y) + adj_u
-    hv = data.mu_tik * h * v + (w[:, None] * rho).sum(axis=0)
+    adj_y = cone.constraint_adjoints(data.constraint, i_slope, d_lam)
+    y = solve_state(data.operator, theta[:, None] * h * d_states + adj_y)
+    tail = np.zeros_like(v)
     if data.risk.kind == "avar-smooth":
         grad_j = solve_state(data.operator, bundle.zeta2)
         slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
         total = float(slope.sum())
         if total > 0.0:
             dj = grad_j @ v
-            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
-    return hv
+            tail = (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
+    return y, d_lam, adj_y, tail
+
+
+def _product_formula(data, bundle, v):
+    """The generalised Hessian product, each expectation one matrix-vector product."""
+    y, _, adj_y, tail = _product_parts(data, bundle, v)
+    w, coef = data.scenarios.weights, data.constraint.control_coefficient
+    hv = w @ y - coef * (w @ adj_y) if coef else w @ y
+    hv += data.mu_tik * data.grid.h * v
+    return hv + tail if data.risk.kind == "avar-smooth" else hv
+
+
+def _product_with_control_stack(data, bundle, v):
+    """The product as formed before: rho = y + i_x1^* d_lam per scenario, weighted, summed."""
+    y, d_lam, _, tail = _product_parts(data, bundle, v)
+    rho = y + _control_adjoint_stack(data, d_lam)
+    weighted_sum = (data.scenarios.weights[:, None] * rho).sum(axis=0)
+    return data.mu_tik * data.grid.h * v + weighted_sum + tail
 
 
 @KINDS
@@ -221,9 +257,10 @@ def test_hessian_product_equals_previous_formula(kind, risk_kind):
     directions = list(rng.standard_normal((3, 12)))
     # a Newton step restricts its CG directions to the free nodes
     directions.append(np.where(at_bound, 0.0, directions[0]))
-    products = [hessian(v) for v in directions]  # every product reuses one work array
+    products = [hessian(v) for v in directions]  # every product reuses its work arrays
     for v, hv in zip(directions, products):
-        assert np.array_equal(hv, _previous_product(data, b, v))
+        assert np.array_equal(hv, _product_formula(data, b, v))
+        assert _within(hv, _product_with_control_stack(data, b, v))
 
 
 def test_objective_only_consistent_with_full_evaluation():
@@ -298,11 +335,14 @@ def test_rho_mean_matches_weighted_sum():
     data = make_problem(bound=0.05)
     rng = np.random.Generator(np.random.Philox(12))
     b = evaluate(data, 10.0, rng.standard_normal(15))
+    h, w, coef = data.grid.h, data.scenarios.weights, data.constraint.control_coefficient
     i_slope = cone.constraint_slope(data.constraint, b.states)
-    adj_u, _ = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
-    rho = objective_mod.control_adjoint(data.grid.h, b.lambda_e, adj_u)
-    direct = sum(p * r for p, r in zip(data.scenarios.weights, rho))
-    assert np.array_equal(b.rho_mean, direct)
+    adj_y = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
+    assert coef == 0.05 and np.array_equal(b.rho_mean, -h * (w @ b.lambda_e) - coef * (w @ adj_y))
+    # the scenario loop over rho = -h lambda_e + i_x1^* lambda_i
+    rho = -h * b.lambda_e + _control_adjoint_stack(data, b.lambda_i)
+    direct = sum(p * r for p, r in zip(w, rho))
+    assert _within(b.rho_mean, direct)
     assert np.allclose(b.gradient, b.eta + direct)
 
 
@@ -371,36 +411,6 @@ def test_clamp_is_np_clip_bit_for_bit():
         assert d.clamp(x).tobytes() == np.clip(x, d.lo, d.hi).tobytes()
 
 
-def _product_with_two_checks(bundle):
-    # the Hessian product as written before its state solve went unchecked:
-    # both solves checked, the curvature and mu h v applied out of place
-    data = bundle.data
-    h, w = data.grid.h, data.scenarios.weights
-    theta, i_slope = bundle.theta, cone.constraint_slope(data.constraint, bundle.states)
-    curvature = bundle.gamma * (bundle.penalty_residuals > 0.0)
-    if data.risk.kind == "avar-smooth":
-        grad_j = solve_state(data.operator, bundle.zeta2)
-        slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
-        total = float(slope.sum())
-
-    def product(v):
-        d_states = solve_state(data.operator, v)
-        d_lam = curvature * cone.constraint_jvp(data.constraint, i_slope, v, d_states)
-        adj_u, adj_y = cone.constraint_adjoints(data.constraint, i_slope, d_lam)
-        d_states *= theta[:, None] * h
-        d_states += adj_y
-        rho = solve_state(data.operator, d_states)
-        rho += adj_u
-        rho *= w[:, None]
-        hv = data.mu_tik * h * v + rho.sum(axis=0)
-        if data.risk.kind == "avar-smooth" and total > 0.0:
-            dj = grad_j @ v
-            hv += (slope * (dj - np.dot(slope, dj) / total)) @ grad_j
-        return hv
-
-    return product
-
-
 PRODUCT_CASES = [("mixed", "expectation", 0.05), ("gradient", "avar-smooth", 0.05),
                  ("volume", "avar", 0.01)]
 
@@ -413,10 +423,12 @@ def test_hessian_product_is_bit_identical_to_two_checked_solves(kind, risk_kind,
     for gamma in (1.0, 1e3, 1e6):
         bundle = evaluate(data, gamma, rng.standard_normal(15))
         active += np.count_nonzero(bundle.penalty_residuals)
-        product, expected = hessian_operator(bundle), _product_with_two_checks(bundle)
+        product = hessian_operator(bundle)
         for _ in range(3):
             v = rng.standard_normal(15)
-            assert product(v).tobytes() == expected(v).tobytes()
+            # _product_formula checks both of its solves
+            assert product(v).tobytes() == _product_formula(data, bundle, v).tobytes()
+            assert _within(product(v), _product_with_control_stack(data, bundle, v))
     assert active > 0  # the penalty curvature took part
 
 
@@ -561,3 +573,30 @@ def test_batched_product_equals_single_products(kind, risk_kind):
                 assert batched.tobytes() == single.tobytes()
     assert active > 0
 
+
+
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_a_hessian_product_allocates_less_than_one_stack(kind):
+    # the operator owns one direction's states, multiplier and constraint adjoint, and a
+    # product forms no control-adjoint stack; numpy's ufunc buffers (at most 64 KB) are a
+    # quarter stack at this size. The gradient kind's adjoint also forms d lam on the
+    # n + 1 cells. At the parent one product allocated 3.26 / 2.27 / 4.02 stacks.
+    k, n = 256, 127
+    data = make_problem(n=n, n_scen=k, bound=0.01 if kind == "volume" else 0.05, kind=kind)
+    bundle = evaluate(data, 1e3, np.full(n, 5.0))
+    assert np.any(bundle.penalty_residuals > 0.0)
+    product = hessian_operator(bundle)
+    v = np.random.Generator(np.random.Philox(3)).standard_normal(n)
+    extra = k * (n + 1) * 8 if kind == "gradient" else 0
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        product(v)
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert allocated < k * n * 8 + extra, allocated / (k * n * 8)
