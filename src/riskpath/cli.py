@@ -191,24 +191,18 @@ def _verify_checks(cfg: dict):
     for _ in range(200):
         xi = rng.standard_normal(8)
         xi2 = rng.standard_normal(8)
+        r_xi, r_xi2 = risk_mod.evaluate(rm, xi, weights), risk_mod.evaluate(rm, xi2, weights)
         for lam_mix in (0.25, 0.5, 0.75):
             mixed = risk_mod.evaluate(rm, lam_mix * xi + (1 - lam_mix) * xi2, weights)
-            ok &= mixed <= lam_mix * risk_mod.evaluate(rm, xi, weights) + (
-                1 - lam_mix
-            ) * risk_mod.evaluate(rm, xi2, weights) + 1e-10
+            ok &= mixed <= lam_mix * r_xi + (1 - lam_mix) * r_xi2 + 1e-10
         ok &= risk_mod.evaluate(rm, np.minimum(xi, xi2), weights) <= risk_mod.evaluate(
             rm, np.maximum(xi, xi2), weights
         ) + 1e-12
         c = float(rng.standard_normal())
-        ok &= abs(
-            risk_mod.evaluate(rm, xi + c, weights) - risk_mod.evaluate(rm, xi, weights) - c
-        ) <= 1e-10
+        ok &= abs(risk_mod.evaluate(rm, xi + c, weights) - r_xi - c) <= 1e-10
         if rm.positively_homogeneous:
             lam_pos = float(rng.uniform(0.1, 3.0))
-            ok &= abs(
-                risk_mod.evaluate(rm, lam_pos * xi, weights)
-                - lam_pos * risk_mod.evaluate(rm, xi, weights)
-            ) <= 1e-10
+            ok &= abs(risk_mod.evaluate(rm, lam_pos * xi, weights) - lam_pos * r_xi) <= 1e-10
         if rm.kind != "avar-smooth":
             theta = risk_mod.subgradient(rm, xi, weights).theta
             ok &= risk_mod.duality_gap(rm, xi, theta, weights) <= 1e-12

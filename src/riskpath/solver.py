@@ -84,6 +84,7 @@ def _stationarity(bundle: EvalBundle) -> float:
     return math.sqrt(bundle.data.grid.h * np.dot(r, r))  # norm_h(r): np.dot sums as dot_last does
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is reported as a divergence
 def minimize(
     data: ProblemData,
     gamma: float,
@@ -105,11 +106,6 @@ def minimize(
     start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
     if not (isinstance(start, EvalBundle) and start.data is data):
         start = data.clamp(np.asarray(getattr(start, "x1", start), dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as a divergence
-        return _newton(data, gamma, opts, start, callback)
-
-
-def _newton(data, gamma, opts, start, callback) -> SolveResult:
     bundle = obj_mod.evaluate(data, gamma, start)
     if not (np.isfinite(bundle.j_gamma) and np.isfinite(bundle.gradient).all()):
         raise DivergedError("non-finite objective or gradient at the start point")
@@ -196,22 +192,20 @@ def _newton_direction(bundle, stat, tol_stationarity):
     """
     data, x, g = bundle.data, bundle.x1, bundle.gradient
     eps = min(BINDING_EPS, stat)
-    binding = ((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0))
+    free = ~(((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0)))
     hessian = obj_mod.hessian_operator(bundle)
     direction, products = -g, 0
-    if binding.any():
-        free, v = ~binding, np.zeros(x.shape)
+    if free.all() and data.operator.diag.size * x.size <= DENSE_WORK:  # K n n
+        _, exact, info = dposv(hessian(np.eye(x.size)), direction)
+        if info == 0:
+            return exact, x.size
+        products = x.size  # not numerically positive definite: CG takes the step
+    v = np.zeros(x.shape)
 
-        def product(p):
-            v[free] = p
-            return hessian(v)[free]
-    else:  # every variable is free: the same products, no scatter or gather
-        free, product = slice(None), hessian
-        if data.operator.diag.size * x.size <= DENSE_WORK:  # K n n
-            _, exact, info = dposv(hessian(np.eye(x.size)), direction)
-            if info == 0:
-                return exact, x.size
-            products = x.size  # not numerically positive definite: CG takes the step
+    def product(p):
+        v[free] = p
+        return hessian(v)[free]
+
     g_free = g[free]
     norm = math.sqrt(np.dot(g_free, g_free))  # np.linalg.norm's sum
     floor = CG_MARGIN * tol_stationarity / math.sqrt(data.grid.h)

@@ -10,6 +10,7 @@ import pytest
 
 import riskpath.cli as cli_mod
 import riskpath.objective as objective_mod
+import riskpath.risk as risk_mod
 from riskpath.cli import main, reduced_gradient_fd_error
 from riskpath.cone import ConeSpec, constraint_eval
 from riskpath.config import ConfigError, build_problem, config_hash, load_config, resolve
@@ -109,6 +110,10 @@ def test_solve_reports_hessian_products(tmp_path):
     # slack everywhere: feasible at the least tolerance, tol_feas = 0 = max_violation
     ({"problem": dict(SMALL["problem"], tol_feas=0.0),
       "scenarios": dict(SMALL["scenarios"], bound_spec={"kind": "constant", "value": 10.0})}, "100"),
+    # the other target kinds
+    ({"problem": dict(SMALL["problem"], y_d={"kind": "zero"})}, "100"),
+    ({"problem": dict(SMALL["problem"], y_d={"kind": "sine", "amplitude": 0.5})}, "100"),
+    ({"problem": dict(SMALL["problem"], y_d={"kind": "values", "values": [0.1] * 15})}, "100"),
 ])
 def test_solve_report_equals_unpenalized_objective(tmp_path, overrides, gamma):
     # j, max_violation and feasible are those of the written control, bit for bit
@@ -296,7 +301,7 @@ def test_cold_path_reaches_same_endpoint(tmp_path):
 
 
 def test_verify_passes_on_healthy_build(tmp_path):
-    for overrides in (None, VOLUME):
+    for overrides in (None, VOLUME, {"risk": AVAR}):
         cfg_path = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         rc = main(["verify", "--config", str(cfg_path), "--out", str(out)])
@@ -311,6 +316,8 @@ def test_verify_passes_on_healthy_build(tmp_path):
             "solve_self_adjointness",
         }
         assert all(c["passed"] for c in checks)
+        skipped = {c["name"] for c in checks if c["detail"].startswith("skipped")}
+        assert skipped == ({"reduced_gradient_fd"} if overrides == {"risk": AVAR} else set())
 
 
 def test_verify_cone_checks_use_the_penalty_cone(monkeypatch):
@@ -358,6 +365,25 @@ def test_verify_on_overflowing_costs_fails_the_gradient_check(tmp_path, capsys, 
     assert capsys.readouterr().err == "verification failed: reduced_gradient_fd\n"
     checks = json.loads((out / f"checks_{tag_of(cfg_path)}.json").read_text())["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["reduced_gradient_fd"]
+
+
+@pytest.mark.parametrize("risk,per_sample", [(EXPECTATION, 10), (AVAR, 10), (AVAR_SMOOTH, 8)],
+                         ids=["expectation", "avar", "avar-smooth"])
+def test_risk_axiom_check_evaluates_each_sample_once(monkeypatch, risk, per_sample):
+    # R[xi] and R[xi2] once per sample, not once per comparison: with the three
+    # mixtures, min, max, xi + c, lam xi and the duality gap's own R[xi], 10
+    # calls; avar-smooth is not positively homogeneous and has no gap check
+    calls = []
+    real = risk_mod.evaluate
+
+    def counted(rm, xi, weights):
+        calls.append(xi)
+        return real(rm, xi, weights)
+
+    monkeypatch.setattr(risk_mod, "evaluate", counted)
+    checks = list(itertools.islice(cli_mod._verify_checks(resolve(dict(SMALL, risk=risk))), 3))
+    assert checks[-1][:2] == ("risk_axioms_and_duality", True)
+    assert len(calls) == 200 * per_sample
 
 
 def test_reduced_gradient_check_passes_for_every_draw():
@@ -408,6 +434,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
          "problem.constraint.delat"),
         ({"problem": {"constraint": {"epsilon": 0.05}}}, "problem.constraint.kind"),
         ({"problem": {"y_d": {"kind": "values"}}}, "problem.y_d.values"),
+        ({"problem": {"n_interior": 15, "y_d": {"kind": "values", "values": [0.0] * 14}}},
+         "problem.y_d.values length must equal n_interior"),
         ({"problem": {"y_d": {"kind": "sine", "amplitde": 2.0}}}, "problem.y_d.amplitde"),
         ({"scenarios": {"bound_spec": {"kind": "constant"}}}, "scenarios.bound_spec.value"),
         ({"scenarios": {"bound_spec": {"kind": "constant", "value": "0.1"}}},
@@ -453,6 +481,10 @@ def test_malformed_config_names_field(tmp_path, capsys):
         spec = {"kind": "per-scenario-file", "path": str(table)}
         cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec=spec)},
                       f"scenarios: per-scenario bound file {field}"))
+    unparsable = tmp_path / "bounds_text.txt"
+    unparsable.write_text(("0.1 " * 14 + "x\n") * 4)
+    cases.append(({"scenarios": dict(SMALL["scenarios"], bound_spec={
+        "kind": "per-scenario-file", "path": str(unparsable)})}, "error: scenarios: could not convert"))
     # a gradient bound below 0 leaves no feasible state: rejected before any solve
     negative = tmp_path / "bounds_negative.txt"
     negative.write_text(("0.1 " * 16 + "\n") * 3 + "0.1 " * 15 + "-0.01\n")  # 4 x 16 cells

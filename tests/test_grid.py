@@ -82,6 +82,13 @@ def test_assemble_rejects_nonpositive_conductivity():
         assemble(g, a)
 
 
+def test_assemble_rejects_conductivity_of_the_wrong_length():
+    g = Grid(3)
+    for a in (np.ones(3), np.ones((2, 5))):
+        with pytest.raises(ValueError, match="conductivity must have length 4"):
+            assemble(g, a)
+
+
 def test_assemble_diagonal_dominance():
     g = Grid(9)
     rng = np.random.Generator(np.random.Philox(5))

@@ -195,6 +195,8 @@ def test_invalid_parameters_rejected():
         RiskMeasure(kind="avar-smooth", alpha=0.5, tau=0.0)
     with pytest.raises(ValueError):
         evaluate(RiskMeasure(), np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="matching shapes"):
+        evaluate(RiskMeasure(), np.ones(3), np.full(4, 0.25))
 
 
 def _previous_value(rm, xi, w):

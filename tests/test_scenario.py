@@ -68,6 +68,8 @@ def test_invalid_field_model_rejected():
         ScenarioConfig(n_scenarios=2, seed=0, a0=0.3, sigma=(0.5,), a_min=0.1)
     with pytest.raises(ValueError):
         ScenarioConfig(n_scenarios=2, seed=0, a_min=0.0)
+    with pytest.raises(ValueError, match="n_scenarios"):
+        ScenarioConfig(n_scenarios=0, seed=0)
 
 
 def test_empirical_expectation_uniform():

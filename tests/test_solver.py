@@ -215,7 +215,7 @@ def test_newton_counts_hessian_products():
 
 
 def _masked_direction(bundle, stat, tol_stationarity):
-    # the free-set path of _newton_direction, taken even when nothing binds
+    # the CG step of _newton_direction: -g on the binding bounds, CG on the free set
     data, x, g = bundle.data, bundle.x1, bundle.gradient
     eps = min(solver_mod.BINDING_EPS, stat)
     free = ~(((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0)))
@@ -243,7 +243,8 @@ def make_cg_problem(**kwargs):
 
 @pytest.mark.parametrize("kind,risk_kind", [("mixed", "expectation"), ("gradient", "avar-smooth")])
 def test_unmasked_newton_direction_is_bit_identical(kind, risk_kind):
-    # with no bound binding, CG takes the Hessian product without the mask
+    # with no bound binding the free set is every variable, and above DENSE_WORK
+    # the step is CG's on it
     data = make_cg_problem(bound=0.05, mu_tik=0.01, kind=kind, risk_kind=risk_kind, alpha=0.25)
     rng = np.random.Generator(np.random.Philox(9))
     for gamma in (1.0, 1e3, 1e6):
@@ -376,20 +377,74 @@ def test_non_finite_batched_column_is_divergence(monkeypatch):
 
 
 def test_step_with_a_binding_bound_takes_cg(monkeypatch):
-    # exact directions on binding steps were measured to cost more steps: at
-    # the solution on a tight box, where bounds bind, the masked CG direction
+    # exact directions on binding steps were measured to cost more steps: where
+    # the upper bound binds and the free gradient is above the stopping test,
+    # the masked CG direction
     data = make_problem(n=15, bound=10.0, mu_tik=1e-4)
-    tight = ProblemData(grid=data.grid, scenarios=data.scenarios, constraint=data.constraint,
-                        risk=data.risk, y_d=5.0 * data.y_d, mu_tik=1e-4, lo=-0.5, hi=0.5)
+    tight = dataclasses.replace(data, y_d=5.0 * data.y_d, hi=20.0)
     x = minimize(tight, 1.0, SolveOptions(tol_stationarity=1e-10)).bundle.x1
-    bundle = evaluate(tight, 1.0, x)
-    g = bundle.gradient
-    assert np.any((x <= tight.lo) & (g > 0.0)) or np.any((x >= tight.hi) & (g < 0.0))
+    at_hi = x >= tight.hi
+    assert 0 < at_hi.sum() < x.size
+    shift = np.random.Generator(np.random.Philox(29)).uniform(0.5, 1.5, x.size)
+    bundle = evaluate(tight, 1.0, np.where(at_hi, x, x - shift))  # the free variables move
+    assert np.all(bundle.gradient[at_hi] < 0.0)  # pointing out of the box: the bound binds
     monkeypatch.setattr(solver_mod, "dposv", None)  # a call would raise
     stat = solver_mod._stationarity(bundle)
+    assert stat > 1e-8
     direction, products = solver_mod._newton_direction(bundle, stat, 1e-8)
     expected, expected_products = _masked_direction(bundle, stat, 1e-8)
-    assert np.array_equal(direction, expected) and products == expected_products
+    assert np.array_equal(direction, expected) and products == expected_products > 0
+    assert np.array_equal(direction[at_hi], -bundle.gradient[at_hi])
+
+
+def _trial_points_read(monkeypatch, j_gamma):
+    # the start point is evaluated as usual; every later point reads j_gamma(bundle)
+    real, evaluations = obj_mod.evaluate, []
+
+    def patched(data, gamma, x1):
+        evaluations.append(x1)
+        bundle = real(data, gamma, x1)
+        if len(evaluations) == 1:
+            return bundle
+        return dataclasses.replace(bundle, j_gamma=j_gamma(bundle))
+
+    monkeypatch.setattr(obj_mod, "evaluate", patched)
+    return evaluations
+
+
+def test_non_finite_objective_at_a_trial_point_is_divergence(monkeypatch):
+    evaluations = _trial_points_read(monkeypatch, lambda bundle: np.inf)
+    with pytest.raises(solver_mod.DivergedError, match="during line search"):
+        minimize(make_problem(n=15, bound=0.05, mu_tik=0.01), 1e3, SolveOptions())
+    assert len(evaluations) == 2
+
+
+def test_line_search_that_rejects_every_trial_point_ends_unconverged(monkeypatch):
+    # every trial point reads a larger j_gamma, beyond round-off: from the zero
+    # control even the last trial step 2**-59 moves x, so all BACKTRACKS are counted
+    evaluations = _trial_points_read(monkeypatch, lambda bundle: bundle.j_gamma + 1.0)
+    res = minimize(make_problem(n=15, bound=0.05, mu_tik=0.01), 1e3, SolveOptions())
+    assert not res.converged and res.iterations == 0
+    assert res.backtracks == solver_mod.BACKTRACKS == len(evaluations) - 1
+    assert not np.any(res.bundle.x1)  # the start point
+    assert res.stationarity_norm == solver_mod._stationarity(res.bundle) > 1e-8
+
+
+def test_cg_stops_on_non_positive_curvature_and_keeps_its_iterate():
+    # the first direction b has positive curvature, the second none: CG keeps
+    # the iterate of its first step and counts both products
+    hessian = np.diag([2.0, -1.0])
+    b = np.array([1.0, 0.1])
+    seen = []
+
+    def product(p):
+        seen.append(p.copy())
+        return hessian @ p
+
+    d, products = solver_mod._conjugate_gradients(product, b, 1e-12, 10)
+    rr = float(np.dot(b, b))
+    assert products == 2 and np.dot(seen[1], hessian @ seen[1]) <= 0.0
+    assert np.array_equal(d, rr / float(np.dot(b, hessian @ b)) * b)
 
 
 def test_hessian_not_positive_definite_falls_back_to_cg(monkeypatch):
