@@ -132,12 +132,17 @@ def bound_points(kind: str, grid: Grid) -> np.ndarray:
 def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
     """Constraint values (K, m) for the states x2 (K, n) under the control x1."""
     if cmap.kind == "mixed":
-        return x2 - cmap.bounds - cmap.epsilon * x1
+        i = np.subtract(x2, cmap.bounds)
+        return np.subtract(i, cmap.epsilon * x1, out=i)
     if cmap.kind == "volume":
         return cmap.grid.h * np.sum(x2, axis=-1, keepdims=True) - cmap.bounds
-    du = cmap._grad_cells(x2)
-    smooth = np.sqrt(du**2 + cmap.delta**2)
-    return smooth - cmap.delta - cmap.bounds
+    i = cmap._grad_cells(x2)  # sqrt(du^2 + delta^2) - delta - psi, in du's array
+    np.square(i, out=i)
+    i += cmap.delta**2
+    np.sqrt(i, out=i)
+    i -= cmap.delta
+    # a new array where the bounds broadcast the cells of one (n,) state
+    return np.subtract(i, cmap.bounds, out=i if i.shape == cmap.bounds.shape else None)
 
 
 def ray_bounds(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, tol: float):

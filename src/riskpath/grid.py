@@ -9,9 +9,10 @@ sums (dot_last, np.dot or a plain sum, times h or the cone's weight).
 Scenario data is stacked: K conductivity fields form one (K, n_cells) array,
 their stencils one block-diagonal operator, and K grid functions one (K, n)
 array. Every function here acts on the last axis, so an unstacked (n,) grid
-function is the K-less case of the same code. The stacked SPD tridiagonal
-matrix is factored once as L D L^T by LAPACK's dpttrf and solved by dpttrs
-(Anderson et al., LAPACK Users' Guide, SIAM 1999).
+function is the K-less case of the same code. Both bands of the operator take
+the shape of such a stack, so their flat views are the bands of the stacked SPD
+tridiagonal matrix, factored once as L D L^T by LAPACK's dpttrf and solved by
+dpttrs (Anderson et al., LAPACK Users' Guide, SIAM 1999).
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ class Grid:
 class EllipticOperator:
     """Assembled tridiagonal stencils for -(a u')', one per conductivity row, SPD.
 
-    ``diag``/``off`` store the bands of each stencil (shapes (..., n) and
-    (..., n-1); each matrix is symmetric). The L D L^T factor (dpttrf's d, e) of
-    the block-diagonal matrix of all stencils is cached at assembly, so a solve
-    for every scenario is one forward and one backward sweep.
+    ``diag``/``off`` store the bands of each stencil, both of shape (..., n); each
+    matrix is symmetric, and ``off[..., -1]`` is zero, as node n has no right
+    neighbour. Flat, they are the bands of the block-diagonal matrix of all
+    stencils, whose L D L^T factor (dpttrf's d, e) is cached at assembly, so a
+    solve for every scenario is one forward and one backward sweep.
     """
 
     diag: np.ndarray
@@ -75,20 +77,16 @@ class EllipticOperator:
     _ldl: tuple = field(repr=False, default=None)
 
     def matvec(self, u: np.ndarray, out=None) -> np.ndarray:
-        """The product with every stencil, in ``out``, through one off-diagonal scratch."""
+        """The product with every stencil, in a C-contiguous ``out``, on the flat views of
+        a stack of ``diag``'s shape (``u`` broadcasts to it): a term across two blocks is 0 * u."""
         v = np.multiply(self.diag, u, out=out)
-        t = np.multiply(self.off, u[..., 1:])
-        v[..., :-1] += t
-        v[..., 1:] += np.multiply(self.off, u[..., :-1], out=t)
+        e = self.off.reshape(-1)[:-1]
+        u = np.broadcast_to(u, v.shape).reshape(-1, self.diag.size)
+        w = v.reshape(u.shape)
+        t = np.multiply(e, u[:, 1:])
+        w[:, :-1] += t
+        w[:, 1:] += np.multiply(e, u[:, :-1], out=t)
         return v
-
-
-def _stacked_off(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Off-diagonal of the block-diagonal matrix of the stencils, flat. Its zero
-    entries between blocks keep the blocks uncoupled in the factor and sweeps."""
-    e = np.zeros(diag.shape)
-    e[..., :-1] = off
-    return e.reshape(-1)[:-1]
 
 
 def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
@@ -106,12 +104,13 @@ def assemble(grid: Grid, conductivity: np.ndarray) -> EllipticOperator:
     if np.any(a <= 0.0):
         raise EllipticityError("conductivity must be strictly positive on every cell")
     h2 = grid.h**2
+    off = np.zeros(a.shape[:-1] + (grid.n_interior,))  # node n has no right neighbour
     with np.errstate(over="ignore"):  # an overflow is reported below
         diag = (a[..., :-1] + a[..., 1:]) / h2
-        off = -a[..., 1:-1] / h2
+        off[..., :-1] = -a[..., 1:-1] / h2
     if not np.all(np.isfinite(diag)):  # then each off-diagonal entry is finite too
         raise EllipticityError("stencil is not finite: conductivity / h^2 must be finite")
-    e = _stacked_off(diag, off)
+    e = off.reshape(-1)[:-1]
     # f2py's dpttrf rejects an empty off-diagonal; one node has nothing to couple
     d_ldl, e_ldl, info = dpttrf(diag.reshape(-1), e if e.size else np.zeros(1))
     if info != 0:  # pragma: no cover - SPD by construction

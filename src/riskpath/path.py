@@ -132,11 +132,11 @@ def shrink_to_feasible(data: ProblemData, base_control):
     ``base_control`` is a control, clamped to the box, or a ControlEval, whose states give
     those of every scale t (one of ``data``, a path's final bundle, is read as it is), so
     the largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
-    Fresh solves differ by round-off: unpenalized_objective certifies t* base,
-    each rejection backs t off by a relative 2**-44, 2**-40, ..., and the zero
-    control is the last resort. Returns (control, j) with j its unpenalized
-    objective, from the certifying call where there is one. Fixture for the
-    reference-control comparisons.
+    Fresh solves differ by round-off, so unpenalized_objective certifies t* base backed
+    off by a relative 2**-44; each rejection backs t off by 2**-40, 2**-36, ... more,
+    and the zero control is the last resort. Returns (control, j) with j its
+    unpenalized objective, from the certifying call where there is one. Fixture for
+    the reference-control comparisons.
     """
     c = base_control
     if not (isinstance(c, obj_mod.ControlEval) and c.data is data):
@@ -152,10 +152,10 @@ def shrink_to_feasible(data: ProblemData, base_control):
     t = float(np.min(bound[over] / slope[over], initial=1.0))
     del c, slope, bound, over  # the certifying solves need none of the base's stacks
     for k in range(5):  # certifying solves before the zero control
+        t *= 1.0 - 2.0 ** (4 * k - 44)
         j, feasible, _ = obj_mod.unpenalized_objective(data, t * base)
         if feasible:
             return t * base, j
-        t *= 1.0 - 2.0 ** (4 * k - 44)
     return zero, obj_mod.unpenalized_objective(data, zero)[0]
 
 

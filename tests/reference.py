@@ -37,8 +37,5 @@ def reference_minimize(data, gamma):
 
 def dense_matrix(op):
     """The (block-diagonal) matrix of all of ``op``'s stencils, from its bands."""
-    diag = op.diag.reshape(-1)
-    off = np.zeros(op.diag.shape)
-    off[..., :-1] = op.off  # zero between blocks: the stencils stay uncoupled
-    off = off.reshape(-1)[:-1]
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    off = op.off.reshape(-1)[:-1]  # zero between blocks: the stencils stay uncoupled
+    return np.diag(op.diag.reshape(-1)) + np.diag(off, 1) + np.diag(off, -1)

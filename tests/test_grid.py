@@ -32,7 +32,7 @@ def test_assemble_unit_conductivity_n3():
     g = Grid(3)
     op = assemble(g, np.ones(4))
     assert np.allclose(op.diag, [32.0, 32.0, 32.0])
-    assert np.allclose(op.off, [-16.0, -16.0])
+    assert np.allclose(op.off, [-16.0, -16.0, 0.0])
 
 
 def test_assemble_n1_conductivity_two():
@@ -94,7 +94,7 @@ def test_assemble_diagonal_dominance():
     rng = np.random.Generator(np.random.Philox(5))
     a = 0.2 + rng.uniform(0.0, 2.0, g.n_cells)
     op = assemble(g, a)
-    assert np.all(op.off < 0)
+    assert np.all(op.off[:-1] < 0)
     dense = dense_matrix(op)
     offsum = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
     # weak dominance on interior rows, strict at the boundary rows (irreducible)
@@ -141,7 +141,7 @@ def test_stacked_solve_matches_dense_per_block():
     op, rhs = _unequal_stack()
     u = solve_state(op, rhs)
     for k in range(3):
-        block = np.diag(op.diag[k]) + np.diag(op.off[k], 1) + np.diag(op.off[k], -1)
+        block = np.diag(op.diag[k]) + np.diag(op.off[k, :-1], 1) + np.diag(op.off[k, :-1], -1)
         exact = np.linalg.solve(block, rhs[k])
         assert np.linalg.norm(u[k] - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -154,7 +154,7 @@ def test_stacked_solve_matches_banded_cholesky():
     u = solve_state(op, rhs)
     for k in range(3):
         bands = np.zeros((2, op.diag.shape[1]))
-        bands[0, 1:] = op.off[k]
+        bands[0, 1:] = op.off[k, :-1]
         bands[1] = op.diag[k]
         ref = cho_solve_banded((cholesky_banded(bands), False), rhs[k])
         assert np.linalg.norm(u[k] - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -303,3 +303,57 @@ def test_stacked_right_hand_sides_solve_as_one_each():
     out = np.empty((3, 4, 15))
     solve_state(op, np.stack([one, 2.0 * one, -one])[:, None, :], out=out)
     assert out[0].tobytes() == solve_state(op, one).tobytes()
+
+
+def _strided_matvec(op, u):
+    # the product on the (..., n-1) strided views of the unpadded off-diagonal
+    off = op.off[..., :-1]
+    v = op.diag * u
+    t = off * u[..., 1:]
+    v[..., :-1] += t
+    v[..., 1:] += off * u[..., :-1]
+    return v
+
+
+@pytest.mark.parametrize("n, conductivity_rows, stack", [
+    (15, (), ()),  # one field
+    (15, (4,), ()),  # a (K, n) stack
+    (15, (4,), (3,)),  # a stack of (K, n) stacks
+    (1, (4,), (2,)),  # one-node operators
+    (1, (), ()),
+])
+def test_matvec_equals_the_strided_formula(n, conductivity_rows, stack):
+    # the flat passes over the padded band give the strided product bit for bit
+    g = Grid(n)
+    rng = np.random.Generator(np.random.Philox(37))
+    op = assemble(g, 0.2 + rng.uniform(0.0, 2.0, conductivity_rows + (g.n_cells,)))
+    u = rng.standard_normal(stack + op.diag.shape)
+    expected = _strided_matvec(op, u)
+    assert op.matvec(u).tobytes() == expected.tobytes()
+    out = np.empty(expected.shape)
+    assert op.matvec(u, out=out) is out and out.tobytes() == expected.tobytes()
+    one = u.reshape(-1, n)[0]  # one grid function for every stencil
+    assert op.matvec(one).tobytes() == _strided_matvec(op, one).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 9), (2, 3, 9), (4, 1)])
+def test_off_diagonal_is_padded_to_the_diagonal_shape(shape):
+    # node n has no right neighbour: the off-diagonal's last column is zero
+    g = Grid(shape[-1])
+    a = np.random.Generator(np.random.Philox(41)).uniform(0.5, 1.5, shape[:-1] + (g.n_cells,))
+    op = assemble(g, a)
+    assert op.off.shape == op.diag.shape == shape
+    assert np.all(op.off[..., -1] == 0.0) and np.all(op.off[..., :-1] < 0.0)
+
+
+def test_dense_matrix_is_the_block_diagonal_of_the_stencils():
+    from scipy.linalg import block_diag
+
+    g = Grid(6)
+    a = np.random.Generator(np.random.Philox(43)).uniform(0.5, 1.5, (3, g.n_cells))
+    blocks = []
+    for row in a:  # each stencil entry by entry
+        block = np.diag((row[:-1] + row[1:]) / g.h**2)
+        block += np.diag(-row[1:-1] / g.h**2, 1) + np.diag(-row[1:-1] / g.h**2, -1)
+        blocks.append(block)
+    assert np.array_equal(dense_matrix(assemble(g, a)), block_diag(*blocks))

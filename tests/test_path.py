@@ -1,5 +1,7 @@
 import gc
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from riskpath.solver import SolveOptions, minimize
 from test_objective import make_problem
 
 OPTS = SolveOptions(tol_stationarity=1e-8)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -221,10 +224,13 @@ def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
 # 4.22 for mixed; 8.24, 6.13, 7.05, 4.18, 21.26 and 3.25 for volume; 12.26, 9.16, 9.09, 9.47,
 # 30.30 and 4.26 for gradient. Without a control-adjoint stack, evaluate's bounds and mixed's
 # run_path bound are one stack lower again (measured 7.16, 4.09 and 25.09 for mixed, 5.21 and
-# 3.10 for volume; 8.17, 5.09, 26.09, 6.21 and 4.10 with one).
+# 3.10 for volume; 8.17, 5.09, 26.09, 6.21 and 4.10 with one). With the padded off-diagonal
+# band and constraint values formed in place, the report's bounds for mixed and volume, and
+# mixed's reference and volume's run_path bounds, are the measured values plus 0.5 (from
+# 6.06, 6.06, 5.19 and 19.09 to 4.13, 4.13, 4.18 and 18.28).
 ALLOCATION_BOUNDS = {
-    "mixed": (7.68, 4.60, 7.53, 5.82, 25.56, 4.3),
-    "volume": (5.74, 3.63, 6.55, 3.68, 19.76, 3.3),
+    "mixed": (7.68, 4.60, 4.63, 4.68, 25.56, 4.3),
+    "volume": (5.74, 3.63, 4.63, 3.68, 18.78, 3.3),
     "gradient": (9.76, 6.66, 8.59, 6.97, 27.80, 4.3),
 }
 
@@ -345,11 +351,19 @@ def test_shrink_to_feasible_with_some_scenarios_feasible(kind):
 
 
 def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
-    # each scale the real test rejects is followed by a strictly smaller one, a
-    # round-off-sized step below; the result is the last scale checked, and the
-    # zero control once every certifying solve is rejected, priced by one more call
+    # the first check is the closed-form scale t* backed off by a relative 2**-44, and
+    # each scale the real test rejects is followed by one backed off 16 times further;
+    # the result is the last scale checked, and the zero control once every
+    # certifying solve is rejected, priced by one more call
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
     base = 5.0 * np.ones(11)
+    slope, bound = cone.ray_bounds(data.constraint, base, solve_state(data.operator, base),
+                                   data.tol_feas)
+    t = float(np.min(bound[slope > bound] / slope[slope > bound]))
+    backed_off = []
+    for k in range(5):
+        t *= 1.0 - 2.0 ** (4 * k - 44)
+        backed_off.append(t * base)
     for rejections, checks in ((3, 4), (100, 6)):
         checked = []
 
@@ -361,11 +375,32 @@ def test_shrink_to_feasible_walks_back_past_rejected_iterates(monkeypatch):
         monkeypatch.setattr(objective, "unpenalized_objective", rejecting)
         ref, j_ref = shrink_to_feasible(data, base)
         monkeypatch.undo()
-        scales = np.array([x[0] / base[0] for x in checked])
-        assert len(checked) == checks and np.all(np.diff(scales) < 0.0)
-        assert 0.0 < 1.0 - scales[1] / scales[0] <= 2.0**-43
+        assert len(checked) == checks
+        assert np.array_equal(checked[:5], backed_off[:checks])
         assert np.array_equal(ref, checked[-1] if checks == 4 else np.zeros(11))
         assert unpenalized_objective(data, ref)[:2] == (j_ref, True)
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("path-small", 4), ("path-small", 6), ("path-tail", 0), ("path-wide", 6)])
+def test_feasible_reference_certifies_once_on_stored_seeds(workload, seed, monkeypatch):
+    # benchmark seeds on which the fresh solve rejects the closed-form scale t* itself:
+    # t* backed off by a relative 2**-44 certifies at the first call
+    cfg = json.loads((PERFBENCH / "workloads" / f"{workload}.json").read_text())["config"]
+    cfg.setdefault("scenarios", {})["seed"] = seed
+    cfg = resolve(cfg)
+    data = build_problem(cfg)
+    final = run_path(data, build_schedule(cfg), build_solve_options(cfg))[-1].result.bundle
+    assert np.max(final.constraint_values) > data.tol_feas
+    checks = []
+
+    def counted(d, x1):
+        checks.append(unpenalized_objective(d, x1))
+        return checks[-1]
+
+    monkeypatch.setattr(objective, "unpenalized_objective", counted)
+    ref, j_ref = shrink_to_feasible(data, final)
+    assert len(checks) == 1 and checks[0][:2] == (j_ref, True) and np.any(ref != 0.0)
 
 
 @pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
