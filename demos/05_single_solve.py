@@ -27,7 +27,7 @@ print(f"unpenalized objective   {j:.8f}")
 print(f"feasible                {feasible}  (max violation {max_violation:.3e})")
 
 b = result.bundle
-print(f"\nstates {b.states.shape}, multipliers {b.lambda_i.shape}, adjoints {b.lambda_e.shape}")
+print(f"\nstates {b.states.shape}, multipliers {b.lambda_i.shape}, adjoints {b.adjoints.shape}")
 print(f"scenarios with an active constraint: {int(np.sum(np.any(b.lambda_i > 0.0, axis=1)))}"
       f" of {data.scenarios.count}")
 

@@ -79,6 +79,8 @@ class EllipticOperator:
     def matvec(self, u: np.ndarray, out=None) -> np.ndarray:
         """The product with every stencil, in a C-contiguous ``out``, on the flat views of
         a stack of ``diag``'s shape (``u`` broadcasts to it): a term across two blocks is 0 * u."""
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         v = np.multiply(self.diag, u, out=out)
         e = self.off.reshape(-1)[:-1]
         u = np.broadcast_to(u, v.shape).reshape(-1, self.diag.size)
@@ -134,6 +136,8 @@ def solve_state(op: EllipticOperator, rhs: np.ndarray, out: np.ndarray | None = 
     """
     if out is None:
         out = np.empty(op.diag.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     if out is not rhs:
         out[...] = rhs
     # views, as out is C-contiguous: one column, or an F-contiguous (N, stack) array

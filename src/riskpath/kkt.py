@@ -1,7 +1,9 @@
 """Residuals of the penalized first-order system and its limit analogue.
 
 Two penalized equations are recomputed: the adjoint and state equations,
-through the stencil's matvec, not the factor that solved them. The third that
+through the stencil's matvec, not the factor that solved them; the adjoint one
+on the bundle's mass-weighted adjoint p = -h lambda_e, as
+theta zeta2 - A p + i_x2^* lambda_i = 0. The third that
 can fail, control stationarity against the box, is the solver's stopping
 measure and is reported once, as the path's stationarity. The other three
 hold by construction, as evaluate builds rho and the multiplier
@@ -10,7 +12,10 @@ those formulas bit for bit. The limit-system quantities (feasibility,
 complementarity, multiplier mass) measure the distance to the constrained
 optimality system at finite penalty strength. Mass escaping to few scenarios is summarized by a
 concentration index, the finite-sample stand-in for multiplier parts that
-live on vanishingly small probability sets.
+live on vanishingly small probability sets. The certificate bounds the
+distance from the bundle's control to the exact minimiser of j_gamma over the
+box, by the mu_tik-strong convexity of j_gamma (Bauschke & Combettes, Convex
+Analysis and Monotone Operator Theory in Hilbert Spaces, 2nd ed. 2017, ch. 22).
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ class KktReport:
     # diagnostics
     rho_mean_norm: float
     rho_per_scenario_max: float
+    # ||x1 - the minimiser of j_gamma over the box||_h <= certificate
+    certificate: float
 
     def as_dict(self) -> dict:
         return {k: float(v) for k, v in self.__dict__.items()}
@@ -79,7 +86,7 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     data = bundle.data
     h, op, w, cone = data.grid.h, data.operator, data.scenarios.weights, data.cone
     # the expectations below are empirical_expectation's np.dot
-    adjoint_l1 = float(np.dot(w, h * np.abs(bundle.lambda_e).sum(axis=-1)))
+    adjoint_l1 = float(np.dot(w, np.abs(bundle.adjoints).sum(axis=-1)))  # E[h sum |lambda_e|]
     lam_i = bundle.lambda_i
     i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
     adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
@@ -89,20 +96,24 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     concentration = concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION)
     multiplier_l1 = float(np.dot(w, cone.weight * np.abs(lam_i, out=lam_i).sum(axis=-1)))
     del lam_i, i_slope  # each stack is dropped, or reused, once it has been reduced
-    work = op.matvec(bundle.states)  # the one stack of both matvecs, and rho's scratch
+    work = op.matvec(bundle.states)  # the report's scratch stack, then rho's and the residual's
     work *= h
     work -= h * bundle.x1
     state_residual = _max_norm(h, work)  # h A x2 = h x1
-    # rho = e_x1^* lambda_e + i_x1^* lambda_i = -h lambda_e - coef i_x2^* lambda_i
-    rho = np.multiply(-h, bundle.lambda_e)
-    coef = data.constraint.control_coefficient
+    # rho = e_x1^* lambda_e + i_x1^* lambda_i = p - coef i_x2^* lambda_i, p = -h lambda_e
+    rho, coef = bundle.adjoints, data.constraint.control_coefficient
     if coef:
-        rho -= np.multiply(coef, adj_y, out=work)
+        rho = np.subtract(rho, np.multiply(coef, adj_y, out=work), out=work)
     rho_per_scenario_max = _max_norm(h, rho)
-    # theta zeta2 + (h A) lambda_e + i_x2^* lambda_i = 0, in rho's stack
-    residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=rho)
-    residual += np.multiply(h, op.matvec(bundle.lambda_e, out=work), out=work)
+    # theta zeta2 - A p + i_x2^* lambda_i = 0
+    residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=work)
+    residual -= op.matvec(bundle.adjoints)
     residual += adj_y
+    # j_gamma is mu_tik-strongly convex in the lumped product, so ||v||_h / mu_tik bounds
+    # the distance for v in its subdifferential at x1: the least-norm one, the gradient's
+    # Riesz form g/h, 0 where the box takes it up (x1 at lo with g > 0, at hi with g < 0)
+    x, g = bundle.x1, bundle.gradient
+    v = np.where(((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0)), 0.0, g / h)
     return KktReport(
         adjoint_residual=_max_norm(h, residual),
         state_residual=state_residual,
@@ -113,4 +124,5 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
         concentration_index=concentration,
         rho_mean_norm=_max_norm(h, bundle.rho_mean),
         rho_per_scenario_max=rho_per_scenario_max,
+        certificate=math.sqrt(h * np.dot(v, v)) / data.mu_tik,
     )

@@ -2,8 +2,9 @@
 
 The state equation is kept in the mass-weighted (Galerkin-like) form: the
 stiffness part is h * A with A the assembled stencil, and the control enters
-through the negative lumped-mass injection, so the adjoint of the control
-coupling is -h * lambda_e nodewise. All duals returned here pair with controls
+through the negative lumped-mass injection, so the control coupling's adjoint
+is p = -h lambda_e nodewise; the adjoint is kept as p, which solves
+A p = theta zeta2 + i_x2^* lambda_i. All duals returned here pair with controls
 and states through the plain euclidean dot product (the h factors are baked
 in), which is what the finite-difference checks in the tests rely on.
 
@@ -96,13 +97,13 @@ class EvalBundle(ControlEval):
     """One full evaluation; per-scenario quantities are stacked along axis 0.
 
     It stores four stacked arrays: the states, zeta2, the constraint values and
-    the adjoint states. The penalty residuals and the multipliers are one-line
+    the adjoints. The penalty residuals and the multipliers are one-line
     functions of them, computed on access with evaluate's expressions, so a path
     that keeps a bundle per gamma point does not keep them.
     """
 
     gamma: float
-    lambda_e: np.ndarray  # adjoint states, (K, n)
+    adjoints: np.ndarray  # p = -h lambda_e, mass-weighted like zeta2, (K, n)
     rho_mean: np.ndarray  # E[rho], (n,)
     penalty_term: float
     j_gamma: float
@@ -145,28 +146,35 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     if isinstance(x1, ControlEval) and x1.data is not data:
         x1 = x1.x1
     c = x1 if isinstance(x1, ControlEval) else control_half(data, np.asarray(x1, dtype=float))
-    h, weights = data.grid.h, data.scenarios.weights
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
     lam_i = np.multiply(gamma, pv.residual, out=pv.residual)  # gamma * max(0, i), in place
     i_slope = cone_mod.constraint_slope(data.constraint, c.states)
     adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
-    # adjoint equation: theta_k zeta2_k + (h A_k) lambda_e_k + i_x2^* lambda_i_k = 0
-    lam_e = np.multiply(c.theta[:, None], c.zeta2)
-    lam_e += adj_y
-    lam_e /= -h
-    lam_e = solve_state(data.operator, lam_e, out=lam_e)
-    # E[rho] with rho = e_x1^* lambda_e + i_x1^* lambda_i = -h lambda_e - coef i_x2^* lambda_i
-    # (the control part of zeta is 0), each expectation one matrix-vector product
-    rho_mean = -h * (weights @ lam_e)
-    coef = data.constraint.control_coefficient
-    if coef:
-        rho_mean -= coef * (weights @ adj_y)
-    penalty_term = float(np.dot(weights, pv.value))  # empirical_expectation
+    p, rho_mean = _adjoint_step(data, c.theta[:, None], c.zeta2, adj_y)
+    penalty_term = float(np.dot(data.scenarios.weights, pv.value))  # empirical_expectation
     return EvalBundle(  # the control half, in field order, then the gamma half
         data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
-        c.risk_value, gamma=gamma, lambda_e=lam_e, rho_mean=rho_mean, penalty_term=penalty_term,
+        c.risk_value, gamma=gamma, adjoints=p, rho_mean=rho_mean, penalty_term=penalty_term,
         j_gamma=c.j1 + c.risk_value + penalty_term, gradient=c.eta + rho_mean,
     )
+
+
+def _adjoint_step(data: ProblemData, weight, r: np.ndarray, adj_y: np.ndarray, out=None):
+    """(p, E[rho]) of a gradient (weight theta, r zeta2) or a Hessian product.
+
+    Forms weight r + i_x2^* lambda (``adj_y``) in ``out`` (new when None; ``r`` may
+    be it) and solves A p = that in place: p = -h lambda_e solves the adjoint equation
+    theta zeta2 + (h A) lambda_e + i_x2^* lambda = 0. Then rho = e_x1^* lambda_e +
+    i_x1^* lambda = p - coef i_x2^* lambda, each expectation one matrix-vector product.
+    """
+    p = np.multiply(weight, r, out=out)
+    p += adj_y
+    p = solve_state(data.operator, p, out=p)
+    w, coef = data.scenarios.weights, data.constraint.control_coefficient
+    mean = w @ p
+    if coef:
+        mean -= coef * (w @ adj_y)
+    return p, mean
 
 
 def hessian_operator(bundle: EvalBundle):
@@ -200,8 +208,7 @@ def hessian_operator(bundle: EvalBundle):
         slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
         total = float(slope.sum())
 
-    risk_weight, coef = theta[:, None] * h, data.constraint.control_coefficient
-    shape = data.operator.diag.shape
+    risk_weight, shape = theta[:, None] * h, data.operator.diag.shape
     # one direction's states, then adjoints; its multiplier; its constraint adjoint
     work, lam_work, adj_work = np.empty(shape), np.empty(curvature.shape), np.empty(shape)
 
@@ -215,13 +222,7 @@ def hessian_operator(bundle: EvalBundle):
         d_lam *= curvature
         adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, d_lam,
                                              out=adj_work if one else None)
-        d_states *= risk_weight
-        d_states += adj_y
-        y = solve_state(data.operator, d_states, out=out)
-        # E[rho] with rho = y - coef adj_y, as in evaluate
-        hv = w @ y
-        if coef:
-            hv -= coef * (w @ adj_y)
+        _, hv = _adjoint_step(data, risk_weight, d_states, adj_y, out)
         hv += mu_h * v
         if data.risk.kind == "avar-smooth" and total > 0.0:
             dj = grad_j @ v.T  # (K,), or (K, m) for a stack

@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,19 @@ def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/bench.py, read from the checkout; its own imports need perfbench/ on sys.path."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_bench", PERFBENCH / "bench.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
@@ -118,3 +132,18 @@ def test_path_command_checks_the_final_bundle_once(monkeypatch, tmp_path):
     assert main(["path", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     (_, _, steps), (name, args, _) = calls
     assert name == "shrink_to_feasible" and args[1] is steps[-1].result.bundle
+
+
+@pytest.mark.parametrize("workload", ["path-small", "path-tail", "path-wide"])
+def test_two_stored_scenario_sets_pass_the_benchmark_gate(bench, workload, tmp_path):
+    # the benchmark's own correctness gate on a cheap and a costly stored draw: exit 0,
+    # every point converged, the slopes assertions, and j and j_gamma within
+    # REFERENCE_RTOL of the stored references
+    spec = bench.load_workload(workload)
+    references = bench.load_references(workload, spec)
+    seeds = bench.scenario_seeds(1, 2, references)
+    tol = float(config.resolve(spec["config"])["solver"]["tol_stationarity"])
+    for seed, cfg in zip(seeds, bench.write_configs(spec, seeds, tmp_path / "configs")):
+        _, code, error = bench.run_path(cfg, tmp_path / "out")
+        _, _, failures = bench.gate(tmp_path / "out", code, error, references[seed], tol, None)
+        assert failures == [], (seed, failures)

@@ -179,6 +179,17 @@ def test_solve_into_buffer():
         solve_state(op, bad, out=buf)
 
 
+def test_a_non_contiguous_out_is_refused():
+    # a transposed buffer has the right shape; the flat passes and dpttrs would
+    # write into a copy of it, leaving it holding no product and no solution
+    op = assemble(Grid(5), np.ones((3, 6)))
+    u = np.arange(15.0).reshape(3, 5)
+    with pytest.raises(ValueError, match="out"):
+        op.matvec(u, out=np.empty((5, 3)).T)
+    with pytest.raises(ValueError, match="out"):
+        solve_state(op, u, out=np.empty((5, 3)).T)
+
+
 def test_solve_rejects_non_finite_solution():
     op, rhs = _unequal_stack()
     rhs[1, 4] = np.inf

@@ -10,7 +10,8 @@ from riskpath.kkt import check_limit_system, concentration_index
 from riskpath.objective import evaluate, hessian_operator
 from riskpath.solver import SolveOptions, minimize
 
-from test_objective import make_problem
+from test_manufactured import manufactured_problem
+from test_objective import _previous_adjoint, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,16 @@ def test_gamma_system_residuals_small_at_solution(converged_run):
 def test_adjoint_residual_detects_perturbed_adjoint(converged_run):
     data, res = converged_run
     bundle = evaluate(data, res.bundle.gamma, res.bundle.x1)
-    bundle.lambda_e[0] = bundle.lambda_e[0] + 0.01
+    h, op = data.grid.h, data.operator
+    lam_e, adj_y = _previous_adjoint(data, bundle)
+    lam_e[0] += 0.01
+    bundle.adjoints[0] -= h * 0.01  # p = -h lambda_e
     rep = check_limit_system(bundle)
     assert rep.adjoint_residual > 1e-4
+    # the residual theta zeta2 + (h A) lambda_e + i_x2^* lambda_i of the perturbed lambda_e
+    previous = np.max(norm_h(data.grid, bundle.theta[:, None] * bundle.zeta2
+                             + h * op.matvec(lam_e) + adj_y))
+    assert abs(rep.adjoint_residual - previous) <= 1e-13 * previous
 
 
 def test_limit_system_zeros_on_slack_problem():
@@ -190,26 +198,62 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
         adj_y = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
         i_vals = b.constraint_values
         w, coef = data.scenarios.weights, data.constraint.control_coefficient
-        # rho = -h lambda_e + i_x1^* lambda_i, with i_x1^* lambda_i = -coef adj_y
-        rho = -h * b.lambda_e - coef * adj_y if coef else -h * b.lambda_e
+        # rho = p + i_x1^* lambda_i, with p = -h lambda_e and i_x1^* lambda_i = -coef adj_y
+        rho = b.adjoints - coef * adj_y if coef else b.adjoints
+        x, grad = b.x1, b.gradient
+        held = ((x == data.lo) & (grad > 0.0)) | ((x == data.hi) & (grad < 0.0))
         expected = {
             "adjoint_residual": np.max(norm_h(
-                g, b.theta[:, None] * b.zeta2 + h * op.matvec(b.lambda_e) + adj_y)),
+                g, b.theta[:, None] * b.zeta2 - op.matvec(b.adjoints) + adj_y)),
             "state_residual": np.max(norm_h(g, h * op.matvec(b.states) - h * b.x1)),
             "rho_mean_norm": norm_h(g, b.rho_mean),
             "rho_per_scenario_max": np.max(norm_h(g, rho)),
             "primal_feasibility": max(0.0, float(np.max(i_vals))),
             "complementarity": abs(float(np.dot(w, data.cone.inner(b.lambda_i, i_vals)))),
             "multiplier_l1": float(np.dot(w, data.cone.weight * np.sum(np.abs(b.lambda_i), -1))),
-            "adjoint_l1": float(np.dot(w, h * np.sum(np.abs(b.lambda_e), axis=-1))),
+            "adjoint_l1": float(np.dot(w, np.sum(np.abs(b.adjoints), axis=-1))),
             "concentration_index": concentration_index(data.cone.norm(b.lambda_i), w, 0.125),
+            "certificate": norm_h(g, np.where(held, 0.0, grad / h)) / data.mu_tik,
         }
         assert set(expected) == set(rep.as_dict())  # every field is recomputed here
         # the solver's measure, the one stationarity reported
         assert norm_h(g, b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(b)
         for name, value in expected.items():
             assert getattr(rep, name) == value, name
-        # the previous formula, with the control adjoint -epsilon h lambda_i as its own stack
+        # the previous formulas, with the unscaled adjoint lambda_e and the control
+        # adjoint -epsilon h lambda_i as its own stack
+        lam_e, _ = _previous_adjoint(data, b)
         adj_u = -data.constraint.epsilon * h * b.lambda_i if kind == "mixed" else 0.0
-        previous = np.max(norm_h(g, -h * b.lambda_e + adj_u))
+        previous = np.max(norm_h(g, -h * lam_e + adj_u))
         assert abs(rep.rho_per_scenario_max - previous) <= 1e-13 * previous
+        previous = float(np.dot(w, h * np.sum(np.abs(lam_e), axis=-1)))
+        assert abs(rep.adjoint_l1 - previous) <= 1e-13 * previous
+        terms = b.theta[:, None] * b.zeta2  # the residual is round-off of terms this size
+        previous = np.max(norm_h(g, terms + h * op.matvec(lam_e) + adj_y))
+        assert abs(rep.adjoint_residual - previous) <= 1e-13 * np.max(norm_h(g, terms))
+
+
+@pytest.mark.parametrize("problem", ["manufactured", "boxed-K16"])
+def test_certificate_bounds_the_distance_between_two_solves(problem):
+    # each certificate bounds its control's distance to the one minimiser of j_gamma
+    # over the box, so two of them bound the distance between two controls; 127 nodes
+    # and 31 x 16 take CG steps, so the ladder's solves stop short of the minimiser,
+    # and the box [0, 2] of the second holds some of its nodes at lo
+    gamma = 1e4
+    if problem == "manufactured":
+        data = manufactured_problem(127)[0]
+    else:
+        data = dataclasses.replace(make_problem(n=31, n_scen=16, bound=0.05, mu_tik=0.01),
+                                   lo=0.0, hi=2.0)
+    tight = minimize(data, gamma, SolveOptions(tol_stationarity=1e-13)).bundle
+    tight_certificate = check_limit_system(tight).certificate
+    assert tight_certificate <= 1e-9
+    assert np.any(tight.x1 == data.lo) == (problem == "boxed-K16")
+    start, ratios = None, []
+    for tol in 10.0 ** -np.arange(2, 11):  # a warm-started ladder of tolerances
+        start = minimize(data, gamma, SolveOptions(tol_stationarity=tol), warm_start=start).bundle
+        distance = norm_h(data.grid, start.x1 - tight.x1)
+        bound = check_limit_system(start).certificate + tight_certificate
+        assert distance <= bound, tol
+        ratios.append(distance / bound)
+    assert max(ratios) > 0.1  # and the bound is within a factor of ten of it somewhere

@@ -9,6 +9,7 @@ import riskpath.objective as objective_mod
 from riskpath import cone, risk
 from riskpath.cone import ConstraintMap, bound_points
 from riskpath.grid import DivergedError, Grid, inner_h, solve_state
+from riskpath.kkt import _max_norm, check_limit_system
 from riskpath.objective import (
     EvalBundle,
     ProblemData,
@@ -161,6 +162,26 @@ def _within(got, previous, rel=1e-13):
     return np.max(np.abs(got - previous)) <= rel * np.max(np.abs(previous))
 
 
+def _previous_adjoint(data, b):
+    """The unscaled adjoint lambda_e of a bundle's point, as evaluate formed it before it kept
+    p = -h lambda_e: the right-hand side divided by -h, then solved in place."""
+    adj_y = cone.constraint_adjoints(
+        data.constraint, cone.constraint_slope(data.constraint, b.states), b.lambda_i)
+    lam_e = b.theta[:, None] * b.zeta2
+    lam_e += adj_y
+    lam_e /= -data.grid.h
+    return solve_state(data.operator, lam_e, out=lam_e), adj_y
+
+
+def _previous_rho_mean(data, lam_e, adj_y):
+    """E[rho] = -h E[lambda_e] - coef E[i_x2^* lambda_i], as evaluate formed it from lambda_e."""
+    w, coef = data.scenarios.weights, data.constraint.control_coefficient
+    rho_mean = -data.grid.h * (w @ lam_e)
+    if coef:
+        rho_mean -= coef * (w @ adj_y)
+    return rho_mean
+
+
 def _control_adjoint_stack(data, lam):
     """i_x1^* lam as its own stack, as the previous formulas formed it: -epsilon h lam (mixed)."""
     if data.constraint.kind == "mixed":
@@ -186,11 +207,15 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     lam_i = cone.penalty_multiplier(100.0, i_vals)
     adj_y = cone.constraint_adjoints(
         data.constraint, cone.constraint_slope(data.constraint, states), lam_i)
-    lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
-    rho_mean = -h * (w @ lam_e) - coef * (w @ adj_y) if coef else -h * (w @ lam_e)
+    p = solve_state(data.operator, theta[:, None] * zeta2 + adj_y)  # p = -h lambda_e
+    rho_mean = w @ p - coef * (w @ adj_y) if coef else w @ p
     assert np.array_equal(b.zeta2, zeta2)
-    assert np.array_equal(b.lambda_e, lam_e)
+    assert np.array_equal(b.adjoints, p)
     assert np.array_equal(b.rho_mean, rho_mean)
+    # the previous formula, with the unscaled adjoint lambda_e: h = 1/13 rounds differently
+    lam_e = solve_state(data.operator, -(theta[:, None] * zeta2 + adj_y) / h)
+    assert _within(b.adjoints, -h * lam_e)
+    assert _within(b.rho_mean, _previous_rho_mean(data, lam_e, adj_y))
     assert np.array_equal(b.lambda_i, lam_i)
     assert np.array_equal(b.penalty_residuals, np.maximum(0.0, i_vals))
     assert np.array_equal(b.gradient, b.eta + rho_mean)
@@ -335,12 +360,13 @@ def test_rho_mean_matches_weighted_sum():
     data = make_problem(bound=0.05)
     rng = np.random.Generator(np.random.Philox(12))
     b = evaluate(data, 10.0, rng.standard_normal(15))
-    h, w, coef = data.grid.h, data.scenarios.weights, data.constraint.control_coefficient
+    w, coef = data.scenarios.weights, data.constraint.control_coefficient
     i_slope = cone.constraint_slope(data.constraint, b.states)
     adj_y = cone.constraint_adjoints(data.constraint, i_slope, b.lambda_i)
-    assert coef == 0.05 and np.array_equal(b.rho_mean, -h * (w @ b.lambda_e) - coef * (w @ adj_y))
-    # the scenario loop over rho = -h lambda_e + i_x1^* lambda_i
-    rho = -h * b.lambda_e + _control_adjoint_stack(data, b.lambda_i)
+    assert coef == 0.05 and np.array_equal(b.rho_mean, w @ b.adjoints - coef * (w @ adj_y))
+    assert _within(b.rho_mean, _previous_rho_mean(data, *_previous_adjoint(data, b)))
+    # the scenario loop over rho = p + i_x1^* lambda_i, p = -h lambda_e
+    rho = b.adjoints + _control_adjoint_stack(data, b.lambda_i)
     direct = sum(p * r for p, r in zip(w, rho))
     assert _within(b.rho_mean, direct)
     assert np.allclose(b.gradient, b.eta + direct)
@@ -394,7 +420,8 @@ def test_adjoint_sign_hook_breaks_gradient(monkeypatch):
     good = evaluate(data, 50.0, x)
     flip_adjoint_sign(monkeypatch)
     bad = evaluate(data, 50.0, x)
-    assert np.array_equal(bad.lambda_e, -good.lambda_e)
+    assert np.array_equal(bad.adjoints, -good.adjoints)
+    assert _within(-good.adjoints, data.grid.h * _previous_adjoint(data, good)[0])
     assert abs(fd - float(np.dot(bad.gradient, d))) > 1e-3
 
 
@@ -409,6 +436,34 @@ def test_clamp_is_np_clip_bit_for_bit():
         d = dataclasses.replace(data, lo=np.minimum(a, b), hi=np.maximum(a, b))
         x = rng.choice(points, 15)
         assert d.clamp(x).tobytes() == np.clip(x, d.lo, d.hi).tobytes()
+
+
+@pytest.mark.parametrize("n", [15, 63])
+@KINDS
+@RISK_KINDS
+def test_the_mass_weighted_adjoint_is_the_previous_one_bit_for_bit(n, kind, risk_kind):
+    # h = 1/16 and 1/64: scaling by -h commutes exactly with the solve and the sums,
+    # so keeping p = -h lambda_e moves no bit of the gradient or of the KKT report
+    data = make_problem(n=n, n_scen=3, bound=0.01 if kind == "volume" else 0.05, kind=kind,
+                        risk_kind=risk_kind, alpha=0.3, mu_tik=0.01)
+    h, w, op = data.grid.h, data.scenarios.weights, data.operator
+    x = 1.0 + 3.0 * np.random.Generator(np.random.Philox(18)).standard_normal(n)
+    b = evaluate(data, 100.0, x)
+    assert np.any(b.penalty_residuals > 0.0)
+    lam_e, adj_y = _previous_adjoint(data, b)
+    rho_mean = _previous_rho_mean(data, lam_e, adj_y)
+    assert b.adjoints.tobytes() == (-h * lam_e).tobytes()
+    assert b.rho_mean.tobytes() == rho_mean.tobytes()
+    assert b.gradient.tobytes() == (b.eta + rho_mean).tobytes()
+    # the report's three adjoint quantities as it formed them from lambda_e
+    coef = data.constraint.control_coefficient
+    rho = -h * lam_e - coef * adj_y if coef else -h * lam_e
+    residual = b.theta[:, None] * b.zeta2 + h * op.matvec(lam_e) + adj_y
+    report = check_limit_system(b)
+    assert report.adjoint_l1 == float(np.dot(w, h * np.abs(lam_e).sum(axis=-1)))
+    assert report.rho_per_scenario_max == _max_norm(h, rho)
+    assert report.adjoint_residual == _max_norm(h, residual)
+    assert report.rho_mean_norm == _max_norm(h, rho_mean)
 
 
 PRODUCT_CASES = [("mixed", "expectation", 0.05), ("gradient", "avar-smooth", 0.05),
