@@ -9,7 +9,7 @@ visible.
 
 import numpy as np
 
-from riskpath import Grid, assemble, inner_h, solve_state
+from riskpath import Grid, assemble, solve_state
 
 g = Grid(99)
 op = assemble(g, np.ones(g.n_cells))
@@ -35,6 +35,6 @@ rng = np.random.Generator(np.random.Philox(0))
 a = 0.3 + rng.uniform(0.0, 1.5, g.n_cells)
 op = assemble(g, a)
 r, q = rng.standard_normal(g.n_interior), rng.standard_normal(g.n_interior)
-lhs = inner_h(g, solve_state(op, r), q)
-rhs = inner_h(g, r, solve_state(op, q))
+lhs = g.inner(solve_state(op, r), q)
+rhs = g.inner(r, solve_state(op, q))
 print(f"\nself-adjointness: |(S r, q)_h - (r, S q)_h| = {abs(lhs - rhs):.3e}")

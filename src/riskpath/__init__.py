@@ -8,15 +8,7 @@ first-order (KKT) residual reporting along the path.
 """
 
 from .cone import ConeSpec, ConstraintMap, PenaltyValue, penalty, penalty_multiplier, project
-from .grid import (
-    EllipticOperator,
-    EllipticityError,
-    Grid,
-    assemble,
-    inner_h,
-    norm_h,
-    solve_state,
-)
+from .grid import EllipticOperator, EllipticityError, Grid, assemble, solve_state
 from .kkt import KktReport, check_limit_system, concentration_index
 from .objective import EvalBundle, ProblemData, evaluate, objective_only, unpenalized_objective
 from .path import (
@@ -28,7 +20,7 @@ from .path import (
     shrink_to_feasible,
 )
 from .risk import RiskMeasure, RiskSubgradient, duality_gap, evaluate as risk_evaluate, subgradient
-from .scenario import ScenarioConfig, ScenarioSet, empirical_expectation, sample
+from .scenario import ScenarioConfig, ScenarioSet, sample
 from .solver import DivergedError, SolveOptions, SolveResult, minimize
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from . import path as path_mod
 from . import risk as risk_mod
 from .cone import constraint_adjoints, constraint_eval, constraint_slope, penalty, project
 from .config import ConfigError
-from .grid import DivergedError, inner_h, solve_state
+from .grid import DivergedError, solve_state
 
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -113,6 +113,8 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     except path_mod.InsufficientDataError as exc:
         slopes["sq_violation_slope_error"] = str(exc)
     slopes["assertions"] = assertions
+    w_min = float(data.scenarios.weights.min())  # paths compare at equal gamma w_min
+    slopes["points"] = [{"gamma": r.gamma, "gamma_min_weight": r.gamma * w_min} for r in records]
     _write_json(out / f"slopes_{tag}.json", slopes)
     return 0 if all(r.converged for r in records) else 2
 
@@ -155,12 +157,12 @@ def _verify_checks(cfg: dict):
     # projection characterization, idempotence, nonexpansiveness
     ok, worst = True, 0.0
     for _ in range(200):
-        k = rng.standard_normal(g.n_interior)
+        k = rng.standard_normal(g.shape)
         p = project(k)
         resid = abs(cone.inner(p, k - p))
         worst = max(worst, resid)
         ok &= np.all(p >= 0.0) and resid <= 1e-12
-        q = rng.standard_normal(g.n_interior)
+        q = rng.standard_normal(g.shape)
         ok &= cone.norm(project(k) - project(q)) <= cone.norm(k - q) + 1e-12
         ok &= np.allclose(project(p), p)
     yield "projection_identities", bool(ok), f"max |(p, k-p)_H| = {worst:.3e}"
@@ -169,11 +171,11 @@ def _verify_checks(cfg: dict):
     ok, worst = True, 0.0
     gamma = 37.0
     for _ in range(50):
-        i_val = rng.standard_normal(g.n_interior)
+        i_val = rng.standard_normal(g.shape)
         lam = gamma * penalty(cone, gamma, i_val).residual  # the solver's multiplier
         eps = 1e-6
         for _ in range(3):
-            d = rng.standard_normal(g.n_interior)
+            d = rng.standard_normal(g.shape)
             fd = (
                 penalty(cone, gamma, i_val + eps * d).value
                 - penalty(cone, gamma, i_val - eps * d).value
@@ -209,14 +211,14 @@ def _verify_checks(cfg: dict):
     yield "risk_axioms_and_duality", bool(ok), f"measure = {rm.kind}"
 
     # constraint adjoint identity on the configured problem, first scenario
-    x1 = rng.standard_normal(g.n_interior)
-    x2 = rng.standard_normal(g.n_interior)
+    x1 = rng.standard_normal(g.shape)
+    x2 = rng.standard_normal(g.shape)
     ok, worst, i_slope = True, 0.0, constraint_slope(data.constraint, x2)
     for _ in range(10):
         i0 = constraint_eval(data.constraint, x1, x2)[0]
         lam = np.abs(rng.standard_normal(i0.shape))
-        du = rng.standard_normal(g.n_interior)
-        dy = rng.standard_normal(g.n_interior)
+        du = rng.standard_normal(g.shape)
+        dy = rng.standard_normal(g.shape)
         eps = 1e-7
         ip = constraint_eval(data.constraint, x1 + eps * du, x2 + eps * dy)[0]
         im = constraint_eval(data.constraint, x1 - eps * du, x2 - eps * dy)[0]
@@ -243,8 +245,8 @@ def _verify_checks(cfg: dict):
     op = data.operator
     r = rng.standard_normal(op.diag.shape)
     q = rng.standard_normal(op.diag.shape)
-    lhs = inner_h(g, solve_state(op, r), q)
-    rhs = inner_h(g, r, solve_state(op, q))
+    lhs = g.inner(solve_state(op, r), q)
+    rhs = g.inner(r, solve_state(op, q))
     err = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
     yield "solve_self_adjointness", err <= 1e-10, f"rel err = {err:.3e}"
 

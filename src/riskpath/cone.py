@@ -27,9 +27,9 @@ from .grid import Grid, dot_last
 class ConeSpec:
     """Pointwise-nonnegative cone in a weighted discrete L2 space.
 
-    The inner product is weight * sum_j u_j v_j over the last axis: weight h
-    for grid functions on nodes or cells (the lumped product), 1 for the half
-    line of a scalar constraint. Stacked arguments give one value per row.
+    The inner product is weight * sum_j u_j v_j over the last axis: the grid's
+    mass for grid functions on nodes or cells (the lumped product), 1 for the
+    half line of a scalar constraint. Stacked arguments give one value per row.
     """
 
     weight: float = 1.0
@@ -79,9 +79,9 @@ class ConstraintMap:
     """Constraint i(x1, x2; omega) for every scenario, one of three kinds.
 
     mixed:    i = x2 - bound - epsilon*x1, nodewise (bounds (K, n) on nodes)
-    volume:   i = sum_j h x2_j - b, one column (bounds (K, 1))
+    volume:   i = integral of x2 - b, one column (bounds (K, 1))
     gradient: i = sqrt((Du)^2 + delta^2) - delta - psi at cell midpoints, with
-              Du the forward difference including boundary cells (bounds
+              Du the grid's cell gradient, boundary cells included (bounds
               (K, n_cells))
     """
 
@@ -102,22 +102,12 @@ class ConstraintMap:
             raise ValueError("a gradient bound must be >= 0: no smoothed gradient norm is below 0")
 
     def cone_spec(self) -> ConeSpec:
-        return ConeSpec(weight=1.0 if self.kind == "volume" else self.grid.h)
+        return ConeSpec(weight=1.0 if self.kind == "volume" else self.grid.mass)
 
     @property
     def control_coefficient(self) -> float:
         """c with i_x1 = -c i_x2: epsilon for mixed, 0 for the kinds that do not read x1."""
         return self.epsilon if self.kind == "mixed" else 0.0
-
-    def _grad_cells(self, x2: np.ndarray, out=None) -> np.ndarray:
-        """Forward differences of x2 over every cell, 0 beyond both ends, / h, in ``out``."""
-        if out is None:
-            out = np.empty(x2.shape[:-1] + (x2.shape[-1] + 1,))
-        out[..., 0] = x2[..., 0]
-        np.subtract(x2[..., 1:], x2[..., :-1], out=out[..., 1:-1])
-        np.subtract(0.0, x2[..., -1], out=out[..., -1])
-        out /= self.grid.h
-        return out
 
 
 def bound_points(kind: str, grid: Grid) -> np.ndarray:
@@ -135,8 +125,8 @@ def constraint_eval(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray):
         i = np.subtract(x2, cmap.bounds)
         return np.subtract(i, cmap.epsilon * x1, out=i)
     if cmap.kind == "volume":
-        return cmap.grid.h * np.sum(x2, axis=-1, keepdims=True) - cmap.bounds
-    i = cmap._grad_cells(x2)  # sqrt(du^2 + delta^2) - delta - psi, in du's array
+        return cmap.grid.integral(x2) - cmap.bounds
+    i = cmap.grid.cell_gradient(x2)  # sqrt(du^2 + delta^2) - delta - psi, in du's array
     np.square(i, out=i)
     i += cmap.delta**2
     np.sqrt(i, out=i)
@@ -155,8 +145,8 @@ def ray_bounds(cmap: ConstraintMap, x1: np.ndarray, x2: np.ndarray, tol: float):
     if cmap.kind == "mixed":
         return x2 - cmap.epsilon * x1, slack
     if cmap.kind == "volume":
-        return cmap.grid.h * np.sum(x2, axis=-1, keepdims=True), slack
-    return np.abs(cmap._grad_cells(x2)), np.sqrt(slack * (slack + 2.0 * cmap.delta))
+        return cmap.grid.integral(x2), slack
+    return np.abs(cmap.grid.cell_gradient(x2)), np.sqrt(slack * (slack + 2.0 * cmap.delta))
 
 
 def constraint_slope(cmap: ConstraintMap, x2: np.ndarray):
@@ -164,7 +154,7 @@ def constraint_slope(cmap: ConstraintMap, x2: np.ndarray):
     the cell gradients (gradient kind); None for the affine kinds, whose derivative is fixed."""
     if cmap.kind != "gradient":
         return None
-    du = cmap._grad_cells(x2)
+    du = cmap.grid.cell_gradient(x2)
     denom = np.sqrt(du**2 + cmap.delta**2)
     # subgradient tie-break: slope 0 where the smoothed norm is flat (delta=0, du=0)
     return np.divide(du, denom, out=np.zeros_like(du), where=denom > 0.0)
@@ -180,13 +170,13 @@ def constraint_jvp(cmap: ConstraintMap, d, dx1, dx2, out=None):
     if cmap.kind == "mixed":
         return np.subtract(dx2, cmap.epsilon * np.asarray(dx1, dtype=float), out=out)
     if cmap.kind == "volume":
-        return np.multiply(cmap.grid.h, np.sum(dx2, axis=-1, keepdims=True), out=out)
-    du = cmap._grad_cells(dx2, out=out)
+        return cmap.grid.integral(dx2, out=out)
+    du = cmap.grid.cell_gradient(dx2, out=out)
     return np.multiply(du, d, out=du)
 
 
 def constraint_adjoints(cmap: ConstraintMap, d, lam, out=None):
-    """State adjoint i_x2^* lam at d = constraint_slope(point), a dual vector, in ``out``.
+    """State adjoint i_x2^* lam at d = constraint_slope(point), in a C-contiguous ``out``.
 
     With the control adjoint i_x1^* lam = -c i_x2^* lam (c = cmap.control_coefficient)
     it satisfies (lam, i_x1 du + i_x2 dy)_H = <-c i_x2^* lam, du> + <i_x2^* lam, dy>,
@@ -194,8 +184,12 @@ def constraint_adjoints(cmap: ConstraintMap, d, lam, out=None):
     """
     lam = np.asarray(lam, dtype=float)
     if out is None:
-        out = np.empty(lam.shape[:-1] + (cmap.grid.n_interior,))
-    if cmap.kind == "gradient":
-        c = lam * d
-        return np.subtract(c[..., :-1], c[..., 1:], out=out)
-    return np.multiply(cmap.grid.h, lam, out=out)  # volume: the one column, on every node
+        out = np.empty(lam.shape[:-1] + cmap.grid.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if cmap.kind == "gradient":  # c_j - c_{j+1}, c = lam d over the cells, on out's flat view
+        flat = np.multiply(lam[..., :-1], d[..., :-1], out=out).reshape(-1)
+        flat[:-1] -= flat[1:]  # so each row's last node takes the next row's c_0, mended here:
+        np.subtract(lam[..., -2] * d[..., -2], lam[..., -1] * d[..., -1], out=out[..., -1])
+        return out
+    return np.multiply(cmap.grid.mass, lam, out=out)  # volume: the one column, on every node

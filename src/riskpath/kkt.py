@@ -20,15 +20,12 @@ Analysis and Monotone Operator Theory in Hilbert Spaces, 2nd ed. 2017, ch. 22).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone as cone_mod
-from .grid import dot_last
 from .objective import EvalBundle
-from .scenario import empirical_expectation
 
 Q_CONCENTRATION = 0.125  # probability share of the heaviest scenarios in concentration_index
 
@@ -52,12 +49,6 @@ class KktReport:
 
     def as_dict(self) -> dict:
         return {k: float(v) for k, v in self.__dict__.items()}
-
-
-def _max_norm(weight: float, u: np.ndarray) -> float:
-    """Largest row norm sqrt(weight sum_j u_j^2), as max(norm_h) or max(cone.norm): the
-    square root and the positive factor commute with the max, both rounding monotonically."""
-    return math.sqrt(weight * float(dot_last(u, u).max()))
 
 
 def concentration_index(lambda_masses, weights, q: float) -> float:
@@ -84,45 +75,43 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
 def check_limit_system(bundle: EvalBundle) -> KktReport:
     """The penalized equations that can fail, and distance-to-limit diagnostics."""
     data = bundle.data
-    h, op, w, cone = data.grid.h, data.operator, data.scenarios.weights, data.cone
-    # the expectations below are empirical_expectation's np.dot
-    adjoint_l1 = float(np.dot(w, np.abs(bundle.adjoints).sum(axis=-1)))  # E[h sum |lambda_e|]
+    grid, op, scenarios, cone = data.grid, data.operator, data.scenarios, data.cone
+    adjoint_l1 = float(scenarios.mean(np.abs(bundle.adjoints).sum(axis=-1)))  # E[h sum |lambda_e|]
     lam_i = bundle.lambda_i
     i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
     adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     # E[(lambda_i, i)_H], which equals gamma E[||max(0, i)||_H^2]
-    complementarity = abs(empirical_expectation(
-        data.scenarios, cone.inner(lam_i, bundle.constraint_values)))
-    concentration = concentration_index(cone.norm(lam_i), w, Q_CONCENTRATION)
-    multiplier_l1 = float(np.dot(w, cone.weight * np.abs(lam_i, out=lam_i).sum(axis=-1)))
+    complementarity = abs(float(scenarios.mean(cone.inner(lam_i, bundle.constraint_values))))
+    concentration = concentration_index(cone.norm(lam_i), scenarios.weights, Q_CONCENTRATION)
+    multiplier_l1 = float(scenarios.mean(cone.weight * np.abs(lam_i, out=lam_i).sum(axis=-1)))
     del lam_i, i_slope  # each stack is dropped, or reused, once it has been reduced
     work = op.matvec(bundle.states)  # the report's scratch stack, then rho's and the residual's
-    work *= h
-    work -= h * bundle.x1
-    state_residual = _max_norm(h, work)  # h A x2 = h x1
+    work *= grid.mass
+    work -= grid.mass * bundle.x1
+    state_residual = grid.norm(work).max()  # M A x2 = M x1
     # rho = e_x1^* lambda_e + i_x1^* lambda_i = p - coef i_x2^* lambda_i, p = -h lambda_e
     rho, coef = bundle.adjoints, data.constraint.control_coefficient
     if coef:
         rho = np.subtract(rho, np.multiply(coef, adj_y, out=work), out=work)
-    rho_per_scenario_max = _max_norm(h, rho)
+    rho_per_scenario_max = grid.norm(rho).max()
     # theta zeta2 - A p + i_x2^* lambda_i = 0
     residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=work)
     residual -= op.matvec(bundle.adjoints)
     residual += adj_y
     # j_gamma is mu_tik-strongly convex in the lumped product, so ||v||_h / mu_tik bounds
     # the distance for v in its subdifferential at x1: the least-norm one, the gradient's
-    # Riesz form g/h, 0 where the box takes it up (x1 at lo with g > 0, at hi with g < 0)
+    # Riesz form M^-1 g, 0 where the box takes it up (x1 at lo with g > 0, at hi with g < 0)
     x, g = bundle.x1, bundle.gradient
-    v = np.where(((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0)), 0.0, g / h)
+    v = np.where(((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0)), 0.0, grid.riesz(g))
     return KktReport(
-        adjoint_residual=_max_norm(h, residual),
+        adjoint_residual=grid.norm(residual).max(),
         state_residual=state_residual,
         primal_feasibility=max(0.0, float(bundle.constraint_values.max())),
         complementarity=complementarity,
         multiplier_l1=multiplier_l1,
         adjoint_l1=adjoint_l1,
         concentration_index=concentration,
-        rho_mean_norm=_max_norm(h, bundle.rho_mean),
+        rho_mean_norm=grid.norm(bundle.rho_mean),
         rho_per_scenario_max=rho_per_scenario_max,
-        certificate=math.sqrt(h * np.dot(v, v)) / data.mu_tik,
+        certificate=grid.norm(v) / data.mu_tik,
     )

@@ -1,18 +1,18 @@
 """Penalized composite objective, its adjoint-based reduced gradient and Hessian products.
 
 The state equation is kept in the mass-weighted (Galerkin-like) form: the
-stiffness part is h * A with A the assembled stencil, and the control enters
-through the negative lumped-mass injection, so the control coupling's adjoint
-is p = -h lambda_e nodewise; the adjoint is kept as p, which solves
-A p = theta zeta2 + i_x2^* lambda_i. All duals returned here pair with controls
-and states through the plain euclidean dot product (the h factors are baked
-in), which is what the finite-difference checks in the tests rely on.
+stiffness part is M A with A the assembled stencil and M = h I the grid's
+lumped mass, and the control enters through the negative lumped-mass
+injection, so the control coupling's adjoint is p = -h lambda_e nodewise; the
+adjoint is kept as p, which solves A p = theta zeta2 + i_x2^* lambda_i. All
+duals returned here pair with controls and states through the plain euclidean
+dot product (the mass is baked in), as the finite-difference checks rely on.
 
 Per-scenario quantities are stacked (K, n) arrays: one solve with the shared
 block-diagonal factor gives every state, one more every adjoint, and each
 pointwise map (penalty, multiplier, constraint adjoints) acts on the whole
 stack at once. Each expectation over the scenarios is one matrix-vector
-product with the weights.
+product with the weights (ScenarioSet.mean).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import cone as cone_mod
 from . import risk as risk_mod
 from .cone import ConeSpec, ConstraintMap, bound_points
-from .grid import EllipticOperator, Grid, assemble, dot_last, solve_state
+from .grid import EllipticOperator, Grid, assemble, solve_state
 from .risk import RiskMeasure
 from .scenario import ScenarioSet
 
@@ -55,15 +55,15 @@ class ProblemData:
             raise ValueError("mu_tik must be positive (strong convexity)")
         if not self.tol_feas >= 0.0:  # NaN fails too
             raise ValueError("tol_feas must be >= 0")
-        n, lo, hi = self.grid.n_interior, self.lo, self.hi
+        n, lo, hi = self.grid.shape, self.lo, self.hi
         m = (self.scenarios.count, bound_points(self.constraint.kind, self.grid).size)
         for name, ok in (("constraint.grid", self.constraint.grid == self.grid),
                          ("constraint.bounds", np.shape(self.constraint.bounds) == m),
-                         ("y_d", np.shape(self.y_d) == (n,))):
+                         ("y_d", np.shape(self.y_d) == n)):
             if not ok:
-                raise ValueError(f"{name} does not fit {n} nodes and bounds of shape {m}")
-        object.__setattr__(self, "lo", np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy())
-        object.__setattr__(self, "hi", np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy())
+                raise ValueError(f"{name} does not fit nodes of shape {n} and bounds of shape {m}")
+        object.__setattr__(self, "lo", np.broadcast_to(np.asarray(lo, dtype=float), n).copy())
+        object.__setattr__(self, "hi", np.broadcast_to(np.asarray(hi, dtype=float), n).copy())
         if not np.all(self.lo <= self.hi):  # NaN fails too
             raise ValueError("control bounds lo and hi must be numbers with lo <= hi nodewise")
         object.__setattr__(self, "y_d", np.asarray(self.y_d, dtype=float))
@@ -122,16 +122,15 @@ class EvalBundle(ControlEval):
 
 def control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
     """The one forward map of a control: states, scenario costs, risk, constraint values."""
-    h = data.grid.h
     states = solve_state(data.operator, x1)
     zeta2 = states - data.y_d  # the tracking residual
-    costs = 0.5 * (h * dot_last(zeta2, zeta2))  # J2 = 0.5 inner_h(zeta2, zeta2)
-    zeta2 *= h  # the residual, mass-weighted
+    costs = 0.5 * data.grid.inner(zeta2, zeta2)  # J2
+    zeta2 *= data.grid.mass  # the residual, mass-weighted
     risk = risk_mod.subgradient(data.risk, costs, data.scenarios.weights)
-    j1 = 0.5 * data.mu_tik * (h * np.dot(x1, x1))  # 0.5 mu inner_h(x1, x1)
+    j1 = 0.5 * data.mu_tik * data.grid.inner(x1, x1)
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
-    return ControlEval(data, x1, states, costs, i_vals, zeta2, risk.theta, data.mu_tik * h * x1,
-                       j1, risk.value)
+    return ControlEval(data, x1, states, costs, i_vals, zeta2, risk.theta,
+                       data.mu_tik * data.grid.mass * x1, j1, risk.value)
 
 
 def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
@@ -151,7 +150,7 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     i_slope = cone_mod.constraint_slope(data.constraint, c.states)
     adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
     p, rho_mean = _adjoint_step(data, c.theta[:, None], c.zeta2, adj_y)
-    penalty_term = float(np.dot(data.scenarios.weights, pv.value))  # empirical_expectation
+    penalty_term = float(data.scenarios.mean(pv.value))
     return EvalBundle(  # the control half, in field order, then the gamma half
         data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
         c.risk_value, gamma=gamma, adjoints=p, rho_mean=rho_mean, penalty_term=penalty_term,
@@ -170,10 +169,10 @@ def _adjoint_step(data: ProblemData, weight, r: np.ndarray, adj_y: np.ndarray, o
     p = np.multiply(weight, r, out=out)
     p += adj_y
     p = solve_state(data.operator, p, out=p)
-    w, coef = data.scenarios.weights, data.constraint.control_coefficient
-    mean = w @ p
+    scenarios, coef = data.scenarios, data.constraint.control_coefficient
+    mean = scenarios.mean(p)
     if coef:
-        mean -= coef * (w @ adj_y)
+        mean -= coef * scenarios.mean(adj_y)
     return p, mean
 
 
@@ -193,13 +192,12 @@ def hessian_operator(bundle: EvalBundle):
     the grad J_k of all scenarios take one more stacked solve, made here.
 
     Only the adjoint solve of a product checks for a non-finite solution: its
-    right-hand side is the state solution times theta h (finite, >= 0) plus a
+    right-hand side is the state solution times theta mass (finite, >= 0) plus a
     constraint adjoint, so each non-finite entry of the state solution stays
     non-finite there (inf * 0 and inf - inf are NaN).
     """
     data = bundle.data
-    h, w = data.grid.h, data.scenarios.weights
-    mu_h = data.mu_tik * h
+    mass, w = data.grid.mass, data.scenarios.weights
     theta, i_slope = bundle.theta, cone_mod.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.constraint_values > 0.0)  # where max(0, i) > 0
     if data.risk.kind == "avar-smooth":
@@ -208,7 +206,7 @@ def hessian_operator(bundle: EvalBundle):
         slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
         total = float(slope.sum())
 
-    risk_weight, shape = theta[:, None] * h, data.operator.diag.shape
+    risk_weight, shape = theta[:, None] * mass, data.operator.diag.shape
     # one direction's states, then adjoints; its multiplier; its constraint adjoint
     work, lam_work, adj_work = np.empty(shape), np.empty(curvature.shape), np.empty(shape)
 
@@ -223,7 +221,7 @@ def hessian_operator(bundle: EvalBundle):
         adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, d_lam,
                                              out=adj_work if one else None)
         _, hv = _adjoint_step(data, risk_weight, d_states, adj_y, out)
-        hv += mu_h * v
+        hv += data.mu_tik * mass * v
         if data.risk.kind == "avar-smooth" and total > 0.0:
             dj = grad_j @ v.T  # (K,), or (K, m) for a stack
             hv += ((dj - np.dot(slope, dj) / total).T * slope) @ grad_j

@@ -12,9 +12,7 @@ from . import cone as cone_mod
 from . import kkt as kkt_mod
 from . import objective as obj_mod
 from . import solver as solver_mod
-from .grid import norm_h
 from .objective import ProblemData
-from .scenario import empirical_expectation
 from .solver import SolveOptions, SolveResult
 
 CSV_SCHEMA_VERSION = "riskpath-path-v1"
@@ -103,8 +101,8 @@ def run_path(
         report = kkt_mod.check_limit_system(bundle)
         j = bundle.j1 + bundle.risk_value  # the unpenalized objective
         residual = bundle.penalty_residuals
-        sq_violation = empirical_expectation(data.scenarios, data.cone.inner(residual, residual))
-        change = norm_h(data.grid, bundle.x1 - steps[-1].result.bundle.x1) if steps else np.nan
+        sq_violation = float(data.scenarios.mean(data.cone.inner(residual, residual)))
+        change = data.grid.norm(bundle.x1 - steps[-1].result.bundle.x1) if steps else np.nan
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(
             gamma=float(gamma),

@@ -49,6 +49,11 @@ class ScenarioSet:
     def count(self) -> int:
         return self.weights.size
 
+    def mean(self, values: np.ndarray):
+        """The expectation sum_k w_k v_k: of values (K,), one value; of a stack (..., K, n),
+        one (..., n) row. One BLAS product with the weights, which refuses another K."""
+        return self.weights @ values
+
 
 def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
     """Draw a scenario set: truncated sine expansions for the conductivity.
@@ -68,10 +73,3 @@ def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
         a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
     return ScenarioSet(weights=np.full(n, 1.0 / n), conductivities=np.maximum(a, config.a_min))
 
-
-def empirical_expectation(scenarios: ScenarioSet, values: np.ndarray) -> float:
-    """Probability-weighted mean sum_k p_k v_k."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (scenarios.count,):
-        raise ValueError("values length does not match scenario count")
-    return float(np.dot(scenarios.weights, values))

@@ -80,8 +80,7 @@ class SolveResult:
 
 
 def _stationarity(bundle: EvalBundle) -> float:
-    r = bundle.x1 - bundle.data.clamp(bundle.x1 - bundle.gradient)
-    return math.sqrt(bundle.data.grid.h * np.dot(r, r))  # norm_h(r): np.dot sums as dot_last does
+    return bundle.data.grid.norm(bundle.x1 - bundle.data.clamp(bundle.x1 - bundle.gradient))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is reported as a divergence
@@ -103,7 +102,7 @@ def minimize(
     or no step decreases j_gamma.
     """
     opts = opts or SolveOptions()
-    start = np.zeros(data.grid.n_interior) if warm_start is None else warm_start
+    start = np.zeros(data.grid.shape) if warm_start is None else warm_start
     if not (isinstance(start, EvalBundle) and start.data is data):
         start = data.clamp(np.asarray(getattr(start, "x1", start), dtype=float))
     bundle = obj_mod.evaluate(data, gamma, start)
@@ -188,7 +187,7 @@ def _newton_direction(bundle, stat, tol_stationarity):
     With no bound binding and K n n at most DENSE_WORK, the exact Newton
     direction instead, from the Hessian formed by one stacked product.
     On the quadratic model the free gradient after a CG step is minus the CG
-    residual r, which the stopping test measures as sqrt(h) |r|.
+    residual r, which the stopping test measures as ||r|| = sqrt(mass) |r|.
     """
     data, x, g = bundle.data, bundle.x1, bundle.gradient
     eps = min(BINDING_EPS, stat)
@@ -208,7 +207,7 @@ def _newton_direction(bundle, stat, tol_stationarity):
 
     g_free = g[free]
     norm = math.sqrt(np.dot(g_free, g_free))  # np.linalg.norm's sum
-    floor = CG_MARGIN * tol_stationarity / math.sqrt(data.grid.h)
+    floor = CG_MARGIN * tol_stationarity / math.sqrt(data.grid.mass)
     tol = max(min(ETA_MAX, math.sqrt(norm)) * norm, floor)
     direction[free], used = _conjugate_gradients(product, -g_free, tol, x.size)
     return direction, products + used

@@ -15,7 +15,7 @@ import pytest
 from riskpath.cli import main
 from riskpath.cone import ConeSpec, penalty, penalty_multiplier, project
 from riskpath.config import build_problem, build_schedule, resolve
-from riskpath.grid import Grid, assemble, inner_h, norm_h, solve_state
+from riskpath.grid import Grid, assemble, solve_state
 from riskpath.kkt import check_limit_system
 from riskpath.objective import evaluate, objective_only, unpenalized_objective
 from riskpath.path import fit_decay_slope, run_path, shrink_to_feasible
@@ -102,7 +102,7 @@ def test_criterion_04_kkt_gamma_system_residuals(default_path):
     for step in steps:
         b = step.result.bundle
         rep = check_limit_system(b)
-        stationarity = norm_h(data.grid, b.x1 - data.clamp(b.x1 - b.gradient))
+        stationarity = data.grid.norm(b.x1 - data.clamp(b.x1 - b.gradient))
         assert stationarity <= 1e-8
         assert stationarity == step.result.stationarity_norm
         assert rep.adjoint_residual <= 1e-10
@@ -238,8 +238,8 @@ def test_criterion_10_pde_verification():
         op = assemble(g, a)
         r = rng.standard_normal(g.n_interior)
         q = rng.standard_normal(g.n_interior)
-        lhs = inner_h(g, solve_state(op, r), q)
-        rhs = inner_h(g, r, solve_state(op, q))
+        lhs = g.inner(solve_state(op, r), q)
+        rhs = g.inner(r, solve_state(op, q))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
     _report(10, "O(h^2) convergence and solve self-adjointness")
 

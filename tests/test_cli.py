@@ -274,6 +274,15 @@ def test_path_writes_csv_and_assertions(tmp_path):
         assert len(kkts) == 4
 
 
+def test_slopes_report_gamma_times_the_least_weight(tmp_path):
+    cfg_path = write_config(tmp_path, {"scenarios": dict(SMALL["scenarios"], n_scenarios=16)})
+    out = tmp_path / "out"
+    assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 0
+    slopes = json.loads((out / f"slopes_{tag_of(cfg_path)}.json").read_text())
+    assert slopes["points"] == [{"gamma": g, "gamma_min_weight": g / 16}
+                                for g in (1.0, 10.0, 100.0, 1000.0)]
+
+
 def test_path_rerun_is_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -256,6 +256,24 @@ def test_linearisation_matches_differences_and_adjoints(kind):
     assert np.array_equal(adj_buf, adj_y)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+def test_gradient_adjoint_is_the_difference_of_cell_products(n, stack):
+    # formed in the output, with no stack of lam d: the same products and differences
+    g = Grid(n)
+    rng = np.random.Generator(np.random.Philox(n))
+    cmap = ConstraintMap(kind="gradient", grid=g, bounds=np.ones((3, g.n_cells)))
+    d = constraint_slope(cmap, rng.standard_normal(stack[-1:] + (n,)))
+    lam = rng.standard_normal(stack + (g.n_cells,))
+    c = lam * d
+    expected = c[..., :-1] - c[..., 1:]
+    assert constraint_adjoints(cmap, d, lam).tobytes() == expected.tobytes()
+    strided = np.empty(stack + (n, 2))[..., 0]
+    if not strided.flags.c_contiguous:  # one entry is contiguous whatever its stride
+        with pytest.raises(ValueError, match="C-contiguous"):
+            constraint_adjoints(cmap, d, lam, out=strided)
+
+
 def test_gradient_flat_state_tie_break():
     # delta = 0 with a flat state: subgradient value 0 at the kink
     g = Grid(5)

@@ -6,8 +6,6 @@ from riskpath.grid import (
     EllipticityError,
     Grid,
     assemble,
-    inner_h,
-    norm_h,
     solve_state,
 )
 from riskpath.scenario import ScenarioConfig, sample
@@ -209,8 +207,8 @@ def test_solve_residual_contract():
 
 def test_inner_h_examples():
     g = Grid(3)
-    assert inner_h(g, np.ones(3), np.ones(3)) == pytest.approx(0.75, abs=1e-15)
-    assert inner_h(g, np.array([1.0, 0, 0]), np.array([0, 1.0, 0])) == 0.0
+    assert g.inner(np.ones(3), np.ones(3)) == pytest.approx(0.75, abs=1e-15)
+    assert g.inner(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])) == 0.0
 
 
 def test_inner_h_matches_direct_summation():
@@ -219,13 +217,45 @@ def test_inner_h_matches_direct_summation():
     u = rng.standard_normal(g.n_interior)
     v = rng.standard_normal(g.n_interior)
     direct = sum(g.h * ui * vi for ui, vi in zip(u, v))
-    assert abs(inner_h(g, u, v) - direct) < 1e-14
+    assert abs(g.inner(u, v) - direct) < 1e-14
 
 
 def test_inner_h_length_mismatch():
     g = Grid(3)
     with pytest.raises(ValueError):
-        inner_h(g, np.ones(3), np.ones(4))
+        g.inner(np.ones(3), np.ones(4))
+
+
+def test_the_lumped_mass_methods_are_the_h_weighted_formulas():
+    # M = h I: each method keeps the sum it replaced (np.dot for one row), bit for bit
+    g = Grid(29)
+    rng = np.random.Generator(np.random.Philox(19))
+    u, v = rng.standard_normal((2, 4, g.n_interior))
+    assert g.mass == g.h and g.shape == (29,)
+    assert g.inner(u[0], v[0]) == g.h * np.dot(u[0], v[0])
+    assert g.norm(u[0]) == np.sqrt(g.h * np.dot(u[0], u[0]))
+    assert g.inner(u, v).tobytes() == np.array([g.h * np.dot(a, b) for a, b in zip(u, v)]).tobytes()
+    assert g.norm(u).tobytes() == np.sqrt([g.h * np.dot(a, a) for a in u]).tobytes()
+    assert g.riesz(u).tobytes() == (u / g.h).tobytes()
+    assert g.integral(u).tobytes() == (g.h * np.sum(u, axis=-1, keepdims=True)).tobytes()
+    assert g.integral(u[0]).shape == (1,)
+    # the Riesz map represents the pairing: (M^-1 g, v)_M = g . v
+    assert abs(g.inner(g.riesz(u[0]), v[0]) - np.dot(u[0], v[0])) <= 1e-13 * np.abs(u[0] @ v[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+def test_cell_gradient_is_the_difference_quotient_over_every_cell(n, stack):
+    g = Grid(n)
+    u = np.random.Generator(np.random.Philox(n)).standard_normal(stack + (n,))
+    u[..., 0] = -0.0  # a signed zero keeps its sign in the first cell
+    u.reshape(-1)[-1] = np.inf
+    expected = np.diff(u, prepend=0.0, append=0.0, axis=-1) / g.h
+    assert g.cell_gradient(u).tobytes() == expected.tobytes()
+    out = np.empty(stack + (g.n_cells,))
+    assert g.cell_gradient(u, out=out) is out and out.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        g.cell_gradient(u, out=np.empty(stack + (2 * g.n_cells,))[..., ::2])
 
 
 def test_self_adjointness_property():
@@ -236,8 +266,8 @@ def test_self_adjointness_property():
         op = assemble(g, a)
         r = rng.standard_normal(g.n_interior)
         q = rng.standard_normal(g.n_interior)
-        lhs = inner_h(g, solve_state(op, r), q)
-        rhs = inner_h(g, r, solve_state(op, q))
+        lhs = g.inner(solve_state(op, r), q)
+        rhs = g.inner(r, solve_state(op, q))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -253,7 +283,7 @@ def test_uniform_state_bound_across_scenarios():
         for _ in range(3):
             rhs = rng.standard_normal(g.n_interior)
             u = solve_state(op, rhs)
-            assert norm_h(g, u) <= 1.05 * c * norm_h(g, rhs)
+            assert g.norm(u) <= 1.05 * c * g.norm(rhs)
 
 
 def test_stacked_solve_matches_per_scenario_solves():

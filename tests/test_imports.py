@@ -58,3 +58,13 @@ def test_every_parameter_is_read():
                 unread += [f"{path.stem}.{name}: {p.arg}" for p in params
                            if p.arg not in read | {"self", "cls"}]
     assert unread == []
+
+
+def test_only_the_grid_reads_the_mesh_width():
+    # the grid owns the lumped mass and the spacing: every other module takes its
+    # products, norms, Riesz map, integral and difference quotient from Grid's methods
+    readers = [f"{path.stem}:{node.lineno}"
+               for path in sorted((SRC / "riskpath").glob("*.py")) if path.stem != "grid"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "h"]
+    assert readers == []

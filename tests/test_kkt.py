@@ -5,7 +5,6 @@ import pytest
 
 import riskpath.solver as solver_mod
 from riskpath import cone
-from riskpath.grid import norm_h
 from riskpath.kkt import check_limit_system, concentration_index
 from riskpath.objective import evaluate, hessian_operator
 from riskpath.solver import SolveOptions, minimize
@@ -27,7 +26,7 @@ def test_gamma_system_residuals_small_at_solution(converged_run):
     data, res = converged_run
     rep = check_limit_system(res.bundle)
     b = res.bundle  # stationarity is the solver's, recomputed here from the bundle
-    stationarity = norm_h(data.grid, b.x1 - data.clamp(b.x1 - b.gradient))
+    stationarity = data.grid.norm(b.x1 - data.clamp(b.x1 - b.gradient))
     assert stationarity <= 1e-8
     assert stationarity == res.stationarity_norm
     # structural equations are recomputed independently and must agree to
@@ -46,8 +45,8 @@ def test_adjoint_residual_detects_perturbed_adjoint(converged_run):
     rep = check_limit_system(bundle)
     assert rep.adjoint_residual > 1e-4
     # the residual theta zeta2 + (h A) lambda_e + i_x2^* lambda_i of the perturbed lambda_e
-    previous = np.max(norm_h(data.grid, bundle.theta[:, None] * bundle.zeta2
-                             + h * op.matvec(lam_e) + adj_y))
+    previous = np.max(data.grid.norm(bundle.theta[:, None] * bundle.zeta2
+                                     + h * op.matvec(lam_e) + adj_y))
     assert abs(rep.adjoint_residual - previous) <= 1e-13 * previous
 
 
@@ -185,8 +184,8 @@ def test_report_as_dict_roundtrip(converged_run):
 @pytest.mark.parametrize("kind,risk_kind,bound", [
     ("mixed", "expectation", 0.05), ("gradient", "avar-smooth", 0.05), ("volume", "avar", 0.01)])
 def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
-    # each max of row norms is taken as sqrt(h max(dot_last)): the same bits as
-    # the max of norm_h (or cone.norm) over the rows
+    # each field recomputed from its definition, the expectations by np.dot with the
+    # weights and the h-norms row by row; the report takes the max of the row norms
     data = make_problem(n=15, bound=bound, kind=kind, risk_kind=risk_kind, alpha=0.25,
                         mu_tik=0.01)
     g, h, op = data.grid, data.grid.h, data.operator
@@ -203,34 +202,34 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
         x, grad = b.x1, b.gradient
         held = ((x == data.lo) & (grad > 0.0)) | ((x == data.hi) & (grad < 0.0))
         expected = {
-            "adjoint_residual": np.max(norm_h(
-                g, b.theta[:, None] * b.zeta2 - op.matvec(b.adjoints) + adj_y)),
-            "state_residual": np.max(norm_h(g, h * op.matvec(b.states) - h * b.x1)),
-            "rho_mean_norm": norm_h(g, b.rho_mean),
-            "rho_per_scenario_max": np.max(norm_h(g, rho)),
+            "adjoint_residual": np.max(g.norm(
+                b.theta[:, None] * b.zeta2 - op.matvec(b.adjoints) + adj_y)),
+            "state_residual": np.max(g.norm(h * op.matvec(b.states) - h * b.x1)),
+            "rho_mean_norm": g.norm(b.rho_mean),
+            "rho_per_scenario_max": np.max(g.norm(rho)),
             "primal_feasibility": max(0.0, float(np.max(i_vals))),
             "complementarity": abs(float(np.dot(w, data.cone.inner(b.lambda_i, i_vals)))),
             "multiplier_l1": float(np.dot(w, data.cone.weight * np.sum(np.abs(b.lambda_i), -1))),
             "adjoint_l1": float(np.dot(w, np.sum(np.abs(b.adjoints), axis=-1))),
             "concentration_index": concentration_index(data.cone.norm(b.lambda_i), w, 0.125),
-            "certificate": norm_h(g, np.where(held, 0.0, grad / h)) / data.mu_tik,
+            "certificate": g.norm(np.where(held, 0.0, grad / h)) / data.mu_tik,
         }
         assert set(expected) == set(rep.as_dict())  # every field is recomputed here
         # the solver's measure, the one stationarity reported
-        assert norm_h(g, b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(b)
+        assert g.norm(b.x1 - data.clamp(b.x1 - b.gradient)) == solver_mod._stationarity(b)
         for name, value in expected.items():
             assert getattr(rep, name) == value, name
         # the previous formulas, with the unscaled adjoint lambda_e and the control
         # adjoint -epsilon h lambda_i as its own stack
         lam_e, _ = _previous_adjoint(data, b)
         adj_u = -data.constraint.epsilon * h * b.lambda_i if kind == "mixed" else 0.0
-        previous = np.max(norm_h(g, -h * lam_e + adj_u))
+        previous = np.max(g.norm(-h * lam_e + adj_u))
         assert abs(rep.rho_per_scenario_max - previous) <= 1e-13 * previous
         previous = float(np.dot(w, h * np.sum(np.abs(lam_e), axis=-1)))
         assert abs(rep.adjoint_l1 - previous) <= 1e-13 * previous
         terms = b.theta[:, None] * b.zeta2  # the residual is round-off of terms this size
-        previous = np.max(norm_h(g, terms + h * op.matvec(lam_e) + adj_y))
-        assert abs(rep.adjoint_residual - previous) <= 1e-13 * np.max(norm_h(g, terms))
+        previous = np.max(g.norm(terms + h * op.matvec(lam_e) + adj_y))
+        assert abs(rep.adjoint_residual - previous) <= 1e-13 * np.max(g.norm(terms))
 
 
 @pytest.mark.parametrize("problem", ["manufactured", "boxed-K16"])
@@ -252,7 +251,7 @@ def test_certificate_bounds_the_distance_between_two_solves(problem):
     start, ratios = None, []
     for tol in 10.0 ** -np.arange(2, 11):  # a warm-started ladder of tolerances
         start = minimize(data, gamma, SolveOptions(tol_stationarity=tol), warm_start=start).bundle
-        distance = norm_h(data.grid, start.x1 - tight.x1)
+        distance = data.grid.norm(start.x1 - tight.x1)
         bound = check_limit_system(start).certificate + tight_certificate
         assert distance <= bound, tol
         ratios.append(distance / bound)

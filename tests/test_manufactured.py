@@ -16,7 +16,7 @@ The Moreau-Yosida path must then approach x* at the rate O(1/gamma).
 import numpy as np
 
 from riskpath.cone import ConstraintMap
-from riskpath.grid import Grid, assemble, norm_h, solve_state
+from riskpath.grid import Grid, assemble, solve_state
 from riskpath.objective import ProblemData
 from riskpath.path import decade_schedule, run_path
 from riskpath.risk import RiskMeasure
@@ -54,8 +54,8 @@ def _path_errors(epsilon: float):
     assert all(step.record.converged for step in steps)
     gammas = np.array([step.record.gamma for step in steps])
     bundles = [step.result.bundle for step in steps]
-    return (gammas, np.array([norm_h(data.grid, b.x1 - x_star) for b in bundles]),
-            np.array([norm_h(data.grid, b.lambda_i[0] - lam_star) for b in bundles]))
+    return (gammas, np.array([data.grid.norm(b.x1 - x_star) for b in bundles]),
+            np.array([data.grid.norm(b.lambda_i[0] - lam_star) for b in bundles]))
 
 
 def test_path_converges_to_the_known_limit_at_rate_one_over_gamma():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import riskpath.objective as objective_mod
 from riskpath import cone, risk
 from riskpath.cone import ConstraintMap, bound_points
-from riskpath.grid import DivergedError, Grid, inner_h, solve_state
-from riskpath.kkt import _max_norm, check_limit_system
+from riskpath.grid import DivergedError, Grid, dot_last, solve_state
+from riskpath.kkt import check_limit_system
 from riskpath.objective import (
     EvalBundle,
     ProblemData,
@@ -57,7 +58,7 @@ def test_zero_control_costs_are_pure_tracking():
     assert b.j1 == 0.0
     assert b.penalty_term == 0.0
     # states vanish, so each scenario cost is the tracking norm of y_d
-    track = 0.5 * inner_h(data.grid, data.y_d, data.y_d)
+    track = 0.5 * data.grid.inner(data.y_d, data.y_d)
     assert np.allclose(b.scenario_costs, track)
     assert b.j_gamma == pytest.approx(track)
 
@@ -201,7 +202,7 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     h, w, coef = data.grid.h, data.scenarios.weights, data.constraint.control_coefficient
     states = solve_state(data.operator, x)
     zeta2 = h * (states - data.y_d)
-    costs = 0.5 * inner_h(data.grid, states - data.y_d, states - data.y_d)
+    costs = 0.5 * data.grid.inner(states - data.y_d, states - data.y_d)
     theta = risk.subgradient(data.risk, costs, w).theta
     i_vals = cone.constraint_eval(data.constraint, x, states)
     lam_i = cone.penalty_multiplier(100.0, i_vals)
@@ -336,7 +337,7 @@ def test_strong_convexity_from_tikhonov():
             data, 1.0, 0.5 * (a + b)
         )
         d = a - b
-        assert gap >= 0.125 * data.mu_tik * inner_h(data.grid, d, d) - 1e-12
+        assert gap >= 0.125 * data.mu_tik * data.grid.inner(d, d) - 1e-12
 
 
 def test_zeta2_is_mass_weighted_tracking_residual():
@@ -455,15 +456,20 @@ def test_the_mass_weighted_adjoint_is_the_previous_one_bit_for_bit(n, kind, risk
     assert b.adjoints.tobytes() == (-h * lam_e).tobytes()
     assert b.rho_mean.tobytes() == rho_mean.tobytes()
     assert b.gradient.tobytes() == (b.eta + rho_mean).tobytes()
-    # the report's three adjoint quantities as it formed them from lambda_e
+    # the report's three adjoint quantities as it formed them from lambda_e, each max of
+    # row norms as sqrt(h max(dot_last))
+
+    def max_norm(u):
+        return math.sqrt(h * float(dot_last(u, u).max()))
+
     coef = data.constraint.control_coefficient
     rho = -h * lam_e - coef * adj_y if coef else -h * lam_e
     residual = b.theta[:, None] * b.zeta2 + h * op.matvec(lam_e) + adj_y
     report = check_limit_system(b)
     assert report.adjoint_l1 == float(np.dot(w, h * np.abs(lam_e).sum(axis=-1)))
-    assert report.rho_per_scenario_max == _max_norm(h, rho)
-    assert report.adjoint_residual == _max_norm(h, residual)
-    assert report.rho_mean_norm == _max_norm(h, rho_mean)
+    assert report.rho_per_scenario_max == max_norm(rho)
+    assert report.adjoint_residual == max_norm(residual)
+    assert report.rho_mean_norm == max_norm(rho_mean)
 
 
 PRODUCT_CASES = [("mixed", "expectation", 0.05), ("gradient", "avar-smooth", 0.05),

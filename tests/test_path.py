@@ -217,7 +217,8 @@ def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
 
 # At K = 64, n = 63, in stacks of K n 8 bytes: the peak above the memory before each call of
 # evaluate from a control, evaluate of another gamma's bundle, the KKT report,
-# shrink_to_feasible of the final bundle and run_path, then what run_path retains per point.
+# shrink_to_feasible of the final bundle, one Hessian product and run_path, then what run_path
+# retains per point.
 # Each peak bound is the value from before these calls stopped building per-scenario
 # temporaries, less 2.5 stacks (1.5 for volume; 0.5 for the report and volume's reference).
 # Those values were, in order, 11.18, 8.10, 8.03, 8.32 (from the final control), 29.06 and
@@ -227,11 +228,14 @@ def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
 # 3.10 for volume; 8.17, 5.09, 26.09, 6.21 and 4.10 with one). With the padded off-diagonal
 # band and constraint values formed in place, the report's bounds for mixed and volume, and
 # mixed's reference and volume's run_path bounds, are the measured values plus 0.5 (from
-# 6.06, 6.06, 5.19 and 19.09 to 4.13, 4.13, 4.18 and 18.28).
+# 6.06, 6.06, 5.19 and 19.09 to 4.13, 4.13, 4.18 and 18.28). A product's bound is its measured
+# peak plus 0.5: 1.07 for mixed and volume, 2.06 for gradient (3.07 when the gradient kind's
+# constraint adjoint formed lam d as a (K, n + 1) stack and its cell differences took numpy's
+# buffered iteration).
 ALLOCATION_BOUNDS = {
-    "mixed": (7.68, 4.60, 4.63, 4.68, 25.56, 4.3),
-    "volume": (5.74, 3.63, 4.63, 3.68, 18.78, 3.3),
-    "gradient": (9.76, 6.66, 8.59, 6.97, 27.80, 4.3),
+    "mixed": (7.68, 4.60, 4.63, 4.68, 1.57, 25.56, 4.3),
+    "volume": (5.74, 3.63, 4.63, 3.68, 1.57, 18.78, 3.3),
+    "gradient": (9.76, 6.66, 8.59, 6.97, 2.56, 27.80, 4.3),
 }
 
 
@@ -257,11 +261,13 @@ def test_an_evaluation_allocates_only_what_it_returns(kind):
         steps, path_peak, retained = peak(lambda: run_path(data, schedule, opts))
         final = steps[-1].result.bundle
         x = final.x1.copy()
+        product = objective.hessian_operator(final)  # its work stacks are not the product's
         peaks = [peak(call)[1] for call in (
             lambda: objective.evaluate(data, final.gamma, x),
             lambda: objective.evaluate(data, 10.0 * final.gamma, final),
             lambda: check_limit_system(final),
-            lambda: shrink_to_feasible(data, final))]
+            lambda: shrink_to_feasible(data, final),
+            lambda: product(x))]
     finally:
         if started:
             tracemalloc.stop()

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from riskpath.scenario import (
-    ScenarioConfig,
-    ScenarioSet,
-    empirical_expectation,
-    sample,
-)
+from riskpath.scenario import ScenarioConfig, ScenarioSet, sample
 
 
 def test_m_zero_gives_deterministic_field():
@@ -74,7 +69,11 @@ def test_invalid_field_model_rejected():
 
 def test_empirical_expectation_uniform():
     scen = sample(ScenarioConfig(n_scenarios=4, seed=3), 8)
-    assert empirical_expectation(scen, np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(2.5)
+    assert scen.mean(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(2.5)
+    # a stack (K, n) gives one mean per column, each the dot product of one column
+    stack = np.arange(12.0).reshape(4, 3) ** 2
+    columns = np.array([np.dot(scen.weights, column) for column in stack.T])
+    assert scen.mean(stack).tobytes() == columns.tobytes()
 
 
 def test_empirical_expectation_degenerate_weights():
@@ -82,7 +81,7 @@ def test_empirical_expectation_degenerate_weights():
     weighted = ScenarioSet(weights=np.array([1.0, 0.0, 0.0]),
                            conductivities=scen.conductivities)
     v = np.array([7.25, -1.0, 99.0])
-    assert empirical_expectation(weighted, v) == 7.25
+    assert weighted.mean(v) == 7.25
 
 
 def test_empirical_expectation_matches_compensated_sum():
@@ -94,14 +93,16 @@ def test_empirical_expectation_matches_compensated_sum():
     weighted = ScenarioSet(weights=w, conductivities=scen.conductivities)
     v = rng.standard_normal(n) * 1e3
     oracle = float(np.sum(np.sort(w * v)))  # compensated by magnitude ordering
-    got = empirical_expectation(weighted, v)
+    got = weighted.mean(v)
     assert abs(got - oracle) <= 1e-15 * max(1.0, abs(oracle)) + 1e-12
 
 
 def test_empirical_expectation_length_mismatch():
     scen = sample(ScenarioConfig(n_scenarios=4, seed=3), 8)
     with pytest.raises(ValueError):
-        empirical_expectation(scen, np.ones(5))
+        scen.mean(np.ones(5))
+    with pytest.raises(ValueError):
+        scen.mean(np.ones((5, 4)))
 
 
 def test_weight_invariants_enforced():

@@ -5,7 +5,7 @@ import pytest
 
 import riskpath.objective as obj_mod
 import riskpath.solver as solver_mod
-from riskpath.grid import Grid, assemble, inner_h, norm_h, solve_state
+from riskpath.grid import solve_state
 from riskpath.objective import ProblemData, evaluate, objective_only
 from riskpath.solver import (
     SolveOptions,
@@ -13,6 +13,7 @@ from riskpath.solver import (
     minimize,
 )
 
+import reference
 from reference import reference_minimize
 from test_objective import make_problem
 
@@ -159,7 +160,7 @@ def test_stationarity_residual_examples():
     data, x_star = make_recovery_problem()
 
     def residual(x):
-        return norm_h(data.grid, x - data.clamp(x - evaluate(data, 1.0, x).gradient))
+        return data.grid.norm(x - data.clamp(x - evaluate(data, 1.0, x).gradient))
 
     assert residual(x_star) <= 1e-10
     assert residual(x_star + 1.0) > 1e-3
@@ -284,6 +285,14 @@ def test_newton_agrees_with_reference(kind, risk_kind):
     scale = max(1.0, abs(ref.fun))
     assert abs(newton.bundle.j_gamma - ref.fun) <= 1e-8 * scale
     assert newton.iterations < ref.nit
+
+
+def test_the_reference_refuses_a_run_that_stopped_short(monkeypatch):
+    # a loose relative-reduction test ends L-BFGS-B with success, far from the minimiser
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    monkeypatch.setitem(reference.OPTIONS, "ftol", 1e-3)
+    with pytest.raises(AssertionError, match="stopped short"):
+        reference_minimize(data, 100.0)
 
 
 def test_invalid_options_rejected():
