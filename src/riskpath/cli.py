@@ -19,8 +19,18 @@ from .cone import constraint_adjoints, constraint_eval, constraint_slope, penalt
 from .config import ConfigError
 from .grid import DivergedError, solve_state
 
+def _write(path: Path, text: str):
+    """Replace the file at ``path`` with ``text`` in UTF-8: one unbuffered binary write,
+    repeated on the rest of the bytes if the system writes only a part of them."""
+    data = memoryview(text.encode())
+    with open(path, "wb", buffering=0) as f:
+        while data:
+            data = data[f.write(data):]
+
+
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # one line with sorted keys, so json.dumps runs its C encoder
+    _write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _header(cfg):  # the tag of the output files, and the start of each summary
@@ -66,7 +76,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
     )
     _write_json(out / f"solve_{tag}.json", summary)
     _write_json(out / f"kkt_{tag}.json", point.report.as_dict())
-    (out / f"iterations_{tag}.log").write_text("\n".join(log_lines) + "\n")
+    _write(out / f"iterations_{tag}.log", "\n".join(log_lines) + "\n")
     return 0 if record.converged else 2
 
 
@@ -79,12 +89,12 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
         steps = path_mod.run_path(data, schedule, opts, warm_start=not cold)
     except path_mod.PathAborted as exc:
         partial = [step.record for step in exc.steps]
-        (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(partial))
+        _write(out / f"path_{tag}.csv", path_mod.records_to_csv(partial))
         print(f"path aborted: {exc}", file=sys.stderr)
         return 1
     records = [step.record for step in steps]
 
-    (out / f"path_{tag}.csv").write_text(path_mod.records_to_csv(records))
+    _write(out / f"path_{tag}.csv", path_mod.records_to_csv(records))
     _write_json(out / f"kkt_path_{tag}.json", [step.report.as_dict() for step in steps])
 
     assertions = {}

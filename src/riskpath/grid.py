@@ -70,15 +70,24 @@ class Grid:
     def cell_midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.h
 
-    def inner(self, u: np.ndarray, v: np.ndarray):
-        """The lumped-mass L2 product sum_j mass u_j v_j, one value per row of a stack."""
+    def _sums(self, u: np.ndarray, v: np.ndarray):
+        """sum_j u_j v_j, one value per row of a stack of grid functions."""
         if u.shape != v.shape or u.shape[-1:] != self.shape:
             raise ValueError("inner requires two grid functions of matching shape")
-        return self.mass * (np.dot(u, v) if u.ndim == 1 else dot_last(u, v))  # same sum, less cost
+        return np.dot(u, v) if u.ndim == 1 else dot_last(u, v)  # same sum, less cost
+
+    def inner(self, u: np.ndarray, v: np.ndarray):
+        """The lumped-mass L2 product sum_j mass u_j v_j, one value per row of a stack."""
+        return self.mass * self._sums(u, v)
 
     def norm(self, u: np.ndarray):
         """sqrt(inner(u, u)), one value per row of a stack."""
         return np.sqrt(self.inner(u, u))  # a sum of squares is >= 0, or NaN
+
+    def max_norm(self, u: np.ndarray):
+        """The largest row norm of a stack, norm(u).max() bit for bit: scaling by mass > 0
+        and the correctly rounded sqrt are monotone, so one of each after the max will do."""
+        return np.sqrt(self.mass * self._sums(u, u).max())
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """M^-1 g: the grid function whose inner product with v is the pairing g . v."""
@@ -125,7 +134,9 @@ class EllipticOperator:
             raise ValueError("out must be C-contiguous")
         v = np.multiply(self.diag, u, out=out)
         e = self.off.reshape(-1)[:-1]
-        u = np.broadcast_to(u, v.shape).reshape(-1, self.diag.size)
+        if u.shape != v.shape:
+            u = np.broadcast_to(u, v.shape)
+        u = u.reshape(-1, self.diag.size)
         w = v.reshape(u.shape)
         t = np.multiply(e, u[:, 1:])
         w[:, :-1] += t

@@ -57,12 +57,11 @@ def concentration_index(lambda_masses, weights, q: float) -> float:
     Scenarios are taken in decreasing order of mass p_k ||lambda_k|| while
     their cumulative probability stays <= q. Values near 1 for small q signal
     multiplier mass concentrating on low-probability sets. The cumulative
-    sums run in that order, one term after the other.
+    sums run in that order, one term after the other. Both arguments are float arrays.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    weights = np.asarray(weights, dtype=float)
-    masses = np.asarray(lambda_masses, dtype=float) * weights
+    masses = lambda_masses * weights
     total = float(masses.sum())
     if total <= 0.0:
         return 0.0
@@ -88,12 +87,12 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     work = op.matvec(bundle.states)  # the report's scratch stack, then rho's and the residual's
     work *= grid.mass
     work -= grid.mass * bundle.x1
-    state_residual = grid.norm(work).max()  # M A x2 = M x1
+    state_residual = grid.max_norm(work)  # M A x2 = M x1
     # rho = e_x1^* lambda_e + i_x1^* lambda_i = p - coef i_x2^* lambda_i, p = -h lambda_e
     rho, coef = bundle.adjoints, data.constraint.control_coefficient
     if coef:
         rho = np.subtract(rho, np.multiply(coef, adj_y, out=work), out=work)
-    rho_per_scenario_max = grid.norm(rho).max()
+    rho_per_scenario_max = grid.max_norm(rho)
     # theta zeta2 - A p + i_x2^* lambda_i = 0
     residual = np.multiply(bundle.theta[:, None], bundle.zeta2, out=work)
     residual -= op.matvec(bundle.adjoints)
@@ -102,9 +101,10 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     # the distance for v in its subdifferential at x1: the least-norm one, the gradient's
     # Riesz form M^-1 g, 0 where the box takes it up (x1 at lo with g > 0, at hi with g < 0)
     x, g = bundle.x1, bundle.gradient
-    v = np.where(((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0)), 0.0, grid.riesz(g))
+    v = grid.riesz(g)
+    v[((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0))] = 0.0
     return KktReport(
-        adjoint_residual=grid.norm(residual).max(),
+        adjoint_residual=grid.max_norm(residual),
         state_residual=state_residual,
         primal_feasibility=max(0.0, float(bundle.constraint_values.max())),
         complementarity=complementarity,

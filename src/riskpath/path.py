@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -184,12 +182,14 @@ def fit_decay_slope(records, field_name: str):
 
 
 def records_to_csv(records) -> str:
-    """Fixed-order CSV with a schema-version tag; floats in round-trip precision."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Fixed-order CSV with a schema-version tag; floats in round-trip precision.
+
+    No field holds a comma, a quote or a line break, so none is quoted and a row is
+    its fields joined by commas, as csv.writer writes them.
+    """
     header = PathRecord.csv_header()
-    writer.writerow([f"# schema={CSV_SCHEMA_VERSION}"])
-    writer.writerow(header)
+    lines = [f"# schema={CSV_SCHEMA_VERSION}", ",".join(header)]
     for r in records:  # a record holds Python scalars; str of a float is its repr
-        writer.writerow([str(getattr(r, name)).lower() for name in header])  # true, false
-    return buf.getvalue()
+        lines.append(",".join([str(getattr(r, name)) for name in header]).lower())  # true, false
+    lines.append("")
+    return "\n".join(lines)

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import re
 import warnings
 from math import inf, nan
 from pathlib import Path
@@ -234,9 +235,8 @@ def test_overflowing_kkt_report_warns_nothing(tmp_path, capsys):
     assert reports[-1]["adjoint_residual"] == inf
 
 
-def test_overflowing_hessian_solve_aborts_the_path(tmp_path, capsys, monkeypatch):
-    # from gamma = 100 on, every Hessian product overflows its tridiagonal solves:
-    # the path stops there with exit 1 and keeps the CSV of the points before it
+def overflow_hessian_from_gamma_100(monkeypatch):
+    """From gamma = 100 on, every Hessian product overflows its tridiagonal solves."""
     real = objective_mod.hessian_operator
 
     def overflowing(bundle):
@@ -244,6 +244,11 @@ def test_overflowing_hessian_solve_aborts_the_path(tmp_path, capsys, monkeypatch
         return product if bundle.gamma < 100.0 else (lambda v: product(v * np.inf))
 
     monkeypatch.setattr(objective_mod, "hessian_operator", overflowing)
+
+
+def test_overflowing_hessian_solve_aborts_the_path(tmp_path, capsys, monkeypatch):
+    # the path stops at gamma = 100 with exit 1 and keeps the CSV of the points before it
+    overflow_hessian_from_gamma_100(monkeypatch)
     cfg_path = write_config(tmp_path)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -290,11 +295,70 @@ def test_path_rerun_is_byte_identical(tmp_path):
     assert main(["path", "--config", str(cfg_path), "--out", str(out2)]) == 0
     tag = tag_of(cfg_path)
     assert (out1 / f"path_{tag}.csv").read_bytes() == (out2 / f"path_{tag}.csv").read_bytes()
-    for name in (f"slopes_{tag}.json", f"kkt_path_{tag}.json"):
-        a = (out1 / name).read_text()
-        b = (out2 / name).read_text()
-        strip = lambda s: "\n".join(l for l in s.splitlines() if '"timestamp"' not in l)
-        assert strip(a) == strip(b)
+    stamp = re.compile(rb'"timestamp": "[^"]*"')  # only its value may differ
+    for name, stamps in ((f"slopes_{tag}.json", 1), (f"kkt_path_{tag}.json", 0)):
+        a, n_a = stamp.subn(b'"timestamp": ""', (out1 / name).read_bytes())
+        b, n_b = stamp.subn(b'"timestamp": ""', (out2 / name).read_bytes())
+        assert n_a == n_b == stamps
+        assert a == b
+
+
+def test_every_artifact_goes_through_the_one_writer(tmp_path, capsys, monkeypatch):
+    # solve, path (complete and aborted) and verify write each file by cli._write alone
+    cfg_path = write_config(tmp_path)
+    tag = tag_of(cfg_path)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self} written past cli._write")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["solve", *args, "--gamma", "100"]) == 0
+    assert main(["path", *args]) == 0
+    assert main(["verify", *args]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{kind}_{tag}.{ext}" for kind, ext in (
+            ("solve", "json"), ("kkt", "json"), ("iterations", "log"), ("path", "csv"),
+            ("kkt_path", "json"), ("slopes", "json"), ("checks", "json")))
+    assert json.loads((out / f"solve_{tag}.json").read_text())["gamma"] == 100.0
+    assert (out / f"iterations_{tag}.log").read_text().startswith("iter=")
+    with monkeypatch.context() as patch:
+        overflow_hessian_from_gamma_100(patch)
+        aborted = tmp_path / "aborted"
+        assert main(["path", "--config", str(cfg_path), "--out", str(aborted)]) == 1
+    rows = read_path_csv(aborted / f"path_{tag}.csv")
+    assert [float(r["gamma"]) for r in rows] == [1.0, 10.0]
+    # a file that cannot be written is an error message and exit 1, not a traceback
+    blocked = tmp_path / "blocked"
+    (blocked / f"path_{tag}.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["path", "--config", str(cfg_path), "--out", str(blocked)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"path_{tag}.csv" in err
+    assert "Traceback" not in err
+
+
+def test_stalled_volume_avar_solve_is_reported(tmp_path, capsys):
+    # exact avar with the volume kind stops making progress at gamma = 1e4 and 1e5
+    # (stationarity near 2e-6 after 150 Newton steps, thousands of rejected trial
+    # points): the CLI reports both points unconverged, keeps every row, exits 2
+    cfg_path = write_config(tmp_path, {
+        "problem": {"n_interior": 20, "constraint": {"kind": "volume"}},
+        "scenarios": {"n_scenarios": 5, "seed": 3,
+                      "bound_spec": {"kind": "constant", "value": 0.01}},
+        "risk": {"kind": "avar", "alpha": 0.5},
+        "gamma_schedule": {"start_exp": 0, "stop_exp": 5, "per_decade": 1},
+        "solver": {"max_iters": 150}})
+    out = tmp_path / "out"
+    assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    rows = read_path_csv(out / f"path_{tag_of(cfg_path)}.csv")
+    assert [float(r["gamma"]) for r in rows] == [1.0, 10.0, 100.0, 1e3, 1e4, 1e5]
+    assert [r["converged"] for r in rows] == ["true"] * 4 + ["false"] * 2
+    assert [int(r["iterations"]) for r in rows[4:]] == [150, 150]
+    assert all(1e-6 < float(r["stationarity"]) < 1e-5 for r in rows[4:])
 
 
 def test_cold_path_reaches_same_endpoint(tmp_path):

@@ -232,6 +232,61 @@ def test_report_equals_the_row_norm_recomputation(kind, risk_kind, bound):
         assert abs(rep.adjoint_residual - previous) <= 1e-13 * np.max(g.norm(terms))
 
 
+def _report_formulas(bundle):
+    """check_limit_system's fields by their plain formulas, the oracle of the report's bits:
+    every largest row norm as grid.norm(.).max(), the concentration index on np.asarray
+    copies, and the certificate's Riesz vector zeroed by np.where."""
+    data = bundle.data
+    g, op, w, c = data.grid, data.operator, data.scenarios.weights, data.cone
+    coef, lam_i = data.constraint.control_coefficient, bundle.lambda_i
+    slope = cone.constraint_slope(data.constraint, bundle.states)
+    adj_y = cone.constraint_adjoints(data.constraint, slope, lam_i)
+    weights = np.asarray(w, dtype=float)
+    masses = np.asarray(c.norm(lam_i), dtype=float) * weights
+    order = np.argsort(-masses, kind="stable")
+    taken = int(np.searchsorted(np.cumsum(weights[order]), 0.125 + 1e-15, side="right"))
+    total = float(masses.sum())
+    x, grad = bundle.x1, bundle.gradient
+    held = ((x == data.lo) & (grad > 0.0)) | ((x == data.hi) & (grad < 0.0))
+    rho = np.subtract(bundle.adjoints, np.multiply(coef, adj_y)) if coef else bundle.adjoints
+    return {
+        "adjoint_residual": g.norm(
+            bundle.theta[:, None] * bundle.zeta2 - op.matvec(bundle.adjoints) + adj_y).max(),
+        "state_residual": g.norm(op.matvec(bundle.states) * g.mass - g.mass * x).max(),
+        "primal_feasibility": max(0.0, float(bundle.constraint_values.max())),
+        "complementarity": abs(float(w @ c.inner(lam_i, bundle.constraint_values))),
+        "multiplier_l1": float(w @ (c.weight * np.abs(lam_i).sum(axis=-1))),
+        "adjoint_l1": float(w @ np.abs(bundle.adjoints).sum(axis=-1)),
+        "concentration_index": 0.0 if total <= 0.0 or not taken
+        else float(np.cumsum(masses[order])[taken - 1]) / total,
+        "rho_mean_norm": g.norm(bundle.rho_mean),
+        "rho_per_scenario_max": g.norm(rho).max(),
+        "certificate": g.norm(np.where(held, 0.0, g.riesz(grad))) / data.mu_tik,
+    }, int(held.sum())
+
+
+@pytest.mark.parametrize("n", [15, 63])
+@pytest.mark.parametrize("risk_kind", ["expectation", "avar", "avar-smooth"])
+@pytest.mark.parametrize("kind", ["mixed", "volume", "gradient"])
+def test_report_keeps_the_bits_of_its_formulas(kind, risk_kind, n):
+    # controls on and off the box [-0.5, 1.5], so the certificate zeroes some entries
+    data = dataclasses.replace(
+        make_problem(n=n, bound=0.01 if kind == "volume" else 0.05, kind=kind,
+                     risk_kind=risk_kind, alpha=0.25, mu_tik=0.01), lo=-0.5, hi=1.5)
+    rng = np.random.Generator(np.random.Philox(9))
+    held = 0
+    for gamma in (1.0, 1e3, 1e6):
+        for _ in range(2):
+            b = evaluate(data, gamma, data.clamp(0.5 + 1.5 * rng.standard_normal(n)))
+            expected, n_held = _report_formulas(b)
+            held += n_held
+            report = check_limit_system(b)
+            assert [f.name for f in dataclasses.fields(report)] == list(expected)
+            for name, value in expected.items():
+                assert float(getattr(report, name)).hex() == float(value).hex(), name
+    assert held > 0
+
+
 @pytest.mark.parametrize("problem", ["manufactured", "boxed-K16"])
 def test_certificate_bounds_the_distance_between_two_solves(problem):
     # each certificate bounds its control's distance to the one minimiser of j_gamma

@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import gc
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -515,3 +518,13 @@ def test_records_to_csv_layout(active_path):
                 assert float(cell) == getattr(r, name) or np.isnan(getattr(r, name))
     # deterministic serialization
     assert records_to_csv(records) == text
+    # the bytes csv.writer writes, also for non-finite values and an unconverged point
+    records = records + [dataclasses.replace(records[-1], j=-0.0, converged=False,
+                                             stationarity=np.inf, sq_violation=-np.inf)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"# schema={CSV_SCHEMA_VERSION}"])
+    writer.writerow(header)
+    for r in records:
+        writer.writerow([str(getattr(r, name)).lower() for name in header])
+    assert records_to_csv(records) == buf.getvalue()
