@@ -38,11 +38,11 @@ class ConeSpec:
         if not self.weight > 0.0:  # NaN fails too
             raise ValueError("cone weight must be positive")
 
-    def inner(self, u, v):
-        return self.weight * dot_last(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    def inner(self, u: np.ndarray, v: np.ndarray):
+        return self.weight * dot_last(u, v)
 
-    def norm(self, u):
-        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
+    def norm(self, u: np.ndarray):
+        return np.sqrt(self.inner(u, u))  # a sum of squares is >= 0, or NaN
 
 
 def project(k):
@@ -53,18 +53,16 @@ def project(k):
 @dataclass(frozen=True)
 class PenaltyValue:
     value: float | np.ndarray  # one value per row of a stacked constraint value
-    residual: np.ndarray  # max(0, i), the infeasible part
+    multiplier: np.ndarray  # gamma max(0, i), the penalty's gradient
 
 
 def penalty(cone: ConeSpec, gamma: float, i_value) -> PenaltyValue:
-    """Quadratic exterior penalty (gamma/2) ||max(0, i)||_H^2.
-
-    Zero exactly when the constraint value is feasible (i <= 0 everywhere).
-    """
+    """(gamma/2) ||max(0, i)||_H^2, zero exactly where i <= 0, and its gradient gamma max(0, i)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     r = project(i_value)
-    return PenaltyValue(value=0.5 * gamma * cone.inner(r, r), residual=r)
+    value = 0.5 * gamma * cone.inner(r, r)
+    return PenaltyValue(value, np.multiply(gamma, r, out=r))
 
 
 def penalty_multiplier(gamma: float, i_value):

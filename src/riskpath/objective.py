@@ -1,18 +1,19 @@
 """Penalized composite objective, its adjoint-based reduced gradient and Hessian products.
 
-The state equation is kept in the mass-weighted (Galerkin-like) form: the
-stiffness part is M A with A the assembled stencil and M = h I the grid's
-lumped mass, and the control enters through the negative lumped-mass
-injection, so the control coupling's adjoint is p = -h lambda_e nodewise; the
-adjoint is kept as p, which solves A p = theta zeta2 + i_x2^* lambda_i. All
-duals returned here pair with controls and states through the plain euclidean
-dot product (the mass is baked in), as the finite-difference checks rely on.
+The state equation is kept in the mass-weighted (Galerkin-like) form: the stiffness part
+is M A with A the assembled stencil and M = h I the grid's lumped mass, and the control
+enters through the negative lumped-mass injection, so the control coupling's adjoint is
+p = -h lambda_e nodewise; the adjoint is kept as p, which solves A p = theta zeta2 +
+i_x2^* lambda_i. All duals returned here pair with controls and states through the plain
+euclidean dot product (the mass is baked in), as the finite-difference checks rely on.
 
 Per-scenario quantities are stacked (K, n) arrays: one solve with the shared
-block-diagonal factor gives every state, one more every adjoint, and each
-pointwise map (penalty, multiplier, constraint adjoints) acts on the whole
-stack at once. Each expectation over the scenarios is one matrix-vector
-product with the weights (ScenarioSet.mean).
+block-diagonal factor gives every state, one more every adjoint, and each pointwise map
+acts on the whole stack at once. Each expectation over the scenarios is one
+matrix-vector product with the weights (ScenarioSet.mean). The models own their
+derivatives: the risk's density and curvature (risk.subgradient, risk.hessian_product),
+the penalty's multiplier (cone.penalty) and the constraint's linearisation and adjoints;
+this module composes them by the chain rule.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class EvalBundle(ControlEval):
 
     It stores four stacked arrays: the states, zeta2, the constraint values and
     the adjoints. The penalty residuals and the multipliers are one-line
-    functions of them, computed on access with evaluate's expressions, so a path
+    functions of them, computed on access with the penalty's expressions, so a path
     that keeps a bundle per gamma point does not keep them.
     """
 
@@ -146,9 +147,8 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
         x1 = x1.x1
     c = x1 if isinstance(x1, ControlEval) else control_half(data, np.asarray(x1, dtype=float))
     pv = cone_mod.penalty(data.cone, gamma, c.constraint_values)
-    lam_i = np.multiply(gamma, pv.residual, out=pv.residual)  # gamma * max(0, i), in place
     i_slope = cone_mod.constraint_slope(data.constraint, c.states)
-    adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, lam_i)
+    adj_y = cone_mod.constraint_adjoints(data.constraint, i_slope, pv.multiplier)
     p, rho_mean = _adjoint_step(data, c.theta[:, None], c.zeta2, adj_y)
     penalty_term = float(data.scenarios.mean(pv.value))
     return EvalBundle(  # the control half, in field order, then the gamma half
@@ -179,33 +179,25 @@ def _adjoint_step(data: ProblemData, weight, r: np.ndarray, adj_y: np.ndarray, o
 def hessian_operator(bundle: EvalBundle):
     """Generalised Hessian of j^gamma at the bundle's point, as a product v -> H v.
 
-    Each product is one stacked state solve (the state directions) and one
-    stacked adjoint solve. A stack of directions (m, n) gives the stack of
-    their products from one state and one adjoint solve of m K right-hand
-    sides, each row bit for bit its own product but for the smoothed tail
-    mean's rank-one term, whose matrix products round differently for a stack.
-    The penalty contributes gamma times the active indicator of max(0, i) on
-    the constraint linearisation (Gauss-Newton for the gradient constraint). The risk weights each scenario by its density
-    theta, frozen for the exact tail mean, which is piecewise linear. The
-    smoothed tail mean adds the derivative of theta: the sigmoid slope
-    sigma'/(alpha tau) on grad J_k minus the rank-one threshold correction;
-    the grad J_k of all scenarios take one more stacked solve, made here.
+    Each product is one stacked state solve (the state directions) and one stacked adjoint
+    solve. A stack of directions (m, n) gives the stack of their products from one state and
+    one adjoint solve of m K right-hand sides, each row bit for bit its own product but for
+    the risk's curvature term, whose matrix products round differently for a stack. The
+    penalty contributes gamma times the active indicator of max(0, i) on the constraint
+    linearisation (Gauss-Newton for the gradient constraint). The risk weights each scenario
+    by its density theta and, where curved (risk.hessian_product), adds its second
+    derivative on the cost directions grad J_k . v (one more stacked solve).
 
     Only the adjoint solve of a product checks for a non-finite solution: its
     right-hand side is the state solution times theta mass (finite, >= 0) plus a
     constraint adjoint, so each non-finite entry of the state solution stays
     non-finite there (inf * 0 and inf - inf are NaN).
     """
-    data = bundle.data
-    mass, w = data.grid.mass, data.scenarios.weights
-    theta, i_slope = bundle.theta, cone_mod.constraint_slope(data.constraint, bundle.states)
+    data, mass, theta = bundle.data, bundle.data.grid.mass, bundle.theta
+    i_slope = cone_mod.constraint_slope(data.constraint, bundle.states)
     curvature = bundle.gamma * (bundle.constraint_values > 0.0)  # where max(0, i) > 0
-    if data.risk.kind == "avar-smooth":
-        grad_j = solve_state(data.operator, bundle.zeta2)  # grad J_k, (K, n)
-        # sigma'(z_k)/(alpha tau) with sigma(z_k) = alpha theta_k, weighted
-        slope = w * theta * (1.0 - data.risk.alpha * theta) / data.risk.tau
-        total = float(slope.sum())
-
+    risk_hessian = risk_mod.hessian_product(data.risk, theta, data.scenarios.weights)
+    grad_j = None if risk_hessian is None else solve_state(data.operator, bundle.zeta2)  # (K, n)
     risk_weight, shape = theta[:, None] * mass, data.operator.diag.shape
     # one direction's states, then adjoints; its multiplier; its constraint adjoint
     work, lam_work, adj_work = np.empty(shape), np.empty(curvature.shape), np.empty(shape)
@@ -222,9 +214,8 @@ def hessian_operator(bundle: EvalBundle):
                                              out=adj_work if one else None)
         _, hv = _adjoint_step(data, risk_weight, d_states, adj_y, out)
         hv += data.mu_tik * mass * v
-        if data.risk.kind == "avar-smooth" and total > 0.0:
-            dj = grad_j @ v.T  # (K,), or (K, m) for a stack
-            hv += ((dj - np.dot(slope, dj) / total).T * slope) @ grad_j
+        if risk_hessian is not None:  # grad_j @ v.T is (K,), or (K, m) for a stack
+            hv += risk_hessian(grad_j @ v.T).T @ grad_j
         return hv
 
     return product

@@ -165,6 +165,18 @@ def subgradient(rm: RiskMeasure, xi, weights) -> RiskSubgradient:
     return RiskSubgradient(theta=theta, value=value)
 
 
+def hessian_product(rm: RiskMeasure, theta, weights):
+    """dxi -> R'' dxi, R's second derivative at the sample of density theta, on dxi (K,) or a
+    stack (K, m); None where R is piecewise linear or flat. The smoothed tail mean's gradient
+    w theta moves by s (dxi - dt) with s = w theta (1 - alpha theta)/tau, and its threshold,
+    the root of E[alpha theta] = alpha, by dt = s.dxi/sum(s)."""
+    if rm.kind != "avar-smooth":
+        return None
+    s = weights * theta * (1.0 - rm.alpha * theta) / rm.tau
+    total = float(s.sum())  # below, the transposes scale a stack's rows by s
+    return (lambda dxi: ((dxi - np.dot(s, dxi) / total).T * s).T) if total > 0.0 else None
+
+
 def duality_gap(rm: RiskMeasure, xi, theta, weights) -> float:
     """R[xi] - E[xi theta]; nonnegative for feasible densities, 0 at maximizers.
 

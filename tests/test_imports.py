@@ -68,3 +68,15 @@ def test_only_the_grid_reads_the_mesh_width():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "h"]
     assert readers == []
+
+
+def test_the_solver_layers_compare_no_model_kind():
+    # the risk measure, the penalty and the constraint map own their formulas: the layers
+    # that compose them (the chain rule, the solver, the KKT report, the path) branch on no kind
+    compares = [f"{stem}.py:{node.lineno}"
+                for stem in ("objective", "solver", "kkt", "path")
+                for node in ast.walk(ast.parse((SRC / "riskpath" / f"{stem}.py").read_text()))
+                if isinstance(node, ast.Compare)
+                and any(isinstance(n, ast.Attribute) and n.attr == "kind"
+                        for side in (node.left, *node.comparators) for n in ast.walk(side))]
+    assert compares == []

@@ -26,8 +26,10 @@ from riskpath.config import build_problem, build_schedule, build_solve_options, 
 from riskpath.grid import solve_state
 from riskpath.kkt import check_limit_system
 from riskpath.objective import unpenalized_objective
+from riskpath.scenario import ScenarioSet
 from riskpath.solver import SolveOptions, minimize
 
+from reference import limit_polish
 from test_objective import make_problem
 
 OPTS = SolveOptions(tol_stationarity=1e-8)
@@ -160,6 +162,45 @@ def test_violation_decays_with_slope(active_path):
     assert r2 >= 0.9
     mv = [r.max_violation for r in records]
     assert mv[-1] < 1e-3 * mv[0]
+
+
+def lobatto_problem(n: int):
+    """The default config on n nodes with its 16 scenarios at the 4 x 4 Gauss-Lobatto rule.
+
+    The rule's nodes on [-1, 1] are +-1 and +-1/sqrt(5) with weights 1/6 and 5/6; a
+    scenario sits at each pair (xi_1, xi_2) of them, with the product of their weights
+    over 4, and takes scenario.sample's field formula at the cell midpoints.
+    """
+    cfg = resolve({"problem": {"n_interior": n}})
+    data, field = build_problem(cfg), cfg["scenarios"]
+    nodes, weights = np.array([-1.0, -5**-0.5, 5**-0.5, 1.0]), np.array([1.0, 5.0, 5.0, 1.0]) / 6
+    xi = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    s = data.grid.cell_midpoints
+    a = np.full((xi.shape[0], s.size), field["a0"])
+    for m, sig in enumerate(field["sigma"], start=1):
+        a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
+    scenarios = ScenarioSet(np.outer(weights, weights).reshape(-1) / 4,
+                            np.maximum(a, field["a_min"]))
+    return dataclasses.replace(data, scenarios=scenarios)
+
+
+def test_path_reaches_the_exact_limit_at_rate_one_over_gamma():
+    # K = 16, no manufactured data: the limit's minimiser x* comes from the active-set
+    # polish of the last point, certified by its feasibility and multiplier signs
+    data = lobatto_problem(15)
+    steps = run_path(data, decade_schedule(0, 10), SolveOptions(tol_stationarity=1e-10))
+    assert all(step.record.converged for step in steps)
+    limit = limit_polish(data, steps[-1].result.bundle.x1)
+    assert limit.max_constraint <= 1e-12
+    assert limit.min_multiplier > 0.0
+    assert limit.j == pytest.approx(unpenalized_objective(data, limit.x)[0], rel=1e-12)
+    tail = [step.result.bundle for step in steps if 1e5 <= step.record.gamma <= 1e9]
+    log_gamma = np.log10([b.gamma for b in tail])
+    errors = {"control": [data.grid.norm(b.x1 - limit.x) for b in tail],
+              "multiplier": [np.abs(b.lambda_i - limit.lam).max() for b in tail]}
+    for name, error in errors.items():
+        slope = np.polyfit(log_gamma, np.log10(error), 1)[0]
+        assert abs(slope + 1.0) <= 0.05, (name, slope)
 
 
 def test_penalty_term_identity(active_path):

@@ -10,6 +10,7 @@ from riskpath.risk import (
     _smooth_root,
     duality_gap,
     evaluate,
+    hessian_product,
     subgradient,
 )
 
@@ -230,6 +231,38 @@ def test_subgradient_value_equals_evaluate(rm):
         value = subgradient(rm, xi, w).value
         assert isinstance(value, float)
         assert value == evaluate(rm, xi, w) == _previous_value(rm, xi, w)
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-1])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_hessian_product_is_the_derivative_of_the_weighted_density(alpha, tau):
+    # the gradient of R is w theta: its central difference along dxi is the product
+    rm = RiskMeasure("avar-smooth", alpha=alpha, tau=tau)
+    rng = np.random.Generator(np.random.Philox(35))
+    for _ in range(10):
+        xi, w = 2.0 * tau * rng.standard_normal(9), rng.dirichlet(np.ones(9))
+        product = hessian_product(rm, subgradient(rm, xi, w).theta, w)
+        dxi, eps = rng.standard_normal(9), 1e-4 * tau
+
+        def gradient(sample):
+            return w * subgradient(rm, sample, w).theta
+
+        fd = (gradient(xi + eps * dxi) - gradient(xi - eps * dxi)) / (2 * eps)
+        assert np.allclose(product(dxi), fd, rtol=0.0, atol=1e-7 * np.abs(fd).max())
+        stack = rng.standard_normal((9, 4))
+        columns = np.stack([product(column) for column in stack.T], axis=1)
+        assert np.allclose(product(stack), columns, rtol=0.0, atol=1e-14 * np.abs(columns).max())
+
+
+def test_hessian_product_is_none_where_the_risk_is_not_curved():
+    xi, w = np.array([3.0, 1.0, 2.0, 0.5]), UNIFORM4
+    for rm in (RiskMeasure("expectation"), RiskMeasure("avar", alpha=0.5)):
+        assert hessian_product(rm, subgradient(rm, xi, w).theta, w) is None
+    # sigmoids saturated to 0 and 1: the density 0 or 1/alpha, with no slope between
+    rm = RiskMeasure("avar-smooth", alpha=0.5, tau=1e-2)
+    theta = subgradient(rm, np.array([0.0, 0.0, 100.0, 100.0]), w).theta
+    assert np.array_equal(theta, [0.0, 0.0, 2.0, 2.0])
+    assert hessian_product(rm, theta, w) is None
 
 
 def _brentq_threshold(xi, w, alpha, tau):
