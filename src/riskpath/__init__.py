@@ -12,7 +12,6 @@ from .grid import EllipticOperator, EllipticityError, Grid, assemble, solve_stat
 from .kkt import KktReport, check_limit_system, concentration_index
 from .objective import EvalBundle, ProblemData, evaluate, objective_only, unpenalized_objective
 from .path import (
-    PathAborted,
     PathRecord,
     decade_schedule,
     fit_decay_slope,
@@ -20,7 +19,7 @@ from .path import (
     shrink_to_feasible,
 )
 from .risk import RiskMeasure, RiskSubgradient, duality_gap, evaluate as risk_evaluate, subgradient
-from .scenario import ScenarioConfig, ScenarioSet, sample
+from .scenario import ScenarioConfig, ScenarioSet, conductivity, sample
 from .solver import DivergedError, SolveOptions, SolveResult, minimize
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ def cmd_solve(cfg: dict, gamma: float, out: Path) -> int:
 
     try:
         (point,) = path_mod.run_path(data, [gamma], opts, callback=log_cb)
-    except path_mod.PathAborted as exc:
+    except DivergedError as exc:
         print(f"{exc}: {exc.__cause__}", file=sys.stderr)
         return 1
     record, result = point.record, point.result
@@ -85,17 +85,18 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     opts = config_mod.build_solve_options(cfg)
     schedule = config_mod.build_schedule(cfg)
     tag, slopes = _header(cfg)
+    records, reports = [], []  # plain values: a point's bundle goes once the next is solved
     try:
-        steps = path_mod.run_path(data, schedule, opts, warm_start=not cold)
-    except path_mod.PathAborted as exc:
-        partial = [step.record for step in exc.steps]
-        _write(out / f"path_{tag}.csv", path_mod.records_to_csv(partial))
+        for step in path_mod.run_path(data, schedule, opts, warm_start=not cold):
+            records.append(step.record)
+            reports.append(step.report.as_dict())
+    except DivergedError as exc:
+        _write(out / f"path_{tag}.csv", path_mod.records_to_csv(records))
         print(f"path aborted: {exc}", file=sys.stderr)
         return 1
-    records = [step.record for step in steps]
 
     _write(out / f"path_{tag}.csv", path_mod.records_to_csv(records))
-    _write_json(out / f"kkt_path_{tag}.json", [step.report.as_dict() for step in steps])
+    _write_json(out / f"kkt_path_{tag}.json", reports)
 
     assertions = {}
     jg = [r.j_gamma for r in records]
@@ -108,7 +109,7 @@ def cmd_path(cfg: dict, out: Path, cold: bool = False) -> int:
     )
     if cfg["feasible_reference"]["mode"] == "scaled-initial":
         try:
-            _, j_ref = path_mod.shrink_to_feasible(data, steps[-1].result.bundle)
+            _, j_ref = path_mod.shrink_to_feasible(data, step.result.bundle)  # the last point's
         except ValueError as exc:
             print(f"error: feasible_reference.mode scaled-initial: {exc}", file=sys.stderr)
             return 1

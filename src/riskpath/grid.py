@@ -127,12 +127,10 @@ class EllipticOperator:
     off: np.ndarray
     _ldl: tuple = field(repr=False, default=None)
 
-    def matvec(self, u: np.ndarray, out=None) -> np.ndarray:
-        """The product with every stencil, in a C-contiguous ``out``, on the flat views of
-        a stack of ``diag``'s shape (``u`` broadcasts to it): a term across two blocks is 0 * u."""
-        if out is not None and not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        v = np.multiply(self.diag, u, out=out)
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """The product with every stencil, on the flat views of a stack of ``diag``'s
+        shape (``u`` broadcasts to it): a term across two blocks is 0 * u."""
+        v = np.multiply(self.diag, u)
         e = self.off.reshape(-1)[:-1]
         if u.shape != v.shape:
             u = np.broadcast_to(u, v.shape)

@@ -20,14 +20,6 @@ class InsufficientDataError(ValueError):
     """Too few positive samples for a log-log slope fit."""
 
 
-class PathAborted(RuntimeError):
-    """A solve along the schedule diverged; the steps solved before it are attached."""
-
-    def __init__(self, message, steps):
-        super().__init__(message)
-        self.steps = steps
-
-
 def decade_schedule(start_exp: int = 0, stop_exp: int = 6, per_decade: int = 1):
     """Geometric schedule 10^start .. 10^stop with per_decade points per decade."""
     n = (stop_exp - start_exp) * per_decade + 1
@@ -78,29 +70,32 @@ def run_path(
     opts: SolveOptions | None = None,
     warm_start: bool = True,
     callback=None,
-) -> list[PathStep]:
-    """Solve the penalized problem along the schedule, warm-starting each point.
+):
+    """Solve the penalized problem along the schedule, yielding one PathStep per point.
 
     The first point, and every point of a cold path, starts from the zero control;
-    a warm start is the previous point's bundle, whose control half is reused.
-    ``callback`` goes to every ``minimize`` call unchanged. A diverging solve
-    raises PathAborted carrying the steps solved so far.
+    a warm start is the previous point's bundle, whose control half is reused. That
+    bundle is the only one kept between points. ``callback`` goes to every
+    ``minimize`` call unchanged. A diverging solve raises DivergedError, chained from
+    the solver's, after the points before it were yielded.
     """
     schedule = validate_schedule(schedule)
     opts = opts or SolveOptions()
-    steps: list[PathStep] = []
+    previous = None  # the last point's bundle: the next warm start and control_change's base
     for gamma in schedule:
-        start = steps[-1].result.bundle if warm_start and steps else None
         try:
-            result = solver_mod.minimize(data, gamma, opts, warm_start=start, callback=callback)
+            result = solver_mod.minimize(data, gamma, opts, callback=callback,
+                                         warm_start=previous if warm_start else None)
         except solver_mod.DivergedError as exc:
-            raise PathAborted(f"solve diverged at gamma={gamma}", steps) from exc
+            raise solver_mod.DivergedError(f"solve diverged at gamma={gamma}") from exc
         bundle = result.bundle
         report = kkt_mod.check_limit_system(bundle)
         j = bundle.j1 + bundle.risk_value  # the unpenalized objective
         residual = bundle.penalty_residuals
         sq_violation = float(data.scenarios.mean(data.cone.inner(residual, residual)))
-        change = data.grid.norm(bundle.x1 - steps[-1].result.bundle.x1) if steps else np.nan
+        del residual  # one (K, m) stack, not kept while the caller reads the step
+        change = np.nan if previous is None else data.grid.norm(bundle.x1 - previous.x1)
+        previous = bundle
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(
             gamma=float(gamma),
@@ -118,8 +113,7 @@ def run_path(
             converged=bool(result.converged),
             stationarity=float(result.stationarity_norm),
         )
-        steps.append(PathStep(record=record, result=result, report=report))
-    return steps
+        yield PathStep(record=record, result=result, report=report)
 
 
 def shrink_to_feasible(data: ProblemData, base_control):

@@ -55,21 +55,25 @@ class ScenarioSet:
         return self.weights @ values
 
 
-def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
-    """Draw a scenario set: truncated sine expansions for the conductivity.
+def conductivity(config: ScenarioConfig, xi: np.ndarray, n_cells: int) -> np.ndarray:
+    """The field model at the cell midpoints s, one row per row of ``xi`` (K, M).
 
-    a_k(s) = a0 + sum_m xi_{k,m} sigma_m sin(m pi s) with xi uniform on [-1,1],
-    clipped from below at a_min. The clip is inactive while a_min <= a0 - sum
-    |sigma_m| (0.55 > 0.3 on the defaults); a larger a_min floors the field
-    wherever it dips below. The xi are drawn scenario by scenario, mode by
-    mode. Weights are uniform.
+    a(xi)(s) = a0 + sum_m xi_m sigma_m sin(m pi s), summed mode by mode and
+    clipped from below at a_min. For xi in [-1, 1]^M the clip is inactive while
+    a_min <= a0 - sum |sigma_m| (0.55 > 0.3 on the defaults); a larger a_min
+    floors the field wherever it dips below.
     """
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    n = config.n_scenarios
     s = (np.arange(n_cells) + 0.5) / n_cells
-    xi = rng.uniform(-1.0, 1.0, size=(n, len(config.sigma)))
-    a = np.full((n, n_cells), config.a0)
+    a = np.full((xi.shape[0], n_cells), config.a0)
     for m, sig in enumerate(config.sigma, start=1):
         a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
-    return ScenarioSet(weights=np.full(n, 1.0 / n), conductivities=np.maximum(a, config.a_min))
+    return np.maximum(a, config.a_min)
 
+
+def sample(config: ScenarioConfig, n_cells: int) -> ScenarioSet:
+    """Draw a scenario set: the field model at xi uniform on [-1, 1]^M, drawn scenario
+    by scenario, mode by mode, with uniform weights."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    n = config.n_scenarios
+    xi = rng.uniform(-1.0, 1.0, size=(n, len(config.sigma)))
+    return ScenarioSet(np.full(n, 1.0 / n), conductivity(config, xi, n_cells))

@@ -39,7 +39,7 @@ def default_path():
     schedule = build_schedule(cfg)
     opts = SolveOptions(tol_stationarity=1e-8)
     t0 = time.monotonic()
-    steps = run_path(data, schedule, opts)
+    steps = list(run_path(data, schedule, opts))
     elapsed = time.monotonic() - t0
     records = [step.record for step in steps]
     return data, records, steps, elapsed

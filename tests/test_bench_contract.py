@@ -124,14 +124,16 @@ def test_path_command_on_small_workload_writes_one_result(tmp_path):
 
 
 def test_path_command_checks_the_final_bundle_once(monkeypatch, tmp_path):
-    # the feasible reference is one traced call, handed the last point's bundle
+    # the feasible reference is one traced call, after the path's last solve and
+    # handed that solve's bundle
     workload = json.loads((PERFBENCH / "workloads" / "path-small.json").read_text())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(workload["config"]))
-    calls = _count_calls(monkeypatch, ((path, "run_path"), (path, "shrink_to_feasible")))
+    calls = _count_calls(monkeypatch, ((solver, "minimize"), (path, "shrink_to_feasible")))
     assert main(["path", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    (_, _, steps), (name, args, _) = calls
-    assert name == "shrink_to_feasible" and args[1] is steps[-1].result.bundle
+    assert [name for name, _, _ in calls] == ["minimize"] * 4 + ["shrink_to_feasible"]
+    (_, _, last), (_, args, _) = calls[-2:]
+    assert args[1] is last.bundle
 
 
 @pytest.mark.parametrize("workload", ["path-small", "path-tail", "path-wide"])

@@ -178,12 +178,10 @@ def test_solve_into_buffer():
 
 
 def test_a_non_contiguous_out_is_refused():
-    # a transposed buffer has the right shape; the flat passes and dpttrs would
-    # write into a copy of it, leaving it holding no product and no solution
+    # a transposed buffer has the right shape; dpttrs would write into a copy
+    # of it, leaving it holding no solution
     op = assemble(Grid(5), np.ones((3, 6)))
     u = np.arange(15.0).reshape(3, 5)
-    with pytest.raises(ValueError, match="out"):
-        op.matvec(u, out=np.empty((5, 3)).T)
     with pytest.raises(ValueError, match="out"):
         solve_state(op, u, out=np.empty((5, 3)).T)
 
@@ -371,8 +369,6 @@ def test_matvec_equals_the_strided_formula(n, conductivity_rows, stack):
     u = rng.standard_normal(stack + op.diag.shape)
     expected = _strided_matvec(op, u)
     assert op.matvec(u).tobytes() == expected.tobytes()
-    out = np.empty(expected.shape)
-    assert op.matvec(u, out=out) is out and out.tobytes() == expected.tobytes()
     one = u.reshape(-1, n)[0]  # one grid function for every stencil
     assert op.matvec(one).tobytes() == _strided_matvec(op, one).tobytes()
 

@@ -50,7 +50,7 @@ def _path_errors(epsilon: float):
     """(gammas, ||x_gamma - x*||_h, ||lambda_gamma - lambda*||_h) along gamma = 1e3 ... 1e8
     at n = 127, every point converged; lambda_gamma is the penalty multiplier gamma max(0, i)."""
     data, x_star, lam_star = manufactured_problem(127, epsilon)
-    steps = run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10))
+    steps = list(run_path(data, decade_schedule(3, 8), SolveOptions(tol_stationarity=1e-10)))
     assert all(step.record.converged for step in steps)
     gammas = np.array([step.record.gamma for step in steps])
     bundles = [step.result.bundle for step in steps]

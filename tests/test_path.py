@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from riskpath.path import (
     CSV_SCHEMA_VERSION,
     InsufficientDataError,
-    PathAborted,
     PathRecord,
     decade_schedule,
     fit_decay_slope,
@@ -26,7 +26,7 @@ from riskpath.config import build_problem, build_schedule, build_solve_options, 
 from riskpath.grid import solve_state
 from riskpath.kkt import check_limit_system
 from riskpath.objective import unpenalized_objective
-from riskpath.scenario import ScenarioSet
+from riskpath.scenario import ScenarioConfig, ScenarioSet, conductivity
 from riskpath.solver import SolveOptions, minimize
 
 from reference import limit_polish
@@ -87,7 +87,8 @@ def test_single_point_schedule_equals_direct_solve():
 def test_callback_sees_every_iterate_of_every_point():
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
     seen = []
-    steps = run_path(data, decade_schedule(0, 3), OPTS, callback=lambda *args: seen.append(args))
+    steps = list(run_path(data, decade_schedule(0, 3), OPTS,
+                          callback=lambda *args: seen.append(args)))
     # each point logs its iterates 0..iterations, in schedule order
     expected = [it for step in steps for it in range(step.record.iterations + 1)]
     assert [args[0] for args in seen] == expected
@@ -95,7 +96,7 @@ def test_callback_sees_every_iterate_of_every_point():
 
 def test_divergence_keeps_the_steps_solved_before(monkeypatch):
     data = make_problem(n=11, bound=0.05, mu_tik=0.01)
-    solved = run_path(data, decade_schedule(0, 3), OPTS)
+    solved = list(run_path(data, decade_schedule(0, 3), OPTS))
     real = solver.minimize
 
     def diverging_at_100(data, gamma, *args, **kwargs):
@@ -104,11 +105,26 @@ def test_divergence_keeps_the_steps_solved_before(monkeypatch):
         return real(data, gamma, *args, **kwargs)
 
     monkeypatch.setattr(solver, "minimize", diverging_at_100)
-    with pytest.raises(PathAborted, match="solve diverged at gamma=100.0") as caught:
-        run_path(data, decade_schedule(0, 3), OPTS)
+    partial = []
+    with pytest.raises(solver.DivergedError, match="solve diverged at gamma=100.0") as caught:
+        for step in run_path(data, decade_schedule(0, 3), OPTS):
+            partial.append(step.record)
     assert isinstance(caught.value.__cause__, solver.DivergedError)
-    partial = [step.record for step in caught.value.steps]
+    assert str(caught.value.__cause__) == "non-finite objective during line search"
     assert records_to_csv(partial) == records_to_csv([step.record for step in solved[:2]])
+
+
+def test_draining_a_path_keeps_one_bundle_alive():
+    # the path keeps only the previous point's bundle, for the warm start and
+    # control_change: a caller that drops each step holds no other
+    data = make_problem(n=15, bound=0.05, mu_tik=0.01)
+    bundles, alive = [], []
+    for step in run_path(data, decade_schedule(0, 6), OPTS):
+        bundles.append(weakref.ref(step.result.bundle))
+        del step
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in bundles))
+    assert alive == [1] * 7
 
 
 def test_path_converges_everywhere(active_path):
@@ -126,7 +142,7 @@ def test_full_small_path_steps_and_products(monkeypatch):
     real_solve = objective.solve_state
     monkeypatch.setattr(objective, "solve_state",
                         lambda *a, **kw: solves.append(1) or real_solve(*a, **kw))
-    steps = run_path(data, decade_schedule(0, 6), OPTS)
+    steps = list(run_path(data, decade_schedule(0, 6), OPTS))
     records = [step.record for step in steps]
     assert [r.iterations for r in records] == [2, 1, 2, 2, 1, 1, 1]
     assert sum(step.result.hessian_products for step in steps) == 150
@@ -142,7 +158,7 @@ def test_default_path_does_not_creep_at_large_gamma():
     # gamma = 1e5 and 1e6 with the forcing term capped at 0.1
     cfg = resolve({"scenarios": {"n_scenarios": 64},
                    "gamma_schedule": {"start_exp": 0, "stop_exp": 8}})
-    steps = run_path(build_problem(cfg), build_schedule(cfg), build_solve_options(cfg))
+    steps = list(run_path(build_problem(cfg), build_schedule(cfg), build_solve_options(cfg)))
     records = [step.record for step in steps]
     assert len(records) == 9
     assert all(r.converged for r in records)
@@ -169,18 +185,16 @@ def lobatto_problem(n: int):
 
     The rule's nodes on [-1, 1] are +-1 and +-1/sqrt(5) with weights 1/6 and 5/6; a
     scenario sits at each pair (xi_1, xi_2) of them, with the product of their weights
-    over 4, and takes scenario.sample's field formula at the cell midpoints.
+    over 4, and takes the scenario model's conductivity at it.
     """
     cfg = resolve({"problem": {"n_interior": n}})
     data, field = build_problem(cfg), cfg["scenarios"]
     nodes, weights = np.array([-1.0, -5**-0.5, 5**-0.5, 1.0]), np.array([1.0, 5.0, 5.0, 1.0]) / 6
     xi = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
-    s = data.grid.cell_midpoints
-    a = np.full((xi.shape[0], s.size), field["a0"])
-    for m, sig in enumerate(field["sigma"], start=1):
-        a = a + xi[:, m - 1 : m] * sig * np.sin(m * np.pi * s)
+    model = ScenarioConfig(xi.shape[0], field["seed"], field["a0"], tuple(field["sigma"]),
+                           field["a_min"])
     scenarios = ScenarioSet(np.outer(weights, weights).reshape(-1) / 4,
-                            np.maximum(a, field["a_min"]))
+                            conductivity(model, xi, data.grid.n_cells))
     return dataclasses.replace(data, scenarios=scenarios)
 
 
@@ -188,7 +202,7 @@ def test_path_reaches_the_exact_limit_at_rate_one_over_gamma():
     # K = 16, no manufactured data: the limit's minimiser x* comes from the active-set
     # polish of the last point, certified by its feasibility and multiplier signs
     data = lobatto_problem(15)
-    steps = run_path(data, decade_schedule(0, 10), SolveOptions(tol_stationarity=1e-10))
+    steps = list(run_path(data, decade_schedule(0, 10), SolveOptions(tol_stationarity=1e-10)))
     assert all(step.record.converged for step in steps)
     limit = limit_polish(data, steps[-1].result.bundle.x1)
     assert limit.max_constraint <= 1e-12
@@ -230,7 +244,7 @@ def test_control_settles_in_last_decade():
     # once the path has settled (movement is O(1/gamma) at large gamma)
     data = make_problem(n=15, bound=0.05, mu_tik=0.01)
     opts = SolveOptions(tol_stationarity=1e-4)
-    steps = run_path(data, decade_schedule(0, 6), opts)
+    steps = list(run_path(data, decade_schedule(0, 6), opts))
     assert steps[-1].record.control_change <= 10.0 * opts.tol_stationarity
 
 
@@ -249,7 +263,7 @@ def test_a_finished_path_retains_four_stacked_arrays_per_point(kind):
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        steps = run_path(data, schedule, opts)
+        steps = list(run_path(data, schedule, opts))
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -302,7 +316,7 @@ def test_an_evaluation_allocates_only_what_it_returns(kind):
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        steps, path_peak, retained = peak(lambda: run_path(data, schedule, opts))
+        steps, path_peak, retained = peak(lambda: list(run_path(data, schedule, opts)))
         final = steps[-1].result.bundle
         x = final.x1.copy()
         product = objective.hessian_operator(final)  # its work stacks are not the product's
@@ -440,7 +454,7 @@ def test_feasible_reference_certifies_once_on_stored_seeds(workload, seed, monke
     cfg.setdefault("scenarios", {})["seed"] = seed
     cfg = resolve(cfg)
     data = build_problem(cfg)
-    final = run_path(data, build_schedule(cfg), build_solve_options(cfg))[-1].result.bundle
+    final = list(run_path(data, build_schedule(cfg), build_solve_options(cfg)))[-1].result.bundle
     assert np.max(final.constraint_values) > data.tol_feas
     checks = []
 
