@@ -99,10 +99,9 @@ def check_limit_system(bundle: EvalBundle) -> KktReport:
     residual += adj_y
     # j_gamma is mu_tik-strongly convex in the lumped product, so ||v||_h / mu_tik bounds
     # the distance for v in its subdifferential at x1: the least-norm one, the gradient's
-    # Riesz form M^-1 g, 0 where the box takes it up (x1 at lo with g > 0, at hi with g < 0)
-    x, g = bundle.x1, bundle.gradient
-    v = grid.riesz(g)
-    v[((x == data.lo) & (g > 0.0)) | ((x == data.hi) & (g < 0.0))] = 0.0
+    # Riesz form M^-1 g, 0 where a bound takes it up (binds at distance 0)
+    v = grid.riesz(bundle.gradient)
+    v[data.binding(bundle.x1, bundle.gradient, 0.0)] = 0.0
     return KktReport(
         adjoint_residual=grid.max_norm(residual),
         state_residual=state_residual,

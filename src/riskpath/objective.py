@@ -76,6 +76,10 @@ class ProblemData:
     def clamp(self, x1: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(x1, self.lo), self.hi)  # np.clip's bits, in less time
 
+    def binding(self, x1: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+        """Where a bound takes up g: x1 within eps of lo with g > 0, or of hi with g < 0."""
+        return ((x1 <= self.lo + eps) & (g > 0.0)) | ((x1 >= self.hi - eps) & (g < 0.0))
+
 
 @dataclass(eq=False)
 class ControlEval:
@@ -84,13 +88,10 @@ class ControlEval:
     data: ProblemData = field(repr=False)  # the problem it was computed for
     x1: np.ndarray
     states: np.ndarray  # x2, (K, n)
-    scenario_costs: np.ndarray  # J2, (K,)
     constraint_values: np.ndarray  # i, (K, m)
     zeta2: np.ndarray  # state part of the scenario-cost subgradient, mass-weighted, (K, n)
     theta: np.ndarray  # risk subgradient density, (K,)
-    eta: np.ndarray  # Tikhonov gradient, mass-weighted
-    j1: float
-    risk_value: float
+    j: float  # the unpenalized objective (mu/2) ||x1||^2 + R[J2]
 
 
 @dataclass(eq=False)
@@ -122,16 +123,15 @@ class EvalBundle(ControlEval):
 
 
 def control_half(data: ProblemData, x1: np.ndarray) -> ControlEval:
-    """The one forward map of a control: states, scenario costs, risk, constraint values."""
+    """The one forward map of a control: states, risk, constraint values and j."""
     states = solve_state(data.operator, x1)
     zeta2 = states - data.y_d  # the tracking residual
     costs = 0.5 * data.grid.inner(zeta2, zeta2)  # J2
     zeta2 *= data.grid.mass  # the residual, mass-weighted
     risk = risk_mod.subgradient(data.risk, costs, data.scenarios.weights)
-    j1 = 0.5 * data.mu_tik * data.grid.inner(x1, x1)
+    j = 0.5 * data.mu_tik * data.grid.inner(x1, x1) + risk.value
     i_vals = cone_mod.constraint_eval(data.constraint, x1, states)
-    return ControlEval(data, x1, states, costs, i_vals, zeta2, risk.theta,
-                       data.mu_tik * data.grid.mass * x1, j1, risk.value)
+    return ControlEval(data, x1, states, i_vals, zeta2, risk.theta, j)
 
 
 def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
@@ -152,9 +152,9 @@ def evaluate(data: ProblemData, gamma: float, x1) -> EvalBundle:
     p, rho_mean = _adjoint_step(data, c.theta[:, None], c.zeta2, adj_y)
     penalty_term = float(data.scenarios.mean(pv.value))
     return EvalBundle(  # the control half, in field order, then the gamma half
-        data, c.x1, c.states, c.scenario_costs, c.constraint_values, c.zeta2, c.theta, c.eta, c.j1,
-        c.risk_value, gamma=gamma, adjoints=p, rho_mean=rho_mean, penalty_term=penalty_term,
-        j_gamma=c.j1 + c.risk_value + penalty_term, gradient=c.eta + rho_mean,
+        data, c.x1, c.states, c.constraint_values, c.zeta2, c.theta, c.j, gamma=gamma,
+        adjoints=p, rho_mean=rho_mean, penalty_term=penalty_term, j_gamma=c.j + penalty_term,
+        gradient=data.mu_tik * data.grid.mass * c.x1 + rho_mean,
     )
 
 
@@ -230,4 +230,4 @@ def unpenalized_objective(data: ProblemData, x1: np.ndarray):
     """(j, feasible, max_violation) without the penalty term."""
     c = control_half(data, np.asarray(x1, dtype=float))
     max_i = float(np.max(c.constraint_values))
-    return c.j1 + c.risk_value, max_i <= data.tol_feas, max(0.0, max_i)
+    return c.j, max_i <= data.tol_feas, max(0.0, max_i)

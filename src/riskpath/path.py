@@ -90,7 +90,6 @@ def run_path(
             raise solver_mod.DivergedError(f"solve diverged at gamma={gamma}") from exc
         bundle = result.bundle
         report = kkt_mod.check_limit_system(bundle)
-        j = bundle.j1 + bundle.risk_value  # the unpenalized objective
         residual = bundle.penalty_residuals
         sq_violation = float(data.scenarios.mean(data.cone.inner(residual, residual)))
         del residual  # one (K, m) stack, not kept while the caller reads the step
@@ -99,7 +98,7 @@ def run_path(
         # Python scalars only, so the CSV and the JSON reports write plain floats
         record = PathRecord(
             gamma=float(gamma),
-            j=float(j),
+            j=float(bundle.j),
             j_gamma=float(bundle.j_gamma),
             penalty_term=float(bundle.penalty_term),
             max_violation=float(report.primal_feasibility),
@@ -124,7 +123,8 @@ def shrink_to_feasible(data: ProblemData, base_control):
     the largest feasible scale t* = min(1, min b / L) is closed-form (cone.ray_bounds).
     Fresh solves differ by round-off, so unpenalized_objective certifies t* base backed
     off by a relative 2**-44; each rejection backs t off by 2**-40, 2**-36, ... more,
-    and the zero control is the last resort. Returns (control, j) with j its
+    and the zero control is the last resort: an infeasible base whose zero control is
+    infeasible or outside the box raises ValueError. Returns (control, j) with j its
     unpenalized objective, from the certifying call where there is one. Fixture for
     the reference-control comparisons.
     """
@@ -133,9 +133,10 @@ def shrink_to_feasible(data: ProblemData, base_control):
         c = obj_mod.control_half(data, data.clamp(np.asarray(getattr(c, "x1", c), dtype=float)))
     base, cmap, tol = c.x1, data.constraint, data.tol_feas
     if np.max(c.constraint_values) <= tol:
-        return base, c.j1 + c.risk_value
+        return base, c.j
     zero = 0.0 * base  # its states are exactly zero, in every scenario
-    if np.max(cone_mod.constraint_eval(cmap, zero, zero)) > tol:
+    if (not np.array_equal(data.clamp(zero), zero)  # the box holds the ray only if it holds 0
+            or np.max(cone_mod.constraint_eval(cmap, zero, zero)) > tol):
         raise ValueError("zero control is infeasible; no scaled reference exists")
     slope, bound = cone_mod.ray_bounds(cmap, base, c.states, tol)
     over = slope > bound  # the entries infeasible at full scale; b >= 0 here

@@ -190,8 +190,7 @@ def _newton_direction(bundle, stat, tol_stationarity):
     residual r, which the stopping test measures as ||r|| = sqrt(mass) |r|.
     """
     data, x, g = bundle.data, bundle.x1, bundle.gradient
-    eps = min(BINDING_EPS, stat)
-    free = ~(((x <= data.lo + eps) & (g > 0.0)) | ((x >= data.hi - eps) & (g < 0.0)))
+    free = ~data.binding(x, g, min(BINDING_EPS, stat))
     hessian = obj_mod.hessian_operator(bundle)
     direction, products = -g, 0
     if free.all() and data.operator.diag.size * x.size <= DENSE_WORK:  # K n n

@@ -143,6 +143,21 @@ def test_path_with_infeasible_zero_control_exits_one(tmp_path, capsys):
     assert not (out / f"path_{tag}.json").exists()  # the CSV is the one record of the path
 
 
+def test_path_with_zero_control_outside_the_box_exits_one(tmp_path, capsys):
+    # lo = 1 leaves the zero control, and so the ray from it, outside the box: no scaled
+    # reference exists, and none below lo may certify the sandwich
+    cfg_path = write_config(tmp_path, {"problem": dict(SMALL["problem"], control_lo=1.0),
+                                       "feasible_reference": {"mode": "scaled-initial"}})
+    out = tmp_path / "out"
+    assert main(["path", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: feasible_reference.mode scaled-initial: zero "
+                                       "control is infeasible; no scaled reference exists\n")
+    tag = tag_of(cfg_path)
+    assert len((out / f"path_{tag}.csv").read_text().splitlines()) == 2 + 4
+    assert len(json.loads((out / f"kkt_path_{tag}.json").read_text())) == 4
+    assert not (out / f"slopes_{tag}.json").exists()
+
+
 def test_path_with_infeasible_zero_but_feasible_final_control_exits_zero(tmp_path):
     # a negative volume bound makes the zero control infeasible, but the constraint is
     # inactive at the optimum: the final control is its own reference and the path passes

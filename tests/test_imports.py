@@ -70,6 +70,16 @@ def test_only_the_grid_reads_the_mesh_width():
     assert readers == []
 
 
+def test_only_the_problem_reads_the_box():
+    # ProblemData owns the box: the solver's free set, the certificate's zeroing and the
+    # feasible reference ask it through its binding and clamp methods
+    readers = [f"{path.stem}:{node.lineno}"
+               for path in sorted((SRC / "riskpath").glob("*.py")) if path.stem != "objective"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("lo", "hi")]
+    assert readers == []
+
+
 def test_the_solver_layers_compare_no_model_kind():
     # the risk measure, the penalty and the constraint map own their formulas: the layers
     # that compose them (the chain rule, the solver, the KKT report, the path) branch on no kind

@@ -55,11 +55,12 @@ def make_problem(
 def test_zero_control_costs_are_pure_tracking():
     data = make_problem(bound=10.0)  # slack bound: penalty inactive
     b = evaluate(data, 1.0, np.zeros(15))
-    assert b.j1 == 0.0
+    costs = 0.5 * data.grid.inner(b.states - data.y_d, b.states - data.y_d)
+    assert b.j == risk.evaluate(data.risk, costs, data.scenarios.weights)  # no Tikhonov term
     assert b.penalty_term == 0.0
     # states vanish, so each scenario cost is the tracking norm of y_d
     track = 0.5 * data.grid.inner(data.y_d, data.y_d)
-    assert np.allclose(b.scenario_costs, track)
+    assert np.allclose(costs, track)
     assert b.j_gamma == pytest.approx(track)
 
 
@@ -219,16 +220,15 @@ def test_evaluate_equals_previous_formula(kind, risk_kind):
     assert _within(b.rho_mean, _previous_rho_mean(data, lam_e, adj_y))
     assert np.array_equal(b.lambda_i, lam_i)
     assert np.array_equal(b.penalty_residuals, np.maximum(0.0, i_vals))
-    assert np.array_equal(b.gradient, b.eta + rho_mean)
-    assert b.risk_value == risk.evaluate(data.risk, costs, w)
+    assert np.array_equal(b.gradient, data.mu_tik * data.grid.mass * x + rho_mean)
+    assert b.j == 0.5 * data.mu_tik * data.grid.inner(x, x) + risk.evaluate(data.risk, costs, w)
     # the previous formula: rho with its control adjoint stack, weighted, summed over axis 0
     rho = -h * lam_e + _control_adjoint_stack(data, lam_i)
     assert _within(b.rho_mean, (w[:, None] * rho).sum(axis=0))
     # objective_only and unpenalized_objective read this one evaluation
     assert objective_only(data, 100.0, x) == b.j_gamma
     max_i = float(np.max(i_vals))
-    assert unpenalized_objective(data, x) == (b.j1 + b.risk_value, max_i <= data.tol_feas,
-                                             max(0.0, max_i))
+    assert unpenalized_objective(data, x) == (b.j, max_i <= data.tol_feas, max(0.0, max_i))
 
 
 def _product_parts(data, bundle, v):
@@ -370,7 +370,7 @@ def test_rho_mean_matches_weighted_sum():
     rho = b.adjoints + _control_adjoint_stack(data, b.lambda_i)
     direct = sum(p * r for p, r in zip(w, rho))
     assert _within(b.rho_mean, direct)
-    assert np.allclose(b.gradient, b.eta + direct)
+    assert np.allclose(b.gradient, data.mu_tik * data.grid.mass * b.x1 + direct)
 
 
 def test_unpenalized_objective_flags_violation():
@@ -455,7 +455,7 @@ def test_the_mass_weighted_adjoint_is_the_previous_one_bit_for_bit(n, kind, risk
     rho_mean = _previous_rho_mean(data, lam_e, adj_y)
     assert b.adjoints.tobytes() == (-h * lam_e).tobytes()
     assert b.rho_mean.tobytes() == rho_mean.tobytes()
-    assert b.gradient.tobytes() == (b.eta + rho_mean).tobytes()
+    assert b.gradient.tobytes() == (data.mu_tik * data.grid.mass * x + rho_mean).tobytes()
     # the report's three adjoint quantities as it formed them from lambda_e, each max of
     # row norms as sqrt(h max(dot_last))
 
